@@ -12,6 +12,7 @@ from .errors import (
 )
 from .graph import (
     DependencyGraph,
+    KeyIndex,
     PathReport,
     build_graph,
     conflicts,
@@ -20,6 +21,7 @@ from .graph import (
     graph_to_edgelist,
     graph_to_json_dict,
     heaviest_from,
+    max_dependency,
 )
 from .occsim import (
     ExecAttempt,

@@ -43,9 +43,24 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+def _parse_json(text: str | bytes, source: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        raise ValidationError(f"{source}: not valid JSON: {exc}") from None
+
+
 def _load_json_file(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    with open(path, "rb") as handle:
+        return _parse_json(handle.read(), path)
+
+
+def _load_trace(path: str) -> Workload:
+    with open(path, "rb") as handle:
+        try:
+            return parse_trace(handle)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 def _generator_workloads(spec: dict) -> list[tuple[str, Workload]]:
@@ -87,15 +102,11 @@ def _resolve_workloads(args) -> list[tuple[str, Workload]]:
         elif "generator" in cfg_input:
             return _generator_workloads(cfg_input["generator"])
     if gen_spec:
-        spec = json.loads(gen_spec) if gen_spec.lstrip().startswith("{") else _load_json_file(gen_spec)
+        spec = _parse_json(gen_spec, "--gen") if gen_spec.lstrip().startswith("{") else _load_json_file(gen_spec)
         return _generator_workloads(spec)
     if not inputs:
         raise ValidationError("no input: pass --input TRACE..., --gen SPEC, or a config with an 'input' field")
-    out = []
-    for path in inputs:
-        with open(path, "rb") as handle:
-            out.append((Path(path).stem, parse_trace(handle)))
-    return out
+    return [(Path(path).stem, _load_trace(path)) for path in inputs]
 
 
 def _parse_key_set(raw, workload: Workload) -> frozenset[StorageKey]:
@@ -109,21 +120,33 @@ def _parse_key_set(raw, workload: Workload) -> frozenset[StorageKey]:
     return frozenset(StorageKey.parse(k) for k in raw)
 
 
+#: The fields each transform step must carry.
+_STEP_FIELDS = {
+    "split_senders": ("hot_sender", "m", "sender_balance_key"),
+    "partition_counters": ("target_keys", "length"),
+    "cadd_rewrite": ("target_keys",),
+    "prune_edges": ("target_keys", "p"),
+}
+
+
 def _split_chain(chain: list[dict]) -> tuple[list[dict], list[dict]]:
-    """Workload rewrites apply in order; edge pruning applies when graphs
-    are built."""
+    """Validate every step up front. Workload rewrites apply in order; edge
+    pruning applies when graphs are built."""
     workload_steps, prune_steps = [], []
     for step in chain:
-        if step.get("transform") == "prune_edges":
-            prune_steps.append(step)
-        else:
-            workload_steps.append(step)
+        kind = step.get("transform") if isinstance(step, dict) else None
+        if kind not in _STEP_FIELDS:
+            raise ValidationError(f"unknown transform {kind!r}")
+        for name in _STEP_FIELDS[kind]:
+            if name not in step:
+                raise ValidationError(f"transform step {kind!r} needs a {name!r} field")
+        (prune_steps if kind == "prune_edges" else workload_steps).append(step)
     return workload_steps, prune_steps
 
 
 def _apply_workload_transforms(workload: Workload, steps: list[dict]) -> Workload:
     for step in steps:
-        kind = step.get("transform")
+        kind = step["transform"]
         if kind == "split_senders":
             workload = split_senders(
                 workload,
@@ -138,10 +161,8 @@ def _apply_workload_transforms(workload: Workload, steps: list[dict]) -> Workloa
                 routing=step.get("routing", "sender"),
             )
             workload = partition_counters(workload, spec)
-        elif kind == "cadd_rewrite":
-            workload = cadd_rewrite(workload, _parse_key_set(step["target_keys"], workload))
         else:
-            raise ValidationError(f"unknown transform {kind!r}")
+            workload = cadd_rewrite(workload, _parse_key_set(step["target_keys"], workload))
     return workload
 
 
@@ -304,15 +325,6 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _identical_outcome(a, b) -> bool:
-    """Mode-comparison equality: same makespan and the same multiset of
-    per-attempt outcomes (storage versions excluded; the two modes assign
-    them on different bases)."""
-    pattern_a = sorted((x.tx_id, x.attempt, x.outcome) for x in a.attempts)
-    pattern_b = sorted((x.tx_id, x.attempt, x.outcome) for x in b.attempts)
-    return a.makespan == b.makespan and pattern_a == pattern_b
-
-
 def cmd_simulate(args) -> int:
     workload_steps, prune_steps = _transform_chain(args)
     threads = _threads_list(args)
@@ -332,14 +344,15 @@ def cmd_simulate(args) -> int:
     workloads = _resolve_workloads(args)
     for label, workload in workloads:
         workload = _apply_workload_transforms(workload, workload_steps)
+        policy = SvPolicy.minus_one()
+        if mode == MODE_DA and policy_name == "dep_graph":
+            if prune_steps:  # a pruned graph is normative: its edges set the table
+                graph = _apply_prunes(build_graph(workload, cadd_aware), workload, prune_steps, seed)
+                policy = SvPolicy.from_graph(graph)
+            else:
+                policy = SvPolicy.from_workload(workload, cadd_aware)
         for t in threads:
             if mode == MODE_DA:
-                if policy_name == "dep_graph":
-                    graph = build_graph(workload, cadd_aware)
-                    graph = _apply_prunes(graph, workload, prune_steps, seed)
-                    policy = SvPolicy.from_graph(graph)
-                else:
-                    policy = SvPolicy.minus_one()
                 result = run_occ_da(workload, t, policy, cadd_aware)
             elif mode == MODE_DET_COMMIT:
                 result = run_occ_det_commit(workload, t, cadd_aware)
@@ -367,7 +380,9 @@ def cmd_simulate(args) -> int:
             stats["runs"] += 1
             if mode == MODE_DA:
                 baseline = run_occ_det_commit(workload, t, cadd_aware, with_digest=False)
-                row["identical_to_det_commit"] = _identical_outcome(result, baseline)
+                row["identical_to_det_commit"] = (
+                    result.makespan == baseline.makespan and result.abort_pattern() == baseline.abort_pattern()
+                )
                 stats["identical"] += int(row["identical_to_det_commit"])
             rows.append(row)
             if args.events:
@@ -418,8 +433,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    with open(args.input, "rb") as handle:
-        workload = parse_trace(handle)
+    workload = _load_trace(args.input)
     chain = _load_json_file(args.chain)
     workload_steps, prune_steps = _split_chain(chain)
     if prune_steps:

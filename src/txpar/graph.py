@@ -5,10 +5,16 @@ cadd-aware mode."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cache, cached_property
+from typing import Iterator
 
 from .errors import ValidationError
 from .workload import AccessSet, StorageKey, Transaction, Workload
+
+#: Access kinds of one transaction on one key, as bits of a kind mask.
+READ, WRITE, CADD = 1, 2, 4
 
 
 @dataclass(frozen=True)
@@ -26,6 +32,7 @@ class DependencyGraph:
     edges: frozenset[tuple[int, int]]
     weights: tuple[int, ...]
     edge_keys: dict = field(default_factory=dict, compare=False, repr=False)
+    _adjacency: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset((int(j), int(i)) for j, i in self.edges))
@@ -43,23 +50,23 @@ class DependencyGraph:
     def total_weight(self) -> int:
         return sum(self.weights)
 
-    def dependents(self) -> list[list[int]]:
-        """For each id, the sorted ids that depend on it."""
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for j, i in self.edges:
-            out[i].append(j)
-        for lst in out:
-            lst.sort()
-        return out
+    def dependents(self) -> tuple[tuple[int, ...], ...]:
+        """For each id, the sorted ids that depend on it. Computed once."""
+        return self._neighbours(1, 0)
 
-    def dependencies(self) -> list[list[int]]:
-        """For each id, the sorted ids it depends on."""
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for j, i in self.edges:
-            out[j].append(i)
-        for lst in out:
-            lst.sort()
-        return out
+    def dependencies(self) -> tuple[tuple[int, ...], ...]:
+        """For each id, the sorted ids it depends on. Computed once."""
+        return self._neighbours(0, 1)
+
+    def _neighbours(self, src: int, dst: int) -> tuple[tuple[int, ...], ...]:
+        cached = self._adjacency.get(src)
+        if cached is None:
+            out: list[list[int]] = [[] for _ in range(self.n)]
+            # Sorted (j, i) edges list every id's neighbours in ascending order.
+            for edge in sorted(self.edges):
+                out[edge[src]].append(edge[dst])
+            cached = self._adjacency[src] = tuple(map(tuple, out))
+        return cached
 
 
 @dataclass(frozen=True)
@@ -104,46 +111,120 @@ def conflicts(
     return _pair_conflict(a.access, b.access, cadd_aware, write_cadd_conflicts)
 
 
+class KeyIndex:
+    """Per-key sorted ids of the transactions that read, write and cadd each
+    key, each built in one pass over a workload. It is the one access index
+    the dependency graph, the `dep_graph` storage-version table and the OCC
+    engines' commit-window checks are derived from. `readers` is built on
+    first use: the engines never read it, and building it on every engine
+    run would leave thousands more lists for the garbage collector to scan."""
+
+    def __init__(self, workload: Workload):
+        self.workload = workload
+        self.n = len(workload)
+        self.writers: dict[StorageKey, list[int]] = {}
+        self.cadders: dict[StorageKey, list[int]] = {}
+        for tx in workload:
+            i = tx.id
+            for key in tx.access.writes:
+                self.writers.setdefault(key, []).append(i)
+            for key, _ in tx.access.cadds:  # a multiset: one key may repeat
+                ids = self.cadders.setdefault(key, [])
+                if not ids or ids[-1] != i:
+                    ids.append(i)
+
+    @cached_property
+    def readers(self) -> dict[StorageKey, list[int]]:
+        """Per key, the sorted ids that read it."""
+        readers: dict[StorageKey, list[int]] = {}
+        for tx in self.workload:
+            for key in tx.access.reads:
+                readers.setdefault(key, []).append(tx.id)
+        return readers
+
+    def accesses(self) -> Iterator[tuple[StorageKey, list[tuple[int, int]]]]:
+        """Each key, with (id, kind mask) of every tx touching it, by id."""
+        for key in {**self.readers, **self.writers, **self.cadders}:
+            kinds: dict[int, int] = {}
+            for bit, index in ((READ, self.readers), (WRITE, self.writers), (CADD, self.cadders)):
+                for i in index.get(key, ()):
+                    kinds[i] = kinds.get(i, 0) | bit
+            yield key, sorted(kinds.items())
+
+    def written_between(self, keys, lo: int, hi: int) -> bool:
+        """True iff some tx with id in [lo, hi] writes or cadds one of `keys`."""
+        if lo > hi:
+            return False
+        for index in (self.writers, self.cadders):
+            for key in keys:
+                ids = index.get(key)
+                if ids:
+                    pos = bisect_left(ids, lo)
+                    if pos < len(ids) and ids[pos] <= hi:
+                        return True
+        return False
+
+
+@cache
+def _kind_conflicts(cadd_aware: bool, write_cadd_conflicts: bool) -> tuple[tuple[bool, ...], ...]:
+    """`[later][earlier]`: whether accesses to one key with these kind masks
+    conflict. Derived from `_pair_conflict` on single-key access sets, so
+    both stay one rule."""
+    key = StorageKey("k", "k")
+    access = [
+        AccessSet(
+            reads={key} if kind & READ else (),
+            writes={key} if kind & WRITE else (),
+            cadds=((key, 1),) if kind & CADD else (),
+        )
+        for kind in range(8)
+    ]
+    return tuple(
+        tuple(_pair_conflict(access[later], access[earlier], cadd_aware, write_cadd_conflicts) for earlier in range(8))
+        for later in range(8)
+    )
+
+
+def max_dependency(index: KeyIndex, cadd_aware: bool, write_cadd_conflicts: bool = True) -> tuple[int, ...]:
+    """For each tx, the highest earlier id it conflicts with, or -1: the
+    highest predecessor in `build_graph`'s edge set, in O(accesses)."""
+    conflict = _kind_conflicts(cadd_aware, write_cadd_conflicts)
+    dep = [-1] * index.n
+    for _, accesses in index.accesses():
+        latest: dict[int, int] = {}  # kind mask -> the latest id so far with it
+        for j, kind in accesses:
+            row = conflict[kind]
+            for earlier, i in latest.items():
+                if row[earlier] and i > dep[j]:
+                    dep[j] = i
+            latest[kind] = j
+    return tuple(dep)
+
+
 def build_graph(
     workload: Workload,
     cadd_aware: bool = False,
     *,
     write_cadd_conflicts: bool = True,
 ) -> DependencyGraph:
-    """Build the dependency graph via per-key access indexes.
+    """Build the dependency graph from the per-key access index.
 
     Produces exactly the edge set of the naive pairwise conflicts() scan
-    (the normative oracle), in O(sum of per-key conflicting pairs).
+    (the normative oracle), in O(sum of per-key conflicting pairs): each
+    key emits each of its (later, earlier) pairs once.
     """
-    readers: dict[StorageKey, list[int]] = {}
-    writers: dict[StorageKey, list[int]] = {}
-    cadders: dict[StorageKey, list[int]] = {}
-    for tx in workload:
-        for key in tx.access.reads:
-            readers.setdefault(key, []).append(tx.id)
-        for key in tx.access.writes:
-            writers.setdefault(key, []).append(tx.id)
-        for key in tx.access.cadd_keys:
-            cadders.setdefault(key, []).append(tx.id)
-
+    conflict = _kind_conflicts(cadd_aware, write_cadd_conflicts)
     edge_keys: dict[tuple[int, int], set[StorageKey]] = {}
-    all_keys = set(readers) | set(writers) | set(cadders)
-    for key in all_keys:
-        r = readers.get(key, ())
-        w = writers.get(key, ())
-        c = cadders.get(key, ())
-        if cadd_aware:
-            write_like = set(w)
-            touch_vs_write = set(r) | set(w) | (set(c) if write_cadd_conflicts else set())
-            pairs = {(a, b) for a in write_like for b in touch_vs_write if a != b}
-            pairs |= {(a, b) for a in c for b in r if a != b}
-        else:
-            write_like = set(w) | set(c)
-            touching = set(r) | write_like
-            pairs = {(a, b) for a in write_like for b in touching if a != b}
-        for a, b in pairs:
-            edge = (max(a, b), min(a, b))
-            edge_keys.setdefault(edge, set()).add(key)
+    for key, accesses in KeyIndex(workload).accesses():
+        by_kind: dict[int, list[int]] = {}  # kind mask -> earlier ids with it
+        for j, kind in accesses:
+            row = conflict[kind]
+            for earlier, ids in by_kind.items():
+                if not row[earlier]:
+                    continue
+                for i in ids:
+                    edge_keys.setdefault((j, i), set()).add(key)
+            by_kind.setdefault(kind, []).append(j)
 
     frozen = {edge: frozenset(keys) for edge, keys in edge_keys.items()}
     return DependencyGraph(

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import heapq
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .errors import InvariantViolation, ValidationError
-from .graph import DependencyGraph
+from .graph import DependencyGraph, KeyIndex, max_dependency
 from .storagevm import replay_final_state
 from .workload import StorageKey, Workload
 
@@ -84,13 +83,13 @@ class SvPolicy:
 
     The version for (tx, attempt) must depend only on static inputs, never
     on runtime timing. Variants: `minus_one` starts every tx at the
-    pre-block state; `dep_graph` starts at the highest estimated dependency;
-    `custom` reads a user table. All variants fall back to id-1 for retries,
-    which can never abort again.
+    pre-block state; `dep_graph` starts at the highest estimated dependency,
+    precomputed per tx in `first_sv`; `custom` reads a user table. All
+    variants fall back to id-1 for retries, which can never abort again.
     """
 
     variant: str
-    graph: DependencyGraph | None = None
+    first_sv: tuple[int, ...] | None = None
     table: Mapping[tuple[int, int], int] | None = None
 
     @classmethod
@@ -99,7 +98,15 @@ class SvPolicy:
 
     @classmethod
     def from_graph(cls, graph: DependencyGraph) -> "SvPolicy":
-        return cls(variant="dep_graph", graph=graph)
+        """Start each tx at its highest predecessor in `graph`, for graphs
+        whose edges are normative (a pruned graph, say)."""
+        return cls(variant="dep_graph", first_sv=tuple(deps[-1] if deps else -1 for deps in graph.dependencies()))
+
+    @classmethod
+    def from_workload(cls, workload: Workload, cadd_aware: bool = False) -> "SvPolicy":
+        """The `from_graph(build_graph(workload, cadd_aware))` policy, derived
+        from the per-key access index without building the graph."""
+        return cls(variant="dep_graph", first_sv=max_dependency(KeyIndex(workload), cadd_aware))
 
     @classmethod
     def custom(cls, table: Mapping[tuple[int, int], int]) -> "SvPolicy":
@@ -109,13 +116,7 @@ class SvPolicy:
         if self.variant == "minus_one":
             sv = -1 if attempt == 0 else tx_id - 1
         elif self.variant == "dep_graph":
-            if attempt == 0:
-                sv = -1
-                for j, i in self.graph.edges:
-                    if j == tx_id and i > sv:
-                        sv = i
-            else:
-                sv = tx_id - 1
+            sv = self.first_sv[tx_id] if attempt == 0 else tx_id - 1
         elif self.variant == "custom":
             sv = self.table.get((tx_id, attempt), tx_id - 1)
         else:
@@ -170,37 +171,6 @@ class FixedTiming(Timing):
         return self._durations.get(tx_id, gas)
 
 
-class _WriterIndex:
-    """Per-key sorted lists of writer ids, for O(log n) conflict-window
-    probes. Commutative adds count as writes; whether they also count as
-    reads on the probing side depends on cadd-awareness."""
-
-    def __init__(self, workload: Workload, cadd_aware: bool):
-        writers: dict[StorageKey, list[int]] = {}
-        read_keys: list[tuple[StorageKey, ...]] = []
-        for tx in workload:
-            for key in tx.access.writes | tx.access.cadd_keys:
-                writers.setdefault(key, []).append(tx.id)
-            probe = tx.access.reads if cadd_aware else tx.access.reads | tx.access.cadd_keys
-            read_keys.append(tuple(sorted(probe)))
-        self._writers = writers
-        self._read_keys = read_keys
-
-    def conflicts_in_window(self, tx_id: int, sv: int) -> bool:
-        """True iff some tx in [sv+1, tx_id-1] wrote a key tx_id reads."""
-        lo, hi = sv + 1, tx_id - 1
-        if lo > hi:
-            return False
-        for key in self._read_keys[tx_id]:
-            ids = self._writers.get(key)
-            if not ids:
-                continue
-            idx = bisect_left(ids, lo)
-            if idx < len(ids) and ids[idx] <= hi:
-                return True
-        return False
-
-
 def _finalize(
     workload: Workload,
     mode: str,
@@ -252,10 +222,15 @@ def _run_in_order(
     n = len(workload)
     mode = MODE_DA if policy is not None else MODE_DET_COMMIT
     policy_name = policy.variant if policy is not None else "runtime"
+    if policy is not None and policy.first_sv is not None and len(policy.first_sv) != n:
+        raise ValidationError(f"policy covers {len(policy.first_sv)} txs, the workload has {n}")
     if n == 0:
         return _finalize(workload, mode, threads, policy_name, [], [], 0, with_digest)
 
-    index = _WriterIndex(workload, cadd_aware)
+    index = KeyIndex(workload)
+    # Keys whose writes in a tx's commit window abort it. A cadd reads its
+    # key unless commutative adds are honoured.
+    read_keys = [tx.access.reads if cadd_aware else tx.access.reads | tx.access.cadd_keys for tx in workload]
     gas = [tx.gas for tx in workload]
     attempt_no = [0] * n
 
@@ -286,6 +261,8 @@ def _run_in_order(
             att = attempt_no[tx_id]
             sv = policy.storage_version(tx_id, att) if policy is not None else next_commit - 1
             duration = timing.duration(tx_id, att, gas[tx_id])
+            if duration < 1:
+                raise ValidationError(f"timing gave tx {tx_id} attempt {att} duration {duration}; it must be >= 1")
             heapq.heappush(pool, (clock + duration, timing.tiebreak(tx_id, att), tx_id, sv, clock))
 
         if not pool and not commit_queue:
@@ -301,7 +278,7 @@ def _run_in_order(
         while commit_queue and commit_queue[0][0] == next_commit:
             tx_id, sv, start, end = heapq.heappop(commit_queue)
             att = attempt_no[tx_id]
-            if index.conflicts_in_window(tx_id, sv):
+            if index.written_between(read_keys[tx_id], sv + 1, tx_id - 1):
                 attempts.append(ExecAttempt(tx_id, att, sv, start, end, "aborted"))
                 attempt_no[tx_id] += 1
                 if policy is not None:

@@ -156,14 +156,13 @@ class Workload:
 
 
 def _iter_lines(stream) -> Iterator[tuple[int, str]]:
-    if isinstance(stream, bytes):
-        text = stream.decode("utf-8")
-    elif isinstance(stream, str):
-        text = stream
-    else:  # file-like
-        text = stream.read()
-        if isinstance(text, bytes):
+    text = stream if isinstance(stream, (bytes, str)) else stream.read()  # else file-like
+    if isinstance(text, bytes):
+        try:
             text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = text.count(b"\n", 0, exc.start) + 1
+            raise TraceParseError(line_no, f"not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
     for line_no, line in enumerate(text.splitlines(), start=1):
         yield line_no, line
 

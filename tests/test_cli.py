@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from txpar import build_graph, parse_trace
+from txpar import SvPolicy, StorageKey, build_graph, parse_trace, prune_edges_probabilistic, run_occ_da
 from txpar.cli import main
 
 
@@ -254,3 +254,52 @@ def test_config_file_drives_simulation(tmp_path):
     assert (out1 / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
     rows = json.loads((out1 / "runs.json").read_text())
     assert len(rows) == 2  # two generated workloads, one thread count
+
+
+def test_simulate_dep_graph_with_prune_step_uses_the_pruned_graph(tmp_path):
+    trace = tmp_path / "w.trace"
+    run(["generate", "--pattern", "defi_fee", "--n", "16", "--traders", "16", "--seed", "3", "--out", str(trace)])
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps([{"transform": "prune_edges", "target_keys": "bottleneck", "p": "1/2", "seed": 5}]))
+    out = tmp_path / "sim"
+    argv = ["simulate", "--input", str(trace), "--policy", "dep_graph", "--transforms", str(chain)]
+    assert run(argv + ["--threads", "2,8", "--out", str(out)]) == 0
+    rows = json.loads((out / "runs.json").read_text())
+
+    w = parse_trace(trace.read_bytes())
+    full = build_graph(w)
+    pruned = prune_edges_probabilistic(full, {StorageKey.parse(k) for k in w.meta["bottleneck_keys"]}, 0.5, seed=5)
+    assert 0 < len(pruned.edges) < len(full.edges)
+    policy = SvPolicy.from_graph(pruned)
+    assert policy != SvPolicy.from_workload(w)
+    for row in rows:
+        expected = run_occ_da(w, row["threads"], policy)
+        assert row["policy"] == "dep_graph"
+        assert row["aborts"] == [[a.tx_id, a.attempt, a.sv] for a in expected.aborted()]
+        assert (row["makespan"], row["digest"]) == (expected.makespan, expected.digest)
+
+
+def test_non_utf8_trace_exits_1(tmp_path, capsys):
+    trace = tmp_path / "bad.trace"
+    trace.write_bytes(b'{"sender":"a","gas":5,"reads":[],"writes":[],"cadds":[]}\n\xff\xfe\n')
+    assert run(["analyze", "--input", str(trace), "--out", str(tmp_path / "o")]) == 1
+    assert "bad.trace: line 2: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_transform_step_missing_field_exits_1(tmp_path, capsys):
+    trace = tmp_path / "w.trace"
+    run(["generate", "--pattern", "token_distribution", "--n", "6", "--senders", "1", "--seed", "0", "--out", str(trace)])
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps([{"transform": "split_senders", "m": 2, "sender_balance_key": "tok:bal:s0"}]))
+    assert run(["transform", "--input", str(trace), "--chain", str(chain), "--out", str(tmp_path / "x.trace")]) == 1
+    assert "'split_senders' needs a 'hot_sender' field" in capsys.readouterr().err
+
+
+def test_malformed_config_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"threads": [4],')
+    assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"{cfg}: not valid JSON" in capsys.readouterr().err
+    assert run(["simulate", "--gen", '{"pattern": ', "--out", str(tmp_path / "o")]) == 1
+    cfg.write_bytes(b'{"threads": [4], "mode": "\xff"}')
+    assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

@@ -4,15 +4,19 @@ pairwise and path-enumeration oracles."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from txpar import (
     AccessSet,
     DependencyGraph,
+    KeyIndex,
     StorageKey,
     Transaction,
     ValidationError,
     Workload,
     build_graph,
+    cadd_rewrite,
     conflicts,
     critical_path,
     gen_payments,
@@ -21,9 +25,13 @@ from txpar import (
     graph_to_edgelist,
     graph_to_json_dict,
     heaviest_from,
+    max_dependency,
 )
+from txpar.graph import CADD, READ, WRITE
+from txpar.workload import VALUE_DEPENDENT
 
-from oracles import oracle_critical_weight, oracle_edges, oracle_heaviest_from, random_workload
+from corpus_util import build_corpus
+from oracles import oracle_critical_weight, oracle_edges, oracle_heaviest_from, random_dag, random_workload
 
 K = StorageKey("c", "K")
 
@@ -227,3 +235,87 @@ def test_graph_edgelist_format():
     lines = text.strip().splitlines()
     assert lines[0] == "# weights 1 2 3 1"
     assert lines[1:] == ["1 0", "2 0", "3 1", "3 2"]
+
+
+# ---------------------------------------------------------------------------
+# Per-key access index: the max-dependency table against the full edge set
+# ---------------------------------------------------------------------------
+
+CADD_MODES = [(False, True), (False, False), (True, True), (True, False)]  # (cadd_aware, write_cadd_conflicts)
+
+
+def _max_predecessor(g):
+    out = [-1] * g.n
+    for j, i in g.edges:
+        out[j] = max(out[j], i)
+    return tuple(out)
+
+
+def _assert_table_matches_graph(w):
+    index = KeyIndex(w)
+    for cadd_aware, wcc in CADD_MODES:
+        g = build_graph(w, cadd_aware, write_cadd_conflicts=wcc)
+        assert max_dependency(index, cadd_aware, wcc) == _max_predecessor(g), (cadd_aware, wcc)
+
+
+_KEYS = [StorageKey("c", f"k{i}") for i in range(5)]
+_key_sets = st.frozensets(st.sampled_from(_KEYS), max_size=3)
+_accesses = st.builds(
+    AccessSet,
+    reads=_key_sets,
+    writes=_key_sets,
+    cadds=st.lists(st.tuples(st.sampled_from(_KEYS), st.integers(-3, 3)), max_size=3),
+)
+workloads = st.lists(_accesses, min_size=1, max_size=16).map(
+    lambda accesses: Workload(
+        transactions=tuple(Transaction(id=i, sender="s", gas=1, access=a) for i, a in enumerate(accesses))
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(workloads)
+def test_max_dependency_is_max_predecessor_of_build_graph(w):
+    _assert_table_matches_graph(w)
+
+
+def test_max_dependency_is_max_predecessor_on_corpus_and_cadd_variants():
+    for w in build_corpus(40):
+        _assert_table_matches_graph(w)
+        tags = w.key_tags
+        for key in w.meta.get("bottleneck_keys", []):
+            if tags.get(key) != VALUE_DEPENDENT:
+                _assert_table_matches_graph(cadd_rewrite(w, {StorageKey.parse(key)}))
+
+
+def test_key_index_matches_the_access_sets():
+    rng = random.Random(31)
+    for _ in range(40):
+        w = random_workload(rng, max_n=20)
+        index = KeyIndex(w)
+        accesses = dict(index.accesses())
+        assert set(accesses) == set().union(*(tx.access.touched() for tx in w))
+        for key, kinds in accesses.items():
+            assert index.readers.get(key, []) == [tx.id for tx in w if key in tx.access.reads]
+            assert index.writers.get(key, []) == [tx.id for tx in w if key in tx.access.writes]
+            assert index.cadders.get(key, []) == [tx.id for tx in w if key in tx.access.cadd_keys]
+            expected = [
+                (tx.id, READ * (key in tx.access.reads) | WRITE * (key in tx.access.writes) | CADD * (key in tx.access.cadd_keys))
+                for tx in w
+            ]
+            assert kinds == [(i, kind) for i, kind in expected if kind]
+
+
+def test_adjacency_is_cached_sorted_and_immutable():
+    rng = random.Random(8)
+    for _ in range(50):
+        g = random_dag(rng, max_n=12)
+        deps = g.dependents()
+        assert deps == tuple(tuple(sorted(j for j, i in g.edges if i == x)) for x in range(g.n))
+        assert g.dependencies() == tuple(tuple(sorted(i for j, i in g.edges if j == x)) for x in range(g.n))
+        assert g.dependents() is deps
+        assert g == DependencyGraph(n=g.n, edges=g.edges, weights=g.weights)
+    with pytest.raises(TypeError):
+        deps[0] = (1,)
+    with pytest.raises(AttributeError):
+        g.dependencies()[0].append(0)

@@ -9,6 +9,7 @@ from txpar import (
     AccessSet,
     FixedTiming,
     JitterTiming,
+    KeyIndex,
     StorageKey,
     SvPolicy,
     Transaction,
@@ -24,6 +25,9 @@ from txpar import (
     run_occ_da,
     run_occ_det_commit,
 )
+
+from corpus_util import build_corpus
+from oracles import random_workload
 
 K = StorageKey("c", "K")
 L = StorageKey("c", "L")
@@ -171,6 +175,46 @@ def test_custom_policy_validation_and_extra_attempts():
     tx2 = sorted((a for a in result.attempts if a.tx_id == 2), key=lambda a: a.attempt)
     assert [a.outcome for a in tx2] == ["aborted", "aborted", "committed"]
     assert [a.sv for a in tx2] == [-1, 0, 1]
+
+
+def test_workload_and_graph_built_policies_agree():
+    rng = random.Random(12)
+    for w in build_corpus(20) + [random_workload(rng, max_n=24) for _ in range(60)]:
+        for cadd_aware in (False, True):
+            fast = SvPolicy.from_workload(w, cadd_aware)
+            normative = SvPolicy.from_graph(build_graph(w, cadd_aware))
+            assert fast.variant == normative.variant == "dep_graph"
+            for tx in w:
+                for attempt in range(3):
+                    assert fast.storage_version(tx.id, attempt) == normative.storage_version(tx.id, attempt)
+
+
+def test_policy_must_cover_the_workload():
+    w = chain_workload(3)
+    policy = SvPolicy.from_workload(chain_workload(2))
+    with pytest.raises(ValidationError):
+        run_occ_da(w, 2, policy, with_digest=False)
+
+
+def test_key_index_window_check_matches_naive_scan():
+    rng = random.Random(41)
+    for _ in range(40):
+        w = random_workload(rng, max_n=20)
+        index = KeyIndex(w)
+        for tx in w:
+            for keys in (tx.access.reads, tx.access.reads | tx.access.cadd_keys):
+                for sv in range(-1, tx.id):
+                    naive = any(keys & (w[i].access.writes | w[i].access.cadd_keys) for i in range(sv + 1, tx.id))
+                    assert index.written_between(keys, sv + 1, tx.id - 1) == naive
+
+
+@pytest.mark.parametrize("duration", [0, -100])
+def test_engines_reject_non_positive_durations(duration):
+    w = four_tx_example()
+    with pytest.raises(ValidationError):
+        run_occ_da(w, 2, timing=FixedTiming({0: duration}), with_digest=False)
+    with pytest.raises(ValidationError):
+        run_occ_det_commit(w, 2, timing=FixedTiming({3: duration}), with_digest=False)
 
 
 def test_occ_da_snapshot_gate_waits_for_commit():
