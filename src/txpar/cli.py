@@ -9,8 +9,11 @@ All outputs are byte-deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import report
@@ -30,7 +33,7 @@ from .occsim import (
 from .transforms import PartitionSpec, cadd_rewrite, partition_counters, prune_edges_probabilistic, split_senders
 from .workload import GENERATORS, StorageKey, Workload, emit_trace, gen_mixed, parse_trace
 
-MODES = (MODE_DA, MODE_DET_COMMIT, MODE_CLASSIC, "bound")
+MODES = (MODE_DA, MODE_DET_COMMIT, MODE_CLASSIC)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,14 +42,88 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Input resolution
+# Settings, inputs, transform steps and the block pipeline
 # ---------------------------------------------------------------------------
+
+
+def _expect(what: str, accepts):
+    """A parser of a named field: it returns a value that `accepts` takes and rejects any other."""
+
+    def parse(name: str, value):
+        if not accepts(value):
+            raise ValidationError(f"{name} must be {what}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _is_strings(value) -> bool:
+    return type(value) is list and all(type(s) is str for s in value)
+
+
+def _is_gas(value) -> bool:
+    return type(value) is int or type(value) is list and list(map(type, value)) == [int, int] and value[0] <= value[1]
+
+
+def _is_probability(value) -> bool:
+    try:
+        float(Fraction(value))
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        return False
+    return True
+
+
+def _thread_counts(name: str, raw) -> tuple[int, ...]:
+    threads = [int(p) if p.strip().isdecimal() else p for p in raw.split(",") if p] if type(raw) is str else raw
+    if type(threads) is not list or not threads or any(type(t) is not int or t < 1 for t in threads):
+        raise ValidationError(f"{name} must be positive thread counts such as 2,8 or [2, 8], got {raw!r}")
+    return tuple(threads)
+
+
+_INT = _expect("an integer", lambda v: type(v) is int)
+_STR = _expect("a string", lambda v: type(v) is str)
+_BOOL = _expect("true or false", lambda v: type(v) is bool)
+_OBJECT = _expect("a JSON object", lambda v: type(v) is dict)
+_PATH = _expect("a path", lambda v: type(v) is str and "\0" not in v)
+_PATHS = _expect("a list of paths", lambda v: _is_strings(v) and not any("\0" in path for path in v))
+_KEYS = _expect("a storage key or a list of them", lambda v: type(v) is str or _is_strings(v))
+_PROBABILITY = _expect('a number or a fraction such as "1/2"', _is_probability)
+_WEIGHT = _expect("a positive number", lambda v: type(v) in (int, float) and v > 0)
+_GAS = _expect("an integer or [low, high]", _is_gas)
+_MIX = _expect(
+    "a list of [pattern, params, weight]", lambda v: type(v) is list and all(type(e) is list and len(e) == 3 for e in v)
+)
+_POSITIVE = _expect("a positive integer", lambda v: type(v) is int and v > 0)
+
+#: Every setting a flag or a config key can give, with its default and parser. A command resolves those it has
+#: a flag for: the flag beats the config, and the config beats the default (a config value of null is absent).
+_SETTINGS = {
+    "seed": (0, _INT),
+    "out": (Path("out"), lambda name, value: Path(_PATH(name, value))),
+    "format": ("json", _expect("json, csv or both", lambda v: v in ("json", "csv", "both"))),
+    "cadd_aware": (False, _BOOL),
+    "mode": (MODE_DA, _expect(f"one of {', '.join(MODES)}", lambda v: v in MODES)),
+    "policy": ("minus_one", _expect("minus_one or dep_graph", lambda v: v in ("minus_one", "dep_graph"))),
+    "trials": (20, _INT),
+    "threads": ((32,), _thread_counts),
+}
+
+
+def _resolve_settings(args) -> None:
+    for name, (default, parse) in _SETTINGS.items():
+        if not hasattr(args, name):
+            continue
+        value, source = getattr(args, name), "--" + name.replace("_", "-")
+        if value is None:
+            value, source = args.config_data.get(name), f"config {name!r}"
+        # a command may carry its own default, such as probe's threads
+        setattr(args, name, getattr(args, "default_" + name, default) if value is None else parse(source, value))
 
 
 def _parse_json(text: str | bytes, source: str):
     try:
         return json.loads(text)
-    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # malformed JSON, bytes that are not UTF-8, or too deep a nesting
         raise ValidationError(f"{source}: not valid JSON: {exc}") from None
 
 
@@ -63,148 +140,134 @@ def _load_trace(path: str) -> Workload:
             raise ValidationError(f"{path}: {exc}") from None
 
 
-def _generator_workloads(spec: dict) -> list[tuple[str, Workload]]:
-    if "pattern" not in spec:
-        raise ValidationError("generator spec needs a 'pattern' field")
-    pattern = spec["pattern"]
-    n = int(spec.get("n", 0))
-    count = int(spec.get("count", 1))
-    seed = int(spec.get("seed", 0))
-    if count < 1:
-        raise ValidationError(f"generator count must be >= 1, got {count}")
-    out = []
-    for i in range(count):
-        label = f"{pattern}-s{seed}-{i:04d}"
-        if pattern == "mixed":
-            mix = [(entry[0], entry[1], entry[2]) for entry in spec.get("spec", [])]
-            w = gen_mixed(mix, n, seed=seed + i)
-        elif pattern in GENERATORS:
-            params = dict(spec.get("params", {}))
-            if isinstance(params.get("gas"), list):
-                params["gas"] = tuple(params["gas"])
-            w = GENERATORS[pattern](n, seed=seed + i, **params)
-        else:
-            raise ValidationError(f"unknown pattern {pattern!r}")
-        out.append((label, w))
-    return out
+#: The params a generator may take, each with its parser; a pattern takes those in its signature.
+_GENERATOR_PARAMS = {"senders": _INT, "traders": _INT, "track_total_supply": _BOOL, "gas": _GAS}
+
+
+def _generator_params(pattern, params) -> dict:
+    if _STR("generator pattern", pattern) not in GENERATORS:
+        raise ValidationError(f"unknown pattern {pattern!r}")
+    params = _OBJECT(f"generator {pattern!r} params", {} if params is None else params)
+    for name, value in params.items():
+        if name not in _GENERATOR_PARAMS or name not in inspect.signature(GENERATORS[pattern]).parameters:
+            raise ValidationError(f"generator {pattern!r} takes no param {name!r}")
+        _GENERATOR_PARAMS[name](f"generator {pattern!r} param {name!r}", value)
+    return params
+
+
+def _generator_workloads(spec) -> list[tuple[str, Workload]]:
+    pattern = _OBJECT("generator spec", spec).get("pattern")  # _generator_params checks it
+    n = _INT("generator 'n'", spec.get("n", 0))
+    count = _POSITIVE("generator 'count'", spec.get("count", 1))
+    seed = _INT("generator 'seed'", spec.get("seed", 0))
+    if pattern == "mixed":
+        mix = _MIX("generator 'spec'", spec.get("spec", []))
+        mix = [(p, _generator_params(p, params), _WEIGHT(f"mixed {p!r} weight", w)) for p, params, w in mix]
+        generate = functools.partial(gen_mixed, mix, n)
+    else:
+        params = _generator_params(pattern, spec.get("params"))
+        generate = functools.partial(GENERATORS[pattern], n, **params)
+    return [(f"{pattern}-s{seed}-{i:04d}", generate(seed=seed + i)) for i in range(count)]
 
 
 def _resolve_workloads(args) -> list[tuple[str, Workload]]:
-    config = getattr(args, "config_data", {})
-    inputs = list(getattr(args, "input", None) or [])
-    gen_spec = getattr(args, "gen", None)
-    if not inputs and not gen_spec:
-        cfg_input = config.get("input", {})
-        if "trace" in cfg_input:
-            inputs = [cfg_input["trace"]]
-        elif "traces" in cfg_input:
-            inputs = list(cfg_input["traces"])
-        elif "generator" in cfg_input:
-            return _generator_workloads(cfg_input["generator"])
-    if gen_spec:
-        spec = _parse_json(gen_spec, "--gen") if gen_spec.lstrip().startswith("{") else _load_json_file(gen_spec)
+    inputs = args.input
+    if args.gen:
+        spec = _parse_json(args.gen, "--gen") if args.gen.lstrip().startswith("{") else _load_json_file(args.gen)
         return _generator_workloads(spec)
+    if not inputs:
+        config_input = _OBJECT("config 'input'", args.config_data.get("input", {}))
+        traces = [config_input["trace"]] if "trace" in config_input else config_input.get("traces")
+        if traces is None and "generator" in config_input:
+            return _generator_workloads(config_input["generator"])
+        inputs = _PATHS("config input 'trace'/'traces'", [] if traces is None else traces)
     if not inputs:
         raise ValidationError("no input: pass --input TRACE..., --gen SPEC, or a config with an 'input' field")
     return [(Path(path).stem, _load_trace(path)) for path in inputs]
 
 
-def _parse_key_set(raw, workload: Workload) -> frozenset[StorageKey]:
+def _key_set(raw, workload: Workload) -> frozenset[StorageKey]:
     if raw == "bottleneck":
-        keys = workload.meta.get("bottleneck_keys", [])
-        if not keys:
+        raw = _KEYS("workload meta 'bottleneck_keys'", workload.meta.get("bottleneck_keys") or [])
+        if not raw:
             raise ValidationError("workload meta carries no bottleneck_keys to target")
-        return frozenset(StorageKey.parse(k) for k in keys)
-    if isinstance(raw, str):
-        raw = [raw]
-    return frozenset(StorageKey.parse(k) for k in raw)
+    return frozenset(StorageKey.parse(k) for k in ([raw] if isinstance(raw, str) else raw))
 
 
-#: The fields each transform step must carry.
-_STEP_FIELDS = {
-    "split_senders": ("hot_sender", "m", "sender_balance_key"),
-    "partition_counters": ("target_keys", "length"),
-    "cadd_rewrite": ("target_keys",),
-    "prune_edges": ("target_keys", "p"),
+def _partition_counters(workload: Workload, step: dict) -> Workload:
+    spec = PartitionSpec(_key_set(step["target_keys"], workload), step["length"], step.get("routing", "sender"))
+    return partition_counters(workload, spec)
+
+
+def _prune_edges(graph: DependencyGraph, workload: Workload, step: dict, seed: int) -> DependencyGraph:
+    keys = _key_set(step["target_keys"], workload)
+    return prune_edges_probabilistic(graph, keys, step["p"], seed=step.get("seed", seed))
+
+
+#: Each step kind: the parsers of its required fields, and how it applies. prune_edges
+#: applies to a workload's dependency graph; the others rewrite the workload, in chain order.
+_STEPS = {
+    "split_senders": (
+        {"hot_sender": _STR, "m": _INT, "sender_balance_key": _STR},
+        lambda w, step: split_senders(w, step["hot_sender"], step["m"], StorageKey.parse(step["sender_balance_key"])),
+    ),
+    "partition_counters": ({"target_keys": _KEYS, "length": _INT}, _partition_counters),
+    "cadd_rewrite": ({"target_keys": _KEYS}, lambda w, step: cadd_rewrite(w, _key_set(step["target_keys"], w))),
+    "prune_edges": ({"target_keys": _KEYS, "p": _PROBABILITY}, _prune_edges),
 }
+#: Optional fields, checked in any step that carries them.
+_OPTIONAL_STEP_FIELDS = {"routing": _STR, "seed": _INT}
 
 
-def _split_chain(chain: list[dict]) -> tuple[list[dict], list[dict]]:
-    """Validate every step up front. Workload rewrites apply in order; edge
-    pruning applies when graphs are built."""
-    workload_steps, prune_steps = [], []
-    for step in chain:
-        kind = step.get("transform") if isinstance(step, dict) else None
-        if kind not in _STEP_FIELDS:
+def _load_chain(args) -> tuple[list[dict], list[dict]]:
+    """Check every step of the chain up front; split it into workload rewrites and graph prunes."""
+    path = getattr(args, "transforms", None) or getattr(args, "chain", None)
+    chain = _load_json_file(path) if path else args.config_data.get("transforms")
+    if type(chain) is not list and chain is not None:
+        raise ValidationError(f"transform chain must be a JSON array, got {chain!r}")
+    rewrites, prunes = [], []
+    for step in chain or []:
+        kind = step.get("transform") if type(step) is dict else None
+        if type(kind) is not str or kind not in _STEPS:
             raise ValidationError(f"unknown transform {kind!r}")
-        for name in _STEP_FIELDS[kind]:
-            if name not in step:
+        for name, parse in {**_STEPS[kind][0], **_OPTIONAL_STEP_FIELDS}.items():
+            if name in step:
+                parse(f"transform step {kind!r} field {name!r}", step[name])
+            elif name in _STEPS[kind][0]:
                 raise ValidationError(f"transform step {kind!r} needs a {name!r} field")
-        (prune_steps if kind == "prune_edges" else workload_steps).append(step)
-    return workload_steps, prune_steps
+        (prunes if kind == "prune_edges" else rewrites).append(step)
+    return rewrites, prunes
 
 
-def _apply_workload_transforms(workload: Workload, steps: list[dict]) -> Workload:
+def _rewrite(workload: Workload, steps: list[dict]) -> Workload:
     for step in steps:
-        kind = step["transform"]
-        if kind == "split_senders":
-            workload = split_senders(
-                workload,
-                hot_sender=step["hot_sender"],
-                m=int(step["m"]),
-                sender_balance_key=StorageKey.parse(step["sender_balance_key"]),
-            )
-        elif kind == "partition_counters":
-            spec = PartitionSpec(
-                target_keys=_parse_key_set(step["target_keys"], workload),
-                length=int(step["length"]),
-                routing=step.get("routing", "sender"),
-            )
-            workload = partition_counters(workload, spec)
-        else:
-            workload = cadd_rewrite(workload, _parse_key_set(step["target_keys"], workload))
+        workload = _STEPS[step["transform"]][1](workload, step)
     return workload
 
 
-def _apply_prunes(graph: DependencyGraph, workload: Workload, steps: list[dict], seed: int) -> DependencyGraph:
-    for step in steps:
-        graph = prune_edges_probabilistic(
-            graph,
-            _parse_key_set(step["target_keys"], workload),
-            step["p"],
-            seed=int(step.get("seed", seed)),
-        )
+def _graph(workload: Workload, args) -> DependencyGraph:
+    graph = build_graph(workload, args.cadd_aware)
+    for step in args.prunes:
+        graph = _STEPS["prune_edges"][1](graph, workload, step, args.seed)
     return graph
 
 
-def _transform_chain(args) -> tuple[list[dict], list[dict]]:
-    chain = []
-    if getattr(args, "transforms", None):
-        chain = _load_json_file(args.transforms)
-    elif args.config_data.get("transforms"):
-        chain = args.config_data["transforms"]
-    if not isinstance(chain, list):
-        raise ValidationError("transform chain must be a JSON array")
-    return _split_chain(chain)
+def _blocks(args, uses_graph: bool = True):
+    """Yield (label, workload, graph) per input, the workload rewritten by the chain's workload
+    steps; graph() builds and prunes the workload's dependency graph on first call only."""
+    if args.prunes and not uses_graph:
+        raise ValidationError("prune_edges prunes graphs; only analyze, bound and simulate --policy dep_graph use one")
+    for label, workload in _resolve_workloads(args):
+        workload = _rewrite(workload, args.rewrites)
+        yield label, workload, functools.cache(functools.partial(_graph, workload, args))
 
 
-def _threads_list(args, default=(32,)) -> tuple[int, ...]:
-    raw = getattr(args, "threads", None)
-    if raw is None:
-        raw = args.config_data.get("threads", list(default))
-    if isinstance(raw, str):
-        raw = [part for part in raw.split(",") if part]
-    threads = tuple(int(t) for t in raw)
-    if not threads or any(t < 1 for t in threads):
-        raise ValidationError(f"thread counts must be positive, got {raw!r}")
-    return threads
-
-
-def _setting(args, name, default):
-    value = getattr(args, name, None)
-    if value is None:
-        value = args.config_data.get(name, default)
-    return value
+def _write_table(args, name: str, rows: list, header: list[str], flat: list) -> None:
+    """Write `rows` to <name>.json and/or `flat` to <name>.csv, as the format says."""
+    if args.format in ("json", "both"):
+        report.write_json(args.out / f"{name}.json", rows)
+    if args.format in ("csv", "both"):
+        report.write_text(args.out / f"{name}.csv", report.render_csv(header, flat))
 
 
 # ---------------------------------------------------------------------------
@@ -217,52 +280,36 @@ def cmd_generate(args) -> int:
         "pattern": args.pattern,
         "n": args.n,
         "count": args.count,
-        "seed": args.seed or 0,
+        "seed": args.seed,
     }
     if args.pattern == "mixed":
         if not args.mixed_spec:
             raise ValidationError("--pattern mixed needs --mixed-spec FILE")
         spec["spec"] = _load_json_file(args.mixed_spec)
     else:
-        params = {}
-        if args.senders is not None:
-            params["senders"] = args.senders
-        if args.traders is not None:
-            params["traders"] = args.traders
-        if args.track_total_supply:
-            params["track_total_supply"] = True
-        if args.gas is not None:
-            params["gas"] = args.gas
-        spec["params"] = params
+        params = {name: getattr(args, name) for name in _GENERATOR_PARAMS}  # a flag per param
+        spec["params"] = {name: value for name, value in params.items() if value is not None and value is not False}
     workloads = _generator_workloads(spec)
-    out = Path(args.out)
     if len(workloads) == 1:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(emit_trace(workloads[0][1]))
-        print(f"wrote {out}")
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+        args.out.write_bytes(emit_trace(workloads[0][1]))
+        print(f"wrote {args.out}")
     else:
-        out.mkdir(parents=True, exist_ok=True)
+        args.out.mkdir(parents=True, exist_ok=True)
         for label, workload in workloads:
-            (out / f"{label}.trace").write_bytes(emit_trace(workload))
-        print(f"wrote {len(workloads)} traces to {out}")
+            (args.out / f"{label}.trace").write_bytes(emit_trace(workload))
+        print(f"wrote {len(workloads)} traces to {args.out}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    workload_steps, prune_steps = _transform_chain(args)
-    threads = _threads_list(args)
-    cadd_aware = bool(_setting(args, "cadd_aware", False))
-    seed = int(_setting(args, "seed", 0) or 0)
     rows = []
     flat = []
-    for label, workload in _resolve_workloads(args):
-        workload = _apply_workload_transforms(workload, workload_steps)
-        graph = build_graph(workload, cadd_aware)
-        graph = _apply_prunes(graph, workload, prune_steps, seed)
-        path = critical_path(graph)
+    for label, workload, graph in _blocks(args):
+        path = critical_path(graph())
         bounds = {}
-        for t in threads:
-            result = bound_schedule(graph, t)
+        for t in args.threads:
+            result = bound_schedule(graph(), t)
             bounds[str(t)] = {"makespan": result.makespan, "speedup": result.speedup}
             flat.append((label, len(workload), result.serial_cost, path.critical_weight, t, result.makespan, result.speedup))
         rows.append(
@@ -272,35 +319,21 @@ def cmd_analyze(args) -> int:
                 "serial": path.total_weight,
                 "critical_weight": path.critical_weight,
                 "critical_path": list(path.critical_path),
-                "edges": len(graph.edges),
+                "edges": len(graph().edges),
                 "bounds": bounds,
             }
         )
-    out_dir = Path(_setting(args, "out", "out"))
-    fmt = _setting(args, "format", "json")
-    if fmt in ("json", "both"):
-        report.write_json(out_dir / "analyze.json", rows)
-    if fmt in ("csv", "both"):
-        csv_text = report.render_csv(
-            ["workload", "n", "serial", "critical_weight", "threads", "makespan", "speedup"], flat
-        )
-        report.write_text(out_dir / "analyze.csv", csv_text)
-    print(f"analyzed {len(rows)} workload(s) -> {out_dir}")
+    header = ["workload", "n", "serial", "critical_weight", "threads", "makespan", "speedup"]
+    _write_table(args, "analyze", rows, header, flat)
+    print(f"analyzed {len(rows)} workload(s) -> {args.out}")
     return 0
 
 
 def cmd_bound(args) -> int:
-    workload_steps, prune_steps = _transform_chain(args)
-    threads = _threads_list(args)
-    cadd_aware = bool(_setting(args, "cadd_aware", False))
-    seed = int(_setting(args, "seed", 0) or 0)
     rows = []
-    for label, workload in _resolve_workloads(args):
-        workload = _apply_workload_transforms(workload, workload_steps)
-        graph = build_graph(workload, cadd_aware)
-        graph = _apply_prunes(graph, workload, prune_steps, seed)
-        for t in threads:
-            result = bound_schedule(graph, t)
+    for label, _, graph in _blocks(args):
+        for t in args.threads:
+            result = bound_schedule(graph(), t)
             row = {
                 "workload": label,
                 "threads": t,
@@ -311,53 +344,27 @@ def cmd_bound(args) -> int:
             if args.timeline:
                 row["timeline"] = [list(map(list, lane)) for lane in result.per_thread]
             rows.append(row)
-    out_dir = Path(_setting(args, "out", "out"))
-    fmt = _setting(args, "format", "json")
-    if fmt in ("json", "both"):
-        report.write_json(out_dir / "bound.json", rows)
-    if fmt in ("csv", "both"):
-        flat = [(r["workload"], r["threads"], r["makespan"], r["serial"], r["speedup"]) for r in rows]
-        report.write_text(
-            out_dir / "bound.csv",
-            report.render_csv(["workload", "threads", "makespan", "serial", "speedup"], flat),
-        )
-    print(f"bounded {len(rows)} run(s) -> {out_dir}")
+    header = ["workload", "threads", "makespan", "serial", "speedup"]
+    _write_table(args, "bound", rows, header, [[row[name] for name in header] for row in rows])
+    print(f"bounded {len(rows)} run(s) -> {args.out}")
     return 0
 
 
 def cmd_simulate(args) -> int:
-    workload_steps, prune_steps = _transform_chain(args)
-    threads = _threads_list(args)
-    cadd_aware = bool(_setting(args, "cadd_aware", False))
-    seed = int(_setting(args, "seed", 0) or 0)
-    mode = _setting(args, "mode", MODE_DA)
-    policy_name = _setting(args, "policy", "minus_one")
-    if mode not in (MODE_DA, MODE_DET_COMMIT, MODE_CLASSIC):
-        raise ValidationError(f"unknown mode {mode!r}")
-
+    dep_graph = args.mode == MODE_DA and args.policy == "dep_graph"
     rows = []
     events = []
-    per_thread_stats: dict[int, dict] = {
-        t: {"serial": 0, "makespan": 0, "speedups": [], "aborts": 0, "wasted": 0, "identical": 0, "runs": 0}
-        for t in threads
-    }
-    workloads = _resolve_workloads(args)
-    for label, workload in workloads:
-        workload = _apply_workload_transforms(workload, workload_steps)
+    for label, workload, graph in _blocks(args, uses_graph=dep_graph):
         policy = SvPolicy.minus_one()
-        if mode == MODE_DA and policy_name == "dep_graph":
-            if prune_steps:  # a pruned graph is normative: its edges set the table
-                graph = _apply_prunes(build_graph(workload, cadd_aware), workload, prune_steps, seed)
-                policy = SvPolicy.from_graph(graph)
+        if dep_graph:  # a pruned graph is normative: its edges set the table
+            policy = SvPolicy.from_graph(graph()) if args.prunes else SvPolicy.from_workload(workload, args.cadd_aware)
+        for t in args.threads:
+            if args.mode == MODE_DA:
+                result = run_occ_da(workload, t, policy, args.cadd_aware)
+            elif args.mode == MODE_DET_COMMIT:
+                result = run_occ_det_commit(workload, t, args.cadd_aware)
             else:
-                policy = SvPolicy.from_workload(workload, cadd_aware)
-        for t in threads:
-            if mode == MODE_DA:
-                result = run_occ_da(workload, t, policy, cadd_aware)
-            elif mode == MODE_DET_COMMIT:
-                result = run_occ_det_commit(workload, t, cadd_aware)
-            else:
-                result = run_occ_classic(workload, t, interleaving_seed=seed)
+                result = run_occ_classic(workload, t, interleaving_seed=args.seed)
             row = {
                 "workload": label,
                 "mode": result.mode,
@@ -371,110 +378,66 @@ def cmd_simulate(args) -> int:
                 "committed_order": list(result.committed_order),
                 "digest": result.digest,
             }
-            stats = per_thread_stats[t]
-            stats["serial"] += result.serial_cost
-            stats["makespan"] += result.makespan
-            stats["speedups"].append(result.speedup)
-            stats["aborts"] += len(result.aborted())
-            stats["wasted"] += result.wasted_gas
-            stats["runs"] += 1
-            if mode == MODE_DA:
-                baseline = run_occ_det_commit(workload, t, cadd_aware, with_digest=False)
+            if args.mode == MODE_DA:
+                baseline = run_occ_det_commit(workload, t, args.cadd_aware, with_digest=False)
                 row["identical_to_det_commit"] = (
                     result.makespan == baseline.makespan and result.abort_pattern() == baseline.abort_pattern()
                 )
-                stats["identical"] += int(row["identical_to_det_commit"])
             rows.append(row)
             if args.events:
                 for a in result.attempts:
                     events.append((label, result.mode, t, a.tx_id, a.attempt, a.sv, a.start, a.end, a.outcome))
-
-    out_dir = Path(_setting(args, "out", "out"))
-    report.write_json(out_dir / "runs.json", rows)
+    report.write_json(args.out / "runs.json", rows)
     agg_rows = []
-    for t in threads:
-        stats = per_thread_stats[t]
+    for t in args.threads:
+        runs = [row for row in rows if row["threads"] == t]
+        speedups = [row["speedup"] for row in runs]
+        serial, makespan = (sum(row[key] for row in runs) for key in ("serial", "makespan"))
+        identical = sum(row["identical_to_det_commit"] for row in runs) / len(runs) if args.mode == MODE_DA else ""
         agg_rows.append(
-            (
-                mode,
-                t,
-                stats["runs"],
-                report.mean(stats["speedups"]),
-                report.overall_speedup(stats["serial"], stats["makespan"]),
-                min(stats["speedups"]),
-                max(stats["speedups"]),
-                stats["aborts"],
-                stats["wasted"],
-                (stats["identical"] / stats["runs"]) if mode == MODE_DA else "",
-            )
+            {
+                "mode": args.mode,
+                "threads": t,
+                "workloads": len(runs),
+                "mean_speedup": report.mean(speedups),
+                "overall_speedup": report.overall_speedup(serial, makespan),
+                "min_speedup": min(speedups),
+                "max_speedup": max(speedups),
+                "total_aborts": sum(len(row["aborts"]) for row in runs),
+                "total_wasted_gas": sum(row["wasted_gas"] for row in runs),
+                "fraction_identical_to_det_commit": identical,
+            }
         )
-    header = [
-        "mode",
-        "threads",
-        "workloads",
-        "mean_speedup",
-        "overall_speedup",
-        "min_speedup",
-        "max_speedup",
-        "total_aborts",
-        "total_wasted_gas",
-        "fraction_identical_to_det_commit",
-    ]
-    report.write_text(out_dir / "aggregate.csv", report.render_csv(header, agg_rows))
+    csv_text = report.render_csv(list(agg_rows[0]), [list(row.values()) for row in agg_rows])
+    report.write_text(args.out / "aggregate.csv", csv_text)
     if args.events:
-        report.write_text(
-            out_dir / "events.csv",
-            report.render_csv(
-                ["workload", "mode", "threads", "tx", "attempt", "sv", "start", "end", "outcome"], events
-            ),
-        )
-    print(f"simulated {len(rows)} run(s) -> {out_dir}")
+        header = ["workload", "mode", "threads", "tx", "attempt", "sv", "start", "end", "outcome"]
+        report.write_text(args.out / "events.csv", report.render_csv(header, events))
+    print(f"simulated {len(rows)} run(s) -> {args.out}")
     return 0
 
 
 def cmd_transform(args) -> int:
-    workload = _load_trace(args.input)
-    chain = _load_json_file(args.chain)
-    workload_steps, prune_steps = _split_chain(chain)
-    if prune_steps:
+    if args.prunes:
         raise ValidationError("prune_edges rewrites graphs, not traces; use it with analyze/bound/simulate")
-    workload = _apply_workload_transforms(workload, workload_steps)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_bytes(emit_trace(workload))
-    print(f"wrote {out}")
+    workload = _rewrite(_load_trace(args.input), args.rewrites)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    args.out.write_bytes(emit_trace(workload))
+    print(f"wrote {args.out}")
     return 0
 
 
 def cmd_probe(args) -> int:
-    threads = _threads_list(args, default=(8,))
-    cadd_aware = bool(_setting(args, "cadd_aware", False))
-    seed = int(_setting(args, "seed", 0) or 0)
-    trials = int(_setting(args, "trials", 20))
     rows = []
-    violations = 0
-    for label, workload in _resolve_workloads(args):
-        for t in threads:
-            probe = determinism_probe(workload, t, trials=trials, seed=seed, cadd_aware=cadd_aware)
-            rows.append(
-                {
-                    "workload": label,
-                    "threads": t,
-                    "trials": probe.trials,
-                    "da_deterministic": probe.da_deterministic,
-                    "da_distinct_patterns": probe.da_distinct_patterns,
-                    "da_makespan_min": probe.da_makespan_min,
-                    "da_makespan_max": probe.da_makespan_max,
-                    "det_commit_deterministic": probe.det_commit_deterministic,
-                    "det_commit_distinct_patterns": probe.det_commit_distinct_patterns,
-                }
-            )
-            if not probe.da_deterministic:
-                violations += 1
-    out_dir = Path(_setting(args, "out", "out"))
-    payload = {"runs": rows, "da_violations": violations}
-    report.write_json(out_dir / "probe.json", payload)
-    print(f"probed {len(rows)} run(s) -> {out_dir}; deterministic-abort violations: {violations}")
+    for label, workload, _ in _blocks(args, uses_graph=False):
+        for t in args.threads:
+            probe = determinism_probe(workload, t, trials=args.trials, seed=args.seed, cadd_aware=args.cadd_aware)
+            row = {"workload": label, **vars(probe)}
+            del row["da_patterns"], row["det_commit_patterns"]  # the raw patterns stay out of probe.json
+            rows.append(row)
+    violations = sum(not row["da_deterministic"] for row in rows)
+    report.write_json(args.out / "probe.json", {"runs": rows, "da_violations": violations})
+    print(f"probed {len(rows)} run(s) -> {args.out}; deterministic-abort violations: {violations}")
     if violations:
         raise InvariantViolation(f"{violations} probe run(s) observed timing-dependent abort patterns")
     return 0
@@ -483,28 +446,28 @@ def cmd_probe(args) -> int:
 def cmd_histogram(args) -> int:
     edges = report.DEFAULT_SPEEDUP_EDGES
     if args.buckets:
-        edges = tuple(float(x) for x in args.buckets.split(","))
+        try:
+            edges = tuple(float(x) for x in args.buckets.split(","))
+        except ValueError:
+            raise ValidationError(f"--buckets must be comma-separated numbers, got {args.buckets!r}") from None
     series: dict[str, list[float]] = {}
     for path in args.input:
         rows = _load_json_file(path)
         if not isinstance(rows, list):
             raise ValidationError(f"{path}: expected a JSON array of result rows")
         for row in rows:
-            if "speedup" not in row:
-                raise ValidationError(f"{path}: rows need a 'speedup' field")
+            if type(row) is not dict or type(row.get("speedup")) not in (int, float):
+                raise ValidationError(f"{path}: rows need a numeric 'speedup' field")
             key = f"{Path(path).stem}/t{row.get('threads', '?')}"
             series.setdefault(key, []).append(float(row["speedup"]))
     if not series:
         raise ValidationError("no result rows to bucket")
     names = sorted(series)
     histograms = {name: report.speedup_histogram(series[name], edges) for name in names}
-    bounds = [(lo, hi) for lo, hi, _ in histograms[names[0]]]
-    out_rows = []
-    for idx, (lo, hi) in enumerate(bounds):
-        out_rows.append([lo, hi] + [histograms[name][idx][2] for name in names])
-    out = Path(args.out)
-    report.write_text(out, report.render_csv(["bucket_lo", "bucket_hi"] + names, out_rows))
-    print(f"wrote {out}")
+    buckets = enumerate(histograms[names[0]])
+    out_rows = [[lo, hi] + [histograms[name][idx][2] for name in names] for idx, (lo, hi, _) in buckets]
+    report.write_text(args.out, report.render_csv(["bucket_lo", "bucket_hi"] + names, out_rows))
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -522,6 +485,7 @@ def _add_input_flags(sub):
     sub.add_argument("--format", choices=["json", "csv", "both"], default=None)
     sub.add_argument("--cadd-aware", dest="cadd_aware", action="store_const", const=True, default=None)
     sub.add_argument("--transforms", help="transform chain JSON file")
+    sub.add_argument("--threads", default=None, help="comma-separated thread counts")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -539,23 +503,20 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--gas", type=int, default=None)
     gen.add_argument("--mixed-spec", help="JSON file with [[pattern, params, weight], ...]")
     gen.add_argument("--out", required=True)
-    gen.set_defaults(func=cmd_generate, config_data={})
+    gen.set_defaults(func=cmd_generate)
 
     analyze = subs.add_parser("analyze", help="dependency graph, critical path, speedup bounds")
     _add_input_flags(analyze)
-    analyze.add_argument("--threads", default=None, help="comma-separated thread counts")
     analyze.set_defaults(func=cmd_analyze)
 
     bound = subs.add_parser("bound", help="abort-free schedule per workload and thread count")
     _add_input_flags(bound)
-    bound.add_argument("--threads", default=None)
     bound.add_argument("--timeline", action="store_true", help="include per-thread timelines in JSON")
     bound.set_defaults(func=cmd_bound)
 
     simulate = subs.add_parser("simulate", help="run an OCC scheduler over the workloads")
     _add_input_flags(simulate)
-    simulate.add_argument("--threads", default=None)
-    simulate.add_argument("--mode", choices=[MODE_DA, MODE_DET_COMMIT, MODE_CLASSIC], default=None)
+    simulate.add_argument("--mode", choices=MODES, default=None)
     simulate.add_argument("--policy", choices=["minus_one", "dep_graph"], default=None)
     simulate.add_argument("--events", action="store_true", help="also write a per-attempt event log CSV")
     simulate.set_defaults(func=cmd_simulate)
@@ -564,19 +525,18 @@ def build_parser() -> argparse.ArgumentParser:
     transform.add_argument("--input", required=True)
     transform.add_argument("--chain", required=True, help="JSON array of transform steps")
     transform.add_argument("--out", required=True)
-    transform.set_defaults(func=cmd_transform, config_data={})
+    transform.set_defaults(func=cmd_transform)
 
     probe = subs.add_parser("probe", help="check abort determinism under randomized timing")
     _add_input_flags(probe)
-    probe.add_argument("--threads", default=None)
     probe.add_argument("--trials", type=int, default=None)
-    probe.set_defaults(func=cmd_probe)
+    probe.set_defaults(func=cmd_probe, default_threads=(8,))
 
     histogram = subs.add_parser("histogram", help="bucket speedups from result JSON files")
     histogram.add_argument("--input", nargs="+", required=True)
     histogram.add_argument("--buckets", help="comma-separated bucket edges")
     histogram.add_argument("--out", required=True)
-    histogram.set_defaults(func=cmd_histogram, config_data={})
+    histogram.set_defaults(func=cmd_histogram)
 
     return parser
 
@@ -585,10 +545,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            args.config_data = _load_json_file(args.config)
-        elif not hasattr(args, "config_data"):
-            args.config_data = {}
+        config = getattr(args, "config", None)
+        args.config_data = _OBJECT(config, _load_json_file(config)) if config else {}
+        _resolve_settings(args)
+        args.rewrites, args.prunes = _load_chain(args)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

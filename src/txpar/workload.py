@@ -206,13 +206,13 @@ def parse_trace(stream) -> Workload:
                     parsed = json.loads(stripped[len(_META_PREFIX.strip()) :].strip())
                     if isinstance(parsed, dict):
                         meta = parsed
-                except json.JSONDecodeError:
+                except (ValueError, RecursionError):
                     pass  # foreign comment that merely resembles a meta line
             continue
         try:
             obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:  # also an over-long number or too deep a nesting
+            raise TraceParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
         if not isinstance(obj, dict):
             raise TraceParseError(line_no, "record must be a JSON object")
 

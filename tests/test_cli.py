@@ -303,3 +303,75 @@ def test_malformed_config_exits_1(tmp_path, capsys):
     assert run(["simulate", "--gen", '{"pattern": ', "--out", str(tmp_path / "o")]) == 1
     cfg.write_bytes(b'{"threads": [4], "mode": "\xff"}')
     assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+
+SPLIT_M_ABC = {"transform": "split_senders", "hot_sender": "s", "m": "abc", "sender_balance_key": "tok:bal:s"}
+PRUNE_P_HIGH = {"transform": "prune_edges", "target_keys": "bottleneck", "p": "high"}
+
+#: (argv, JSON payload, text the error must contain). In argv, "{trace}" is a
+#: small trace, "{json}" a file holding the payload and "{rows}" a bound.json.
+BAD_INPUTS = {
+    "chain_m": (["analyze", "--input", "{trace}", "--transforms", "{json}"], [SPLIT_M_ABC], "'m' must be an integer"),
+    "chain_p": (["bound", "--input", "{trace}", "--transforms", "{json}"], [PRUNE_P_HIGH], "'p' must be a number"),
+    "gen_n": (["analyze", "--gen", "{json}"], {"pattern": "payments", "n": "x"}, "generator 'n' must be an integer"),
+    "gen_param": (["simulate", "--gen", "{json}"], {"pattern": "payments", "n": 4, "params": {"to": 2}}, "param 'to'"),
+    "threads_flag": (["analyze", "--input", "{trace}", "--threads", "a,b"], None, "--threads must be"),
+    "buckets_flag": (["histogram", "--input", "{rows}", "--buckets", "x"], None, "--buckets must be"),
+    "config_seed": (["simulate", "--input", "{trace}", "--config", "{json}"], {"seed": "x"}, "config 'seed' must be"),
+    "config_input": (["analyze", "--config", "{json}"], {"input": 0}, "config 'input' must be"),
+    "config_threads": (["bound", "--input", "{trace}", "--config", "{json}"], {"threads": 1.5}, "config 'threads'"),
+    "config_format": (["analyze", "--input", "{trace}", "--config", "{json}"], {"format": "x"}, "config 'format'"),
+    "config_policy": (["simulate", "--input", "{trace}", "--config", "{json}"], {"policy": "bogus"}, "config 'policy'"),
+    "config_cadd_aware": (["probe", "--input", "{trace}", "--config", "{json}"], {"cadd_aware": "no"}, "'cadd_aware'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_1_and_names_its_field(case, tmp_path, capsys):
+    argv, payload, expected = BAD_INPUTS[case]
+    files = {"trace": tmp_path / "w.trace", "json": tmp_path / "payload.json", "rows": tmp_path / "bound.json"}
+    run(["generate", "--pattern", "payments", "--n", "4", "--seed", "0", "--out", str(files["trace"])])
+    files["json"].write_text(json.dumps(payload))
+    files["rows"].write_text(json.dumps([{"threads": 2, "speedup": 1.5}]))
+    argv = [str(files[arg[1:-1]]) if arg[1:-1] in files else arg for arg in argv]
+    capsys.readouterr()
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _probe_json(argv, out):
+    argv = ["probe", *argv, "--cadd-aware", "--threads", "2,4", "--trials", "4", "--seed", "3"]
+    assert run(argv + ["--out", str(out)]) == 0
+    return (out / "probe.json").read_bytes()
+
+
+def test_probe_applies_the_transform_chain(tmp_path):
+    trace = tmp_path / "w.trace"
+    run(["generate", "--pattern", "defi_fee", "--n", "12", "--traders", "12", "--seed", "6", "--out", str(trace)])
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps([{"transform": "cadd_rewrite", "target_keys": "bottleneck"}]))
+    rewritten = tmp_path / "rewritten" / "w.trace"  # the same stem, so the same workload label
+    assert run(["transform", "--input", str(trace), "--chain", str(chain), "--out", str(rewritten)]) == 0
+
+    with_chain = _probe_json(["--input", str(trace), "--transforms", str(chain)], tmp_path / "a")
+    assert with_chain == _probe_json(["--input", str(rewritten)], tmp_path / "b")
+    assert with_chain != _probe_json(["--input", str(trace)], tmp_path / "c")  # the chain has an effect
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"input": {"trace": str(trace)}, "transforms": json.loads(chain.read_text())}))
+    assert with_chain == _probe_json(["--config", str(config)], tmp_path / "d")
+
+
+NO_GRAPH = [["probe"], ["simulate"], ["simulate", "--mode", "occ-det-commit"]]
+
+
+@pytest.mark.parametrize("argv", NO_GRAPH + [["simulate", "--policy", "dep_graph", "--mode", "occ-classic"]])
+def test_prune_steps_need_a_command_that_uses_a_graph(argv, tmp_path, capsys):
+    trace = tmp_path / "w.trace"
+    run(["generate", "--pattern", "defi_fee", "--n", "6", "--traders", "6", "--seed", "1", "--out", str(trace)])
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps([{"transform": "prune_edges", "target_keys": "bottleneck", "p": 1}]))
+    capsys.readouterr()
+    assert run(argv + ["--input", str(trace), "--transforms", str(chain), "--out", str(tmp_path / "o")]) == 1
+    assert "prune_edges" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

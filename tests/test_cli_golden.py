@@ -2,8 +2,9 @@
 
 Each case runs one or more `txpar` invocations on small generated traces
 and hashes every file they write. The digests were recorded from the CLI
-before its settings, transform steps and block pipeline were each folded
-into one table; any change to them is a change to the output bytes.
+as it was before its settings, transform steps and per-command pipelines
+were merged into one of each; any change to them is a change to the
+output bytes.
 """
 
 import hashlib

@@ -1,0 +1,135 @@
+"""Fuzzing of the input boundaries: trace bytes and CLI configs and chains.
+
+Malformed input must map to a documented exit code, never to a traceback:
+`parse_trace` raises only ValidationError, and `cli.main` returns 0, 1 or 2.
+The inputs are tiny and the example counts bounded, so these run in seconds.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from txpar import ValidationError, parse_trace
+from txpar.cli import main
+
+FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+scalars = st.none() | st.booleans() | st.integers(-3, 6) | st.floats(-2, 8, allow_nan=False) | st.text(max_size=6)
+json_values = st.recursive(
+    scalars, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6
+)
+
+
+def maybe(strategy):
+    """Mostly the given strategy, sometimes any JSON value instead."""
+    return strategy | json_values
+
+
+keys = st.sampled_from(["c:s", "c:t", "tok:bal:s0", "no-colon", ":x"])
+records = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": maybe(st.integers(-1, 4)),
+        "sender": maybe(st.sampled_from(["a", "b", ""])),
+        "gas": maybe(st.integers(-1, 30)),
+        "reads": maybe(st.lists(maybe(keys), max_size=3)),
+        "writes": maybe(st.lists(maybe(keys), max_size=3)),
+        "cadds": maybe(st.lists(maybe(st.tuples(maybe(keys), maybe(st.integers(-2, 2))).map(list)), max_size=2)),
+    },
+)
+trace_lines = st.one_of(
+    st.binary(max_size=40),
+    records.map(lambda r: json.dumps(r).encode()),
+    st.sampled_from([b"# txpar-trace v1", b"# meta {", b"", b"#"]),
+    json_values.map(lambda v: b"# meta " + json.dumps(v).encode()),
+)
+
+
+@FUZZ
+@given(st.lists(trace_lines, max_size=6).map(b"\n".join))
+@example(b"[" * 100_000)
+@example(b'{"sender": "a", "gas": ' + b"1" * 5000 + b"}")
+@example(b"# meta " + b"[" * 100_000)
+@example(b'{"sender": "a", "gas": 5}\n\xff\xfe')
+def test_parse_trace_raises_only_validation_errors(data):
+    try:
+        parse_trace(data)
+    except ValidationError:
+        pass
+
+
+patterns = st.sampled_from(["payments", "token_distribution", "defi_fee", "nft_mint", "mixed", "bogus"])
+params = st.dictionaries(
+    st.sampled_from(["senders", "traders", "track_total_supply", "gas", "other"]),
+    maybe(st.integers(1, 3) | st.lists(st.integers(1, 60000), max_size=3)),
+    max_size=3,
+)
+generators = st.fixed_dictionaries(
+    {"pattern": maybe(patterns), "n": maybe(st.integers(-1, 8))},
+    optional={
+        "count": maybe(st.integers(-1, 2)),
+        "seed": maybe(st.integers(0, 3)),
+        "params": maybe(params),
+        "spec": maybe(st.lists(maybe(st.tuples(maybe(patterns), maybe(params), maybe(st.integers(-1, 3))).map(list)))),
+    },
+)
+steps = st.fixed_dictionaries(
+    {"transform": maybe(st.sampled_from(["split_senders", "partition_counters", "cadd_rewrite", "prune_edges"]))},
+    optional={
+        "hot_sender": maybe(st.sampled_from(["s", "a"])),
+        "m": maybe(st.integers(0, 3)),
+        "sender_balance_key": maybe(keys),
+        "target_keys": maybe(st.sampled_from(["bottleneck"]) | st.lists(keys, max_size=2) | keys),
+        "length": maybe(st.integers(0, 3)),
+        "routing": maybe(st.sampled_from(["sender", "tx_id", "other"])),
+        "p": maybe(st.sampled_from([0, 1, 0.5, "1/2", "8/9", "1/0", "high", "1e400"])),
+        "seed": maybe(st.integers(0, 3)),
+    },
+)
+chains = maybe(st.lists(maybe(steps), max_size=3))
+configs = st.fixed_dictionaries(
+    {},
+    optional={
+        "input": maybe(
+            st.fixed_dictionaries(
+                {}, optional={"generator": maybe(generators), "trace": maybe(st.just("<trace>")), "traces": json_values}
+            )
+        ),
+        "threads": maybe(st.lists(maybe(st.integers(0, 4)), max_size=3) | st.sampled_from(["2,4", "a,b", ",", "0"])),
+        "seed": maybe(st.integers(0, 3)),
+        "trials": maybe(st.integers(0, 4)),
+        "mode": maybe(st.sampled_from(["occ-da", "occ-det-commit", "occ-classic", "bogus"])),
+        "policy": maybe(st.sampled_from(["minus_one", "dep_graph", "bogus"])),
+        "format": maybe(st.sampled_from(["json", "csv", "both", "x"])),
+        "cadd_aware": maybe(st.booleans()),
+        "out": st.sampled_from(["<out>", 0, [], "bad\0path", True]),
+        "transforms": chains,
+    },
+)
+
+
+@FUZZ
+@given(
+    command=st.sampled_from(["analyze", "bound", "simulate", "probe"]),
+    config=configs,
+    chain=st.none() | chains,
+)
+def test_cli_configs_and_chains_exit_0_1_or_2(command, config, chain):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        trace = tmp / "w.trace"
+        assert main(["generate", "--pattern", "defi_fee", "--n", "6", "--traders", "3", "--out", str(trace)]) == 0
+        text = json.dumps(config).replace('"<trace>"', json.dumps(str(trace)))
+        (tmp / "cfg.json").write_text(text.replace('"<out>"', json.dumps(str(tmp / "cfg-out"))))
+        argv = [command, "--config", str(tmp / "cfg.json")]
+        if "out" not in config:  # with no out in the config, the flag keeps outputs in the scratch directory
+            argv += ["--out", str(tmp / "out")]
+        if "input" not in config:
+            argv += ["--input", str(trace)]
+        if chain is not None:
+            (tmp / "chain.json").write_text(json.dumps(chain))
+            argv += ["--transforms", str(tmp / "chain.json")]
+        assert main(argv) in (0, 1, 2)
