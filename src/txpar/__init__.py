@@ -22,6 +22,7 @@ from .graph import (
     graph_to_json_dict,
     heaviest_from,
     max_dependency,
+    schedule_graph,
 )
 from .occsim import (
     ExecAttempt,

@@ -16,7 +16,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import SizeLimitError, ValidationError
-from .graph import DependencyGraph, build_graph, heaviest_from
+from .graph import DependencyGraph, heaviest_from, schedule_graph
 from .report import DEFAULT_SPEEDUP_EDGES, mean, overall_speedup, speedup_histogram
 from .workload import Workload
 
@@ -173,7 +173,8 @@ def batch_speedups(
     threads: int,
     cadd_aware: bool = False,
 ) -> tuple[list[ScheduleResult], BatchAggregates]:
-    """Bound-schedule every workload and aggregate speedups.
+    """Bound-schedule every workload, on its compact schedule graph, and
+    aggregate speedups.
 
     Overall speedup weighs workloads by cost (total serial gas over total
     makespan); mean speedup is the unweighted average of per-workload
@@ -181,7 +182,7 @@ def batch_speedups(
     """
     if not workloads:
         raise ValidationError("batch_speedups needs at least one workload")
-    results = [bound_schedule(build_graph(w, cadd_aware), threads) for w in workloads]
+    results = [bound_schedule(schedule_graph(w, cadd_aware)[0], threads) for w in workloads]
     speedups = [r.speedup for r in results]
     total_serial = sum(r.serial_cost for r in results)
     total_makespan = sum(r.makespan for r in results)

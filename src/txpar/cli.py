@@ -19,7 +19,7 @@ from pathlib import Path
 from . import report
 from .bound import bound_schedule
 from .errors import InvariantViolation, ValidationError
-from .graph import DependencyGraph, build_graph, critical_path
+from .graph import DependencyGraph, build_graph, critical_path, schedule_graph
 from .occsim import (
     MODE_CLASSIC,
     MODE_DA,
@@ -34,6 +34,8 @@ from .transforms import PartitionSpec, cadd_rewrite, partition_counters, prune_e
 from .workload import GENERATORS, StorageKey, Workload, emit_trace, gen_mixed, parse_trace
 
 MODES = (MODE_DA, MODE_DET_COMMIT, MODE_CLASSIC)
+FORMATS = ("json", "csv", "both")
+POLICIES = ("minus_one", "dep_graph")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,10 +102,10 @@ _POSITIVE = _expect("a positive integer", lambda v: type(v) is int and v > 0)
 _SETTINGS = {
     "seed": (0, _INT),
     "out": (Path("out"), lambda name, value: Path(_PATH(name, value))),
-    "format": ("json", _expect("json, csv or both", lambda v: v in ("json", "csv", "both"))),
+    "format": ("json", _expect(f"one of {', '.join(FORMATS)}", lambda v: v in FORMATS)),
     "cadd_aware": (False, _BOOL),
     "mode": (MODE_DA, _expect(f"one of {', '.join(MODES)}", lambda v: v in MODES)),
-    "policy": ("minus_one", _expect("minus_one or dep_graph", lambda v: v in ("minus_one", "dep_graph"))),
+    "policy": ("minus_one", _expect(f"one of {', '.join(POLICIES)}", lambda v: v in POLICIES)),
     "trials": (20, _INT),
     "threads": ((32,), _thread_counts),
 }
@@ -245,16 +247,20 @@ def _rewrite(workload: Workload, steps: list[dict]) -> Workload:
     return workload
 
 
-def _graph(workload: Workload, args) -> DependencyGraph:
+def _graph(workload: Workload, args) -> tuple[DependencyGraph, int]:
+    """The graph to schedule on, with its edge count. A chain that prunes edges needs the full, normative graph;
+    otherwise the compact schedule graph gives the same schedules, and the count is the full conflicting pairs."""
+    if not args.prunes:
+        return schedule_graph(workload, args.cadd_aware)
     graph = build_graph(workload, args.cadd_aware)
     for step in args.prunes:
         graph = _STEPS["prune_edges"][1](graph, workload, step, args.seed)
-    return graph
+    return graph, len(graph.edges)
 
 
 def _blocks(args, uses_graph: bool = True):
     """Yield (label, workload, graph) per input, the workload rewritten by the chain's workload
-    steps; graph() builds and prunes the workload's dependency graph on first call only."""
+    steps; graph() builds the workload's graph and edge count (see _graph) on first call only."""
     if args.prunes and not uses_graph:
         raise ValidationError("prune_edges prunes graphs; only analyze, bound and simulate --policy dep_graph use one")
     for label, workload in _resolve_workloads(args):
@@ -306,10 +312,11 @@ def cmd_analyze(args) -> int:
     rows = []
     flat = []
     for label, workload, graph in _blocks(args):
-        path = critical_path(graph())
+        schedule, edges = graph()
+        path = critical_path(schedule)
         bounds = {}
         for t in args.threads:
-            result = bound_schedule(graph(), t)
+            result = bound_schedule(schedule, t)
             bounds[str(t)] = {"makespan": result.makespan, "speedup": result.speedup}
             flat.append((label, len(workload), result.serial_cost, path.critical_weight, t, result.makespan, result.speedup))
         rows.append(
@@ -319,7 +326,7 @@ def cmd_analyze(args) -> int:
                 "serial": path.total_weight,
                 "critical_weight": path.critical_weight,
                 "critical_path": list(path.critical_path),
-                "edges": len(graph().edges),
+                "edges": edges,
                 "bounds": bounds,
             }
         )
@@ -333,7 +340,7 @@ def cmd_bound(args) -> int:
     rows = []
     for label, _, graph in _blocks(args):
         for t in args.threads:
-            result = bound_schedule(graph(), t)
+            result = bound_schedule(graph()[0], t)
             row = {
                 "workload": label,
                 "threads": t,
@@ -356,8 +363,10 @@ def cmd_simulate(args) -> int:
     events = []
     for label, workload, graph in _blocks(args, uses_graph=dep_graph):
         policy = SvPolicy.minus_one()
-        if dep_graph:  # a pruned graph is normative: its edges set the table
-            policy = SvPolicy.from_graph(graph()) if args.prunes else SvPolicy.from_workload(workload, args.cadd_aware)
+        if dep_graph and args.prunes:  # a pruned graph is normative: its edges set the table
+            policy = SvPolicy.from_graph(graph()[0])
+        elif dep_graph:
+            policy = SvPolicy.from_workload(workload, args.cadd_aware)
         for t in args.threads:
             if args.mode == MODE_DA:
                 result = run_occ_da(workload, t, policy, args.cadd_aware)
@@ -448,8 +457,9 @@ def cmd_histogram(args) -> int:
     if args.buckets:
         try:
             edges = tuple(float(x) for x in args.buckets.split(","))
-        except ValueError:
-            raise ValidationError(f"--buckets must be comma-separated numbers, got {args.buckets!r}") from None
+            report.speedup_histogram((), edges)  # checks the edges before any input is read
+        except ValueError as exc:
+            raise ValidationError(f"--buckets must be sorted finite numbers, got {args.buckets!r}") from exc
     series: dict[str, list[float]] = {}
     for path in args.input:
         rows = _load_json_file(path)
@@ -482,7 +492,7 @@ def _add_input_flags(sub):
     sub.add_argument("--config", help="experiment config JSON")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--format", choices=["json", "csv", "both"], default=None)
+    sub.add_argument("--format", choices=FORMATS, default=None)
     sub.add_argument("--cadd-aware", dest="cadd_aware", action="store_const", const=True, default=None)
     sub.add_argument("--transforms", help="transform chain JSON file")
     sub.add_argument("--threads", default=None, help="comma-separated thread counts")
@@ -517,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = subs.add_parser("simulate", help="run an OCC scheduler over the workloads")
     _add_input_flags(simulate)
     simulate.add_argument("--mode", choices=MODES, default=None)
-    simulate.add_argument("--policy", choices=["minus_one", "dep_graph"], default=None)
+    simulate.add_argument("--policy", choices=POLICIES, default=None)
     simulate.add_argument("--events", action="store_true", help="also write a per-attempt event log CSV")
     simulate.set_defaults(func=cmd_simulate)
 

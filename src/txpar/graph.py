@@ -8,7 +8,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Iterator
+from typing import Iterable
 
 from .errors import ValidationError
 from .workload import AccessSet, StorageKey, Transaction, Workload
@@ -111,13 +111,37 @@ def conflicts(
     return _pair_conflict(a.access, b.access, cadd_aware, write_cadd_conflicts)
 
 
+def _accesses(workload: Workload) -> Iterable[tuple[StorageKey, list[tuple[int, int]]]]:
+    """Each key, with (id, kind mask) of every tx touching it, by id: one
+    pass over the workload in id order."""
+    touched: dict[StorageKey, list[tuple[int, int]]] = {}
+    for tx in workload:
+        i, access = tx.id, tx.access
+        for kind, keys in ((READ, access.reads), (WRITE, access.writes), (CADD, access.cadds)):
+            for key in keys:
+                if kind == CADD:
+                    key = key[0]  # a (key, delta) pair; one key may repeat
+                by_id = touched.get(key)
+                if by_id is None:
+                    touched[key] = [(i, kind)]
+                elif by_id[-1][0] == i:  # this tx touches the key in another way too
+                    by_id[-1] = (i, by_id[-1][1] | kind)
+                else:
+                    by_id.append((i, kind))
+    return touched.items()
+
+
 class KeyIndex:
     """Per-key sorted ids of the transactions that read, write and cadd each
     key, each built in one pass over a workload. It is the one access index
-    the dependency graph, the `dep_graph` storage-version table and the OCC
-    engines' commit-window checks are derived from. `readers` is built on
-    first use: the engines never read it, and building it on every engine
-    run would leave thousands more lists for the garbage collector to scan."""
+    the dependency graphs, the `dep_graph` storage-version table and the OCC
+    engines' commit-window checks are derived from. `build_graph` and
+    `schedule_graph` read only the per-key accesses (`_accesses`), so they
+    skip the engines' tables. `readers` is built on first use: the engines never read it, and
+    building it on every engine run would leave thousands more lists for
+    the garbage collector to scan. `writers` and `cadders` stay plain
+    attributes, which the engines' hot `written_between` reads faster than
+    cached properties."""
 
     def __init__(self, workload: Workload):
         self.workload = workload
@@ -142,14 +166,9 @@ class KeyIndex:
                 readers.setdefault(key, []).append(tx.id)
         return readers
 
-    def accesses(self) -> Iterator[tuple[StorageKey, list[tuple[int, int]]]]:
+    def accesses(self) -> Iterable[tuple[StorageKey, list[tuple[int, int]]]]:
         """Each key, with (id, kind mask) of every tx touching it, by id."""
-        for key in {**self.readers, **self.writers, **self.cadders}:
-            kinds: dict[int, int] = {}
-            for bit, index in ((READ, self.readers), (WRITE, self.writers), (CADD, self.cadders)):
-                for i in index.get(key, ()):
-                    kinds[i] = kinds.get(i, 0) | bit
-            yield key, sorted(kinds.items())
+        return _accesses(self.workload)
 
     def written_between(self, keys, lo: int, hi: int) -> bool:
         """True iff some tx with id in [lo, hi] writes or cadds one of `keys`."""
@@ -215,7 +234,7 @@ def build_graph(
     """
     conflict = _kind_conflicts(cadd_aware, write_cadd_conflicts)
     edge_keys: dict[tuple[int, int], set[StorageKey]] = {}
-    for key, accesses in KeyIndex(workload).accesses():
+    for key, accesses in _accesses(workload):
         by_kind: dict[int, list[int]] = {}  # kind mask -> earlier ids with it
         for j, kind in accesses:
             row = conflict[kind]
@@ -233,6 +252,67 @@ def build_graph(
         weights=tuple(tx.gas for tx in workload),
         edge_keys=frozen,
     )
+
+
+@cache
+def _schedule_rules(
+    cadd_aware: bool, write_cadd_conflicts: bool
+) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """`[later]`: each earlier kind mask the later one conflicts with, and its
+    blocker kinds, which conflict with both (the later kind after the
+    blocker, the blocker after the earlier kind). Derived from
+    `_kind_conflicts`, so every mode gets its rule from one table."""
+    conflict = _kind_conflicts(cadd_aware, write_cadd_conflicts)
+    kinds = range(1, 8)
+    return tuple(
+        tuple((b, tuple(c for c in kinds if conflict[a][c] and conflict[c][b])) for b in kinds if conflict[a][b])
+        for a in range(8)
+    )
+
+
+def schedule_graph(
+    workload: Workload,
+    cadd_aware: bool = False,
+    *,
+    write_cadd_conflicts: bool = True,
+) -> tuple[DependencyGraph, int]:
+    """A subgraph of `build_graph`'s edges with the same reachability, and the
+    number of conflicting pairs `build_graph` would emit.
+
+    On each key, the pair (j, i) is left out when some access between them
+    conflicts with both: (j, k) and (k, i) are pairs of that key, so by
+    induction on j - i a kept path joins j to i. Both graphs therefore
+    contain the transitive reduction, and with positive weights every
+    heaviest path and every list-schedule ready time is the same in both:
+    `critical_path` and `bound_schedule` give equal results on either. On a
+    hot key the graph is a chain, so its cost follows the number of
+    accesses, not of pairs; the pairs are counted as per-tx bitsets.
+    """
+    rules = _schedule_rules(cadd_aware, write_cadd_conflicts)
+    edges: set[tuple[int, int]] = set()
+    earlier = [0] * len(workload)  # per tx, the earlier ids it conflicts with, as a bitset
+    for _, accesses in _accesses(workload):
+        if len(accesses) < 2:
+            continue
+        ids: dict[int, list[int]] = {}  # kind mask -> the ids with it so far, ascending
+        bits: dict[int, int] = {}  # kind mask -> the same ids, as a bitset
+        for j, kind in accesses:
+            for b, blockers in rules[kind]:
+                older = ids.get(b)
+                if older is None:
+                    continue
+                earlier[j] |= bits[b]
+                floor = max([ids[c][-1] for c in blockers if c in ids], default=0)
+                for i in older[bisect_left(older, floor) :]:
+                    edges.add((j, i))
+            if kind in ids:
+                ids[kind].append(j)
+                bits[kind] |= 1 << j
+            else:
+                ids[kind] = [j]
+                bits[kind] = 1 << j
+    graph = DependencyGraph(n=len(workload), edges=frozenset(edges), weights=tuple(tx.gas for tx in workload))
+    return graph, sum(mask.bit_count() for mask in earlier)
 
 
 def heaviest_from(g: DependencyGraph) -> tuple[int, ...]:

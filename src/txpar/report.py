@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,6 +26,8 @@ def speedup_histogram(
 ) -> tuple[tuple[float, float, int], ...]:
     """Bucket counts over speedups: [e0,e1), [e1,e2), ..., [e_last, inf)."""
     edges = tuple(edges)
+    if not all(map(math.isfinite, edges)):  # NaN compares false, so it would pass the sortedness check
+        raise ValidationError(f"bucket edges must be finite numbers, got {edges}")
     if len(edges) < 1 or list(edges) != sorted(edges):
         raise ValidationError("bucket edges must be sorted and non-empty")
     bounds = [(edges[k], edges[k + 1]) for k in range(len(edges) - 1)]

@@ -18,6 +18,8 @@ from txpar import (
     gen_token_distribution,
 )
 
+from txpar.report import speedup_histogram
+
 from oracles import random_dag
 
 
@@ -161,6 +163,12 @@ def test_batch_speedups_aggregate_arithmetic():
 def test_batch_speedups_rejects_empty():
     with pytest.raises(ValidationError):
         batch_speedups([], 2)
+
+
+@pytest.mark.parametrize("edges", [(float("nan"), 1.0), (0.0, float("inf")), (float("-inf"), 0.0)])
+def test_speedup_histogram_rejects_non_finite_edges(edges):
+    with pytest.raises(ValidationError):
+        speedup_histogram([1.5], edges)
 
 
 def test_cadd_awareness_never_hurts_the_bound():

@@ -317,6 +317,8 @@ BAD_INPUTS = {
     "gen_param": (["simulate", "--gen", "{json}"], {"pattern": "payments", "n": 4, "params": {"to": 2}}, "param 'to'"),
     "threads_flag": (["analyze", "--input", "{trace}", "--threads", "a,b"], None, "--threads must be"),
     "buckets_flag": (["histogram", "--input", "{rows}", "--buckets", "x"], None, "--buckets must be"),
+    "buckets_nan": (["histogram", "--input", "{rows}", "--buckets", "nan,1"], None, "--buckets must be"),
+    "buckets_inf": (["histogram", "--input", "{rows}", "--buckets=-inf,0"], None, "--buckets must be"),
     "config_seed": (["simulate", "--input", "{trace}", "--config", "{json}"], {"seed": "x"}, "config 'seed' must be"),
     "config_input": (["analyze", "--config", "{json}"], {"input": 0}, "config 'input' must be"),
     "config_threads": (["bound", "--input", "{trace}", "--config", "{json}"], {"threads": 1.5}, "config 'threads'"),

@@ -15,6 +15,7 @@ from txpar import (
     Transaction,
     ValidationError,
     Workload,
+    bound_schedule,
     build_graph,
     cadd_rewrite,
     conflicts,
@@ -26,6 +27,7 @@ from txpar import (
     graph_to_json_dict,
     heaviest_from,
     max_dependency,
+    schedule_graph,
 )
 from txpar.graph import CADD, READ, WRITE
 from txpar.workload import VALUE_DEPENDENT
@@ -319,3 +321,60 @@ def test_adjacency_is_cached_sorted_and_immutable():
         deps[0] = (1,)
     with pytest.raises(AttributeError):
         g.dependencies()[0].append(0)
+
+
+# ---------------------------------------------------------------------------
+# Compact schedule graph: the same reachability, schedules and pair count
+# ---------------------------------------------------------------------------
+
+
+def _reachable(g):
+    """Per id, the bitset of every id it transitively depends on."""
+    below = [0] * g.n
+    for j, deps in enumerate(g.dependencies()):
+        for i in deps:
+            below[j] |= below[i] | 1 << i
+    return below
+
+
+def _assert_schedule_graph_matches(w):
+    for cadd_aware, wcc in CADD_MODES:
+        full = build_graph(w, cadd_aware, write_cadd_conflicts=wcc)
+        compact, pairs = schedule_graph(w, cadd_aware, write_cadd_conflicts=wcc)
+        assert compact.edges <= full.edges, (cadd_aware, wcc)
+        assert _reachable(compact) == _reachable(full), (cadd_aware, wcc)
+        assert critical_path(compact) == critical_path(full), (cadd_aware, wcc)
+        for threads in (1, 2, 3, 8):
+            assert bound_schedule(compact, threads) == bound_schedule(full, threads), (cadd_aware, wcc, threads)
+        assert pairs == len(full.edges), (cadd_aware, wcc)
+
+
+weighted_workloads = st.lists(st.tuples(_accesses, st.integers(1, 6)), min_size=1, max_size=16).map(
+    lambda txs: Workload(
+        transactions=tuple(Transaction(id=i, sender="s", gas=gas, access=a) for i, (a, gas) in enumerate(txs))
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_workloads)
+def test_schedule_graph_matches_build_graph(w):
+    _assert_schedule_graph_matches(w)
+
+
+def test_schedule_graph_matches_build_graph_on_corpus_and_cadd_variants():
+    for w in build_corpus(40):
+        _assert_schedule_graph_matches(w)
+        tags = w.key_tags
+        for key in w.meta.get("bottleneck_keys", []):
+            if tags.get(key) != VALUE_DEPENDENT:
+                _assert_schedule_graph_matches(cadd_rewrite(w, {StorageKey.parse(key)}))
+
+
+def test_schedule_graph_of_a_hot_key_block_is_linear():
+    n = 2000
+    w = gen_token_distribution(n, senders=1, track_total_supply=True, seed=0)
+    compact, pairs = schedule_graph(w)
+    assert len(compact.edges) < 2 * n
+    assert pairs == n * (n - 1) // 2  # every pair shares the sender's balance
+    assert critical_path(compact).critical_path == tuple(range(n))
