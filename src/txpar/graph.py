@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from typing import Iterable
 
 from .errors import ValidationError
@@ -132,16 +132,14 @@ def _accesses(workload: Workload) -> Iterable[tuple[StorageKey, list[tuple[int, 
 
 
 class KeyIndex:
-    """Per-key sorted ids of the transactions that read, write and cadd each
-    key, each built in one pass over a workload. It is the one access index
-    the dependency graphs, the `dep_graph` storage-version table and the OCC
-    engines' commit-window checks are derived from. `build_graph` and
-    `schedule_graph` read only the per-key accesses (`_accesses`), so they
-    skip the engines' tables. `readers` is built on first use: the engines never read it, and
-    building it on every engine run would leave thousands more lists for
-    the garbage collector to scan. `writers` and `cadders` stay plain
-    attributes, which the engines' hot `written_between` reads faster than
-    cached properties."""
+    """Per-key sorted ids of the transactions that write and cadd each key,
+    built in one pass over a workload; `accesses()` gives every access to
+    each key, by id. It is the one access index the dependency graphs, the
+    `dep_graph` storage-version table and the OCC engines' commit-window
+    checks are derived from. `build_graph` and `schedule_graph` read only
+    the per-key accesses (`_accesses`), so they skip the engines' tables.
+    `writers` and `cadders` are plain attributes, which the engines' hot
+    `written_between` reads faster than cached properties."""
 
     def __init__(self, workload: Workload):
         self.workload = workload
@@ -156,15 +154,6 @@ class KeyIndex:
                 ids = self.cadders.setdefault(key, [])
                 if not ids or ids[-1] != i:
                     ids.append(i)
-
-    @cached_property
-    def readers(self) -> dict[StorageKey, list[int]]:
-        """Per key, the sorted ids that read it."""
-        readers: dict[StorageKey, list[int]] = {}
-        for tx in self.workload:
-            for key in tx.access.reads:
-                readers.setdefault(key, []).append(tx.id)
-        return readers
 
     def accesses(self) -> Iterable[tuple[StorageKey, list[tuple[int, int]]]]:
         """Each key, with (id, kind mask) of every tx touching it, by id."""

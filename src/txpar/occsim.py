@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -207,6 +209,7 @@ def _run_in_order(
     cadd_aware: bool,
     timing: Timing,
     with_digest: bool,
+    index: KeyIndex | None,
 ) -> OccRunResult:
     """Shared engine for the two in-order-commit modes.
 
@@ -224,10 +227,13 @@ def _run_in_order(
     policy_name = policy.variant if policy is not None else "runtime"
     if policy is not None and policy.first_sv is not None and len(policy.first_sv) != n:
         raise ValidationError(f"policy covers {len(policy.first_sv)} txs, the workload has {n}")
+    if index is None:
+        index = KeyIndex(workload)
+    elif index.workload is not workload and index.workload != workload:
+        raise ValidationError("the key index was built for another workload")
     if n == 0:
         return _finalize(workload, mode, threads, policy_name, [], [], 0, with_digest)
 
-    index = KeyIndex(workload)
     # Keys whose writes in a tx's commit window abort it. A cadd reads its
     # key unless commutative adds are honoured.
     read_keys = [tx.access.reads if cadd_aware else tx.access.reads | tx.access.cadd_keys for tx in workload]
@@ -301,10 +307,12 @@ def run_occ_da(
     *,
     timing: Timing | None = None,
     with_digest: bool = True,
+    index: KeyIndex | None = None,
 ) -> OccRunResult:
     """OCC with deterministic aborts: storage versions fixed per (tx,
     attempt) before execution, so the commit/abort outcome of every attempt
-    is independent of execution timing."""
+    is independent of execution timing. `index` is the workload's
+    `KeyIndex`, built here when not given."""
     return _run_in_order(
         workload,
         threads,
@@ -312,6 +320,7 @@ def run_occ_da(
         cadd_aware,
         timing or Timing(),
         with_digest,
+        index,
     )
 
 
@@ -322,11 +331,12 @@ def run_occ_det_commit(
     *,
     timing: Timing | None = None,
     with_digest: bool = True,
+    index: KeyIndex | None = None,
 ) -> OccRunResult:
     """OCC with deterministic commit order only: commits follow block order,
     but each dispatch snapshots the highest committed id at that moment, so
-    abort patterns vary with timing."""
-    return _run_in_order(workload, threads, None, cadd_aware, timing or Timing(), with_digest)
+    abort patterns vary with timing. `index` is as for `run_occ_da`."""
+    return _run_in_order(workload, threads, None, cadd_aware, timing or Timing(), with_digest, index)
 
 
 def run_occ_classic(
@@ -342,9 +352,9 @@ def run_occ_classic(
     dispatch order to model arrival timing on different nodes.
 
     Commutative adds are treated as plain read+writes (the instruction
-    post-dates this scheduler). The recorded sv is the highest committed id
-    at attempt start, which for out-of-order commits is only an
-    approximation of the observed snapshot.
+    post-dates this scheduler). The recorded sv is the highest id among the
+    commits at or before the attempt's start, found in O(log commits); for
+    out-of-order commits it only approximates the observed snapshot.
     """
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
@@ -354,10 +364,16 @@ def run_occ_classic(
 
     order = list(range(n))
     random.Random(interleaving_seed).shuffle(order)
-    queue = list(reversed(order))  # pop() from the tail = FCFS
+    queue = deque(order)  # popleft() = FCFS
 
-    write_commit_times: dict[StorageKey, list[int]] = {}
-    committed_at: list[tuple[int, int]] = []  # (commit_time, id) in commit order
+    read_like = [tx.access.reads | tx.access.cadd_keys for tx in workload]
+    written = [tx.access.writes | tx.access.cadd_keys for tx in workload]
+    gas = [tx.gas for tx in workload]
+    last_write: dict[StorageKey, int] = {}  # key -> latest commit time writing it
+    # Per commit, in commit order: its time (never decreasing) and the
+    # highest id committed so far. The leading -1s stand for the pre-block state.
+    commit_times = [-1]
+    max_committed = [-1]
     attempt_no = [0] * n
     pool: list[tuple[int, int, int, int]] = []  # (end, dispatch_seq, id, start)
     dispatch_seq = 0
@@ -365,42 +381,34 @@ def run_occ_classic(
     attempts: list[ExecAttempt] = []
     committed_order: list[int] = []
 
-    def max_committed_before(time: int) -> int:
-        best = -1
-        for commit_time, tx_id in committed_at:
-            if commit_time <= time and tx_id > best:
-                best = tx_id
-        return best
-
     while queue or pool:
         while len(pool) < threads and queue:
-            tx_id = queue.pop()
-            heapq.heappush(pool, (clock + workload[tx_id].gas, dispatch_seq, tx_id, clock))
+            tx_id = queue.popleft()
+            heapq.heappush(pool, (clock + gas[tx_id], dispatch_seq, tx_id, clock))
             dispatch_seq += 1
         end, _, tx_id, start = heapq.heappop(pool)
         clock = end
         att = attempt_no[tx_id]
-        sv = max_committed_before(start)
+        # bisect_right: a commit at exactly `start` precedes the attempt.
+        sv = max_committed[bisect_right(commit_times, start) - 1]
         # Backward validation: reads against writes committed strictly after
         # this attempt started.
-        access = workload[tx_id].access
-        read_like = access.reads | access.cadd_keys
         conflict = False
-        for key in read_like:
-            times = write_commit_times.get(key)
-            if times and times[-1] > start:
+        for key in read_like[tx_id]:
+            if last_write.get(key, -1) > start:
                 conflict = True
                 break
         if conflict:
             attempts.append(ExecAttempt(tx_id, att, sv, start, end, "aborted"))
             attempt_no[tx_id] += 1
-            queue.insert(0, tx_id)  # back of the FCFS queue
+            queue.append(tx_id)  # back of the FCFS queue
         else:
             attempts.append(ExecAttempt(tx_id, att, sv, start, end, "committed"))
             committed_order.append(tx_id)
-            committed_at.append((clock, tx_id))
-            for key in access.writes | access.cadd_keys:
-                write_commit_times.setdefault(key, []).append(clock)
+            commit_times.append(clock)
+            max_committed.append(max(tx_id, max_committed[-1]))
+            for key in written[tx_id]:
+                last_write[key] = clock
 
     return _finalize(workload, MODE_CLASSIC, threads, "fcfs", attempts, committed_order, clock, with_digest)
 
@@ -443,18 +451,19 @@ def determinism_probe(
     if trials < 2:
         raise ValidationError(f"trials must be >= 2, got {trials}")
     policy = policy if policy is not None else SvPolicy.minus_one()
+    index = KeyIndex(workload)  # shared by every trial of both engines
     da_patterns: list = []
     dc_patterns: list = []
     makespans: list[int] = []
     for trial in range(trials):
         timing = JitterTiming(seed=seed * 1_000_003 + trial, spread=jitter)
-        da = run_occ_da(workload, threads, policy, cadd_aware, timing=timing, with_digest=False)
+        da = run_occ_da(workload, threads, policy, cadd_aware, timing=timing, with_digest=False, index=index)
         makespans.append(da.makespan)
         pattern = da.outcome_multiset()
         if pattern not in da_patterns:
             da_patterns.append(pattern)
         timing = JitterTiming(seed=seed * 1_000_003 + trial, spread=jitter)
-        dc = run_occ_det_commit(workload, threads, cadd_aware, timing=timing, with_digest=False)
+        dc = run_occ_det_commit(workload, threads, cadd_aware, timing=timing, with_digest=False, index=index)
         dc_pattern = dc.abort_pattern()
         if dc_pattern not in dc_patterns:
             dc_patterns.append(dc_pattern)

@@ -25,7 +25,16 @@ if TYPE_CHECKING:  # pragma: no cover
 def write_value(tx_id: int, key: StorageKey, read_log) -> int:
     """Published synthetic value function: sha256 of the writer id, the key,
     and the sorted (key, value, version) observations, truncated to 64 bits."""
-    observed = ";".join(f"{k}={v}@{ver}" for k, v, ver in sorted(read_log))
+    return _hash_write(tx_id, key, _observed(read_log))
+
+
+def _observed(read_log) -> str:
+    """`write_value`'s text of the observations, which every write of one
+    transaction shares."""
+    return ";".join(f"{k}={v}@{ver}" for k, v, ver in sorted(read_log))
+
+
+def _hash_write(tx_id: int, key: StorageKey, observed: str) -> int:
     digest = hashlib.sha256(f"w|{tx_id}|{key}|{observed}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -146,8 +155,11 @@ def exec_abstract(tx: Transaction, snapshot_sv: int, state: StorageState) -> TxE
         vm.load(key)
     for key, delta in tx.access.cadds:
         vm.cadd(key, delta)
-    for key in sorted(tx.access.writes):
-        vm.store(key, write_value(tx.id, key, vm.effect.read_log))
+    if tx.access.writes:
+        # Cadds and stores log no reads, so every write sees the same observations.
+        observed = _observed(vm.effect.read_log)
+        for key in sorted(tx.access.writes):
+            vm.store(key, _hash_write(tx.id, key, observed))
     return vm.effect
 
 

@@ -8,9 +8,11 @@ check each other.
 
 from __future__ import annotations
 
+import heapq
 import random
 
-from txpar import AccessSet, DependencyGraph, StorageKey, Transaction, Workload
+from txpar import AccessSet, DependencyGraph, ExecAttempt, OccRunResult, StorageKey, Transaction, Workload
+from txpar.occsim import MODE_CLASSIC, _finalize
 
 
 def _kinds(tx: Transaction, key: StorageKey) -> set[str]:
@@ -109,3 +111,64 @@ def random_workload(rng: random.Random, max_n: int = 24, key_pool: int = 8, with
             )
         )
     return Workload(transactions=tuple(txs))
+
+
+def oracle_occ_classic(workload: Workload, threads: int, interleaving_seed: int = 0, *, with_digest: bool = True) -> OccRunResult:
+    """The original quadratic classic-OCC loop: every attempt rescans all
+    commits for its sv, and retries are inserted at the head of a reversed
+    list. The library engine must return an equal result."""
+    n = len(workload)
+    if n == 0:
+        return _finalize(workload, MODE_CLASSIC, threads, "fcfs", [], [], 0, with_digest)
+
+    order = list(range(n))
+    random.Random(interleaving_seed).shuffle(order)
+    queue = list(reversed(order))  # pop() from the tail = FCFS
+
+    write_commit_times: dict[StorageKey, list[int]] = {}
+    committed_at: list[tuple[int, int]] = []  # (commit_time, id) in commit order
+    attempt_no = [0] * n
+    pool: list[tuple[int, int, int, int]] = []  # (end, dispatch_seq, id, start)
+    dispatch_seq = 0
+    clock = 0
+    attempts: list[ExecAttempt] = []
+    committed_order: list[int] = []
+
+    def max_committed_before(time: int) -> int:
+        best = -1
+        for commit_time, tx_id in committed_at:
+            if commit_time <= time and tx_id > best:
+                best = tx_id
+        return best
+
+    while queue or pool:
+        while len(pool) < threads and queue:
+            tx_id = queue.pop()
+            heapq.heappush(pool, (clock + workload[tx_id].gas, dispatch_seq, tx_id, clock))
+            dispatch_seq += 1
+        end, _, tx_id, start = heapq.heappop(pool)
+        clock = end
+        att = attempt_no[tx_id]
+        sv = max_committed_before(start)
+        # Backward validation: reads against writes committed strictly after
+        # this attempt started.
+        access = workload[tx_id].access
+        read_like = access.reads | access.cadd_keys
+        conflict = False
+        for key in read_like:
+            times = write_commit_times.get(key)
+            if times and times[-1] > start:
+                conflict = True
+                break
+        if conflict:
+            attempts.append(ExecAttempt(tx_id, att, sv, start, end, "aborted"))
+            attempt_no[tx_id] += 1
+            queue.insert(0, tx_id)  # back of the FCFS queue
+        else:
+            attempts.append(ExecAttempt(tx_id, att, sv, start, end, "committed"))
+            committed_order.append(tx_id)
+            committed_at.append((clock, tx_id))
+            for key in access.writes | access.cadd_keys:
+                write_commit_times.setdefault(key, []).append(clock)
+
+    return _finalize(workload, MODE_CLASSIC, threads, "fcfs", attempts, committed_order, clock, with_digest)

@@ -298,7 +298,7 @@ def test_key_index_matches_the_access_sets():
         accesses = dict(index.accesses())
         assert set(accesses) == set().union(*(tx.access.touched() for tx in w))
         for key, kinds in accesses.items():
-            assert index.readers.get(key, []) == [tx.id for tx in w if key in tx.access.reads]
+            assert [i for i, kind in kinds if kind & READ] == [tx.id for tx in w if key in tx.access.reads]
             assert index.writers.get(key, []) == [tx.id for tx in w if key in tx.access.writes]
             assert index.cadders.get(key, []) == [tx.id for tx in w if key in tx.access.cadd_keys]
             expected = [

@@ -4,6 +4,8 @@ invariant, and serial equivalence."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from txpar import (
     AccessSet,
@@ -27,7 +29,7 @@ from txpar import (
 )
 
 from corpus_util import build_corpus
-from oracles import random_workload
+from oracles import oracle_occ_classic, random_workload
 
 K = StorageKey("c", "K")
 L = StorageKey("c", "L")
@@ -133,7 +135,7 @@ def test_occ_da_perfect_graph_policy_avoids_all_aborts():
 
 def test_occ_da_at_most_two_attempts_under_minus_one():
     rng = random.Random(5)
-    from oracles import random_workload
+    from oracles import oracle_occ_classic, random_workload
 
     for _ in range(40):
         w = random_workload(rng, max_n=20)
@@ -154,7 +156,7 @@ def test_occ_da_at_most_two_attempts_under_minus_one():
 
 def test_occ_da_wasted_gas_accounting():
     rng = random.Random(6)
-    from oracles import random_workload
+    from oracles import oracle_occ_classic, random_workload
 
     for _ in range(30):
         w = random_workload(rng, max_n=20)
@@ -215,6 +217,18 @@ def test_engines_reject_non_positive_durations(duration):
         run_occ_da(w, 2, timing=FixedTiming({0: duration}), with_digest=False)
     with pytest.raises(ValidationError):
         run_occ_det_commit(w, 2, timing=FixedTiming({3: duration}), with_digest=False)
+
+
+def test_in_order_engines_reuse_a_key_index_of_the_same_workload():
+    w = gen_mixed([("payments", {}, 1), ("token_distribution", {"senders": 1}, 1)], 30, seed=4)
+    index = KeyIndex(w)
+    assert run_occ_da(w, 4, index=index) == run_occ_da(w, 4)
+    assert run_occ_det_commit(w, 4, index=index) == run_occ_det_commit(w, 4)
+    other = KeyIndex(gen_payments(30, seed=4))
+    with pytest.raises(ValidationError):
+        run_occ_da(w, 4, index=other)
+    with pytest.raises(ValidationError):
+        run_occ_det_commit(w, 4, index=other)
 
 
 def test_occ_da_snapshot_gate_waits_for_commit():
@@ -313,6 +327,42 @@ def test_classic_serializes_to_achieved_order():
     assert replay_check(w, result) is False
 
 
+_KEYS = [StorageKey("c", f"k{i}") for i in range(4)]
+_key_sets = st.frozensets(st.sampled_from(_KEYS), max_size=2)
+_accesses = st.builds(
+    AccessSet,
+    reads=_key_sets,
+    writes=_key_sets,
+    cadds=st.lists(st.tuples(st.sampled_from(_KEYS), st.integers(-3, 3)), max_size=2),
+)
+# With equal gas, attempts end in lockstep, so commits land at exactly the
+# start of the attempts dispatched after them.
+classic_blocks = st.tuples(st.lists(st.tuples(_accesses, st.integers(1, 6)), min_size=1, max_size=20), st.booleans()).map(
+    lambda spec: Workload(
+        transactions=tuple(
+            Transaction(id=i, sender="s", gas=1 if spec[1] else gas, access=a) for i, (a, gas) in enumerate(spec[0])
+        )
+    )
+)
+
+
+def _assert_classic_matches_oracle(w, thread_counts):
+    for threads in thread_counts:
+        for seed in (0, 1, 5):
+            assert run_occ_classic(w, threads, seed) == oracle_occ_classic(w, threads, seed), (threads, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(classic_blocks)
+def test_classic_matches_the_quadratic_oracle(w):
+    _assert_classic_matches_oracle(w, range(1, 9))
+
+
+def test_classic_matches_the_quadratic_oracle_on_the_corpus():
+    for w in build_corpus(20):
+        _assert_classic_matches_oracle(w, (1, 2, 8, 32))
+
+
 # ---------------------------------------------------------------------------
 # determinism probe
 # ---------------------------------------------------------------------------
@@ -357,7 +407,7 @@ def test_probe_makespan_spread_reported():
 
 def test_serial_equivalence_random_corpus():
     rng = random.Random(77)
-    from oracles import random_workload
+    from oracles import oracle_occ_classic, random_workload
 
     for trial in range(60):
         w = random_workload(rng, max_n=24)
