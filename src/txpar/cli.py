@@ -19,7 +19,7 @@ from pathlib import Path
 from . import report
 from .bound import bound_schedule
 from .errors import InvariantViolation, ValidationError
-from .graph import DependencyGraph, build_graph, critical_path, schedule_graph
+from .graph import DependencyGraph, KeyIndex, build_graph, critical_path, schedule_graph
 from .occsim import (
     MODE_CLASSIC,
     MODE_DA,
@@ -362,16 +362,17 @@ def cmd_simulate(args) -> int:
     rows = []
     events = []
     for label, workload, graph in _blocks(args, uses_graph=dep_graph):
+        index = KeyIndex(workload) if args.mode != MODE_CLASSIC else None  # shared by every run below
         policy = SvPolicy.minus_one()
         if dep_graph and args.prunes:  # a pruned graph is normative: its edges set the table
             policy = SvPolicy.from_graph(graph()[0])
         elif dep_graph:
-            policy = SvPolicy.from_workload(workload, args.cadd_aware)
+            policy = SvPolicy.from_workload(workload, args.cadd_aware, index=index)
         for t in args.threads:
             if args.mode == MODE_DA:
-                result = run_occ_da(workload, t, policy, args.cadd_aware)
+                result = run_occ_da(workload, t, policy, args.cadd_aware, index=index)
             elif args.mode == MODE_DET_COMMIT:
-                result = run_occ_det_commit(workload, t, args.cadd_aware)
+                result = run_occ_det_commit(workload, t, args.cadd_aware, index=index)
             else:
                 result = run_occ_classic(workload, t, interleaving_seed=args.seed)
             row = {
@@ -388,7 +389,7 @@ def cmd_simulate(args) -> int:
                 "digest": result.digest,
             }
             if args.mode == MODE_DA:
-                baseline = run_occ_det_commit(workload, t, args.cadd_aware, with_digest=False)
+                baseline = run_occ_det_commit(workload, t, args.cadd_aware, with_digest=False, index=index)
                 row["identical_to_det_commit"] = (
                     result.makespan == baseline.makespan and result.abort_pattern() == baseline.abort_pattern()
                 )

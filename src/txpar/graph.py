@@ -146,6 +146,7 @@ class KeyIndex:
         self.n = len(workload)
         self.writers: dict[StorageKey, list[int]] = {}
         self.cadders: dict[StorageKey, list[int]] = {}
+        self._read_keys: dict[bool, list[frozenset[StorageKey]]] = {}
         for tx in workload:
             i = tx.id
             for key in tx.access.writes:
@@ -158,6 +159,17 @@ class KeyIndex:
     def accesses(self) -> Iterable[tuple[StorageKey, list[tuple[int, int]]]]:
         """Each key, with (id, kind mask) of every tx touching it, by id."""
         return _accesses(self.workload)
+
+    def read_keys(self, cadd_aware: bool) -> list[frozenset[StorageKey]]:
+        """Per tx, the keys whose writes in its commit window abort it: its
+        reads, and its cadd keys unless commutative adds are honoured. Built
+        once per mode, so every engine run sharing this index reuses it."""
+        keys = self._read_keys.get(cadd_aware)
+        if keys is None:
+            keys = self._read_keys[cadd_aware] = [
+                tx.access.reads if cadd_aware else tx.access.reads | tx.access.cadd_keys for tx in self.workload
+            ]
+        return keys
 
     def written_between(self, keys, lo: int, hi: int) -> bool:
         """True iff some tx with id in [lo, hi] writes or cadds one of `keys`."""

@@ -25,7 +25,7 @@ import random
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InvariantViolation, ValidationError
 from .graph import DependencyGraph, KeyIndex, max_dependency
@@ -37,10 +37,10 @@ MODE_DET_COMMIT = "occ-det-commit"
 MODE_DA = "occ-da"
 
 
-@dataclass(frozen=True)
-class ExecAttempt:
+class ExecAttempt(NamedTuple):
     """One execution attempt: the i-th run of a transaction, its snapshot
-    version, its span in virtual time, and whether it committed."""
+    version, its span in virtual time, and whether it committed. A named
+    tuple, because the engines build one per attempt."""
 
     tx_id: int
     attempt: int
@@ -105,10 +105,12 @@ class SvPolicy:
         return cls(variant="dep_graph", first_sv=tuple(deps[-1] if deps else -1 for deps in graph.dependencies()))
 
     @classmethod
-    def from_workload(cls, workload: Workload, cadd_aware: bool = False) -> "SvPolicy":
+    def from_workload(cls, workload: Workload, cadd_aware: bool = False, *, index: KeyIndex | None = None) -> "SvPolicy":
         """The `from_graph(build_graph(workload, cadd_aware))` policy, derived
-        from the per-key access index without building the graph."""
-        return cls(variant="dep_graph", first_sv=max_dependency(KeyIndex(workload), cadd_aware))
+        from the per-key access index without building the graph. `index`
+        is the workload's `KeyIndex`, built here when not given."""
+        index = _checked_index(workload, index)
+        return cls(variant="dep_graph", first_sv=max_dependency(index, cadd_aware))
 
     @classmethod
     def custom(cls, table: Mapping[tuple[int, int], int]) -> "SvPolicy":
@@ -202,6 +204,16 @@ def _finalize(
     return result
 
 
+def _checked_index(workload: Workload, index: KeyIndex | None) -> KeyIndex:
+    """`index`, or a new one when None; one built for another workload is
+    rejected."""
+    if index is None:
+        return KeyIndex(workload)
+    if index.workload is not workload and index.workload != workload:
+        raise ValidationError("the key index was built for another workload")
+    return index
+
+
 def _run_in_order(
     workload: Workload,
     threads: int,
@@ -227,16 +239,11 @@ def _run_in_order(
     policy_name = policy.variant if policy is not None else "runtime"
     if policy is not None and policy.first_sv is not None and len(policy.first_sv) != n:
         raise ValidationError(f"policy covers {len(policy.first_sv)} txs, the workload has {n}")
-    if index is None:
-        index = KeyIndex(workload)
-    elif index.workload is not workload and index.workload != workload:
-        raise ValidationError("the key index was built for another workload")
+    index = _checked_index(workload, index)
     if n == 0:
         return _finalize(workload, mode, threads, policy_name, [], [], 0, with_digest)
 
-    # Keys whose writes in a tx's commit window abort it. A cadd reads its
-    # key unless commutative adds are honoured.
-    read_keys = [tx.access.reads if cadd_aware else tx.access.reads | tx.access.cadd_keys for tx in workload]
+    read_keys = index.read_keys(cadd_aware)
     gas = [tx.gas for tx in workload]
     attempt_no = [0] * n
 

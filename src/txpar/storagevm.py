@@ -6,6 +6,14 @@ Traces carry no values, so written values are synthesized with a published
 function of the writer id, the key, and the values the writer observed.
 Folding the observed reads into written values makes any serialization or
 snapshot divergence propagate into the final-state digest.
+
+`TxVm`, `exec_abstract` and `commit` are the normative interpreter. The
+serial executor and the replay of OCC runs take a fast path with the same
+semantics: each workload object compiles its transactions once into a
+replay plan (sorted reads and writes, commutative adds folded per key), and
+one loop executes the plan against a versioned store.
+The plan and the serial digest are memoized on the workload object, by
+identity. Tests compare the plan with the interpreter, state for state.
 """
 
 from __future__ import annotations
@@ -34,7 +42,9 @@ def _observed(read_log) -> str:
     return ";".join(f"{k}={v}@{ver}" for k, v, ver in sorted(read_log))
 
 
-def _hash_write(tx_id: int, key: StorageKey, observed: str) -> int:
+def _hash_write(tx_id: int, key: StorageKey | str, observed: str) -> int:
+    """`write_value` of a key (or its `contract:slot` text) given the
+    observations' text."""
     digest = hashlib.sha256(f"w|{tx_id}|{key}|{observed}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -98,7 +108,10 @@ class StorageState:
 
     def digest(self) -> str:
         """Canonical state digest: sha256 over sorted `key value` lines."""
-        lines = "\n".join(f"{key} {value}" for key, value in self.items())
+        # `contract:slot` is StorageKey's text form, spelled out to skip a
+        # method call per key.
+        rows = sorted(self._committed.items())  # keys are distinct: values are never compared
+        lines = "\n".join(f"{contract}:{slot} {values[-1]}" for (contract, slot), (_, values) in rows)
         return hashlib.sha256(lines.encode()).hexdigest()
 
     def dump(self) -> str:
@@ -182,26 +195,110 @@ def commit(effect: TxEffect, as_version: int, state: StorageState) -> StorageSta
     return state
 
 
-def serial_final_state(workload: Workload) -> StorageState:
-    """Ground-truth serial executor: tx i reads snapshot i-1 and commits at i."""
+class _ReplayPlan:
+    """A workload's storage program, compiled once from its access sets.
+
+    `txs` holds, per tx in id order, what `exec_abstract` + `commit` do with
+    it: (id, reads, writes, cadds). Reads and writes are key tuples in
+    sorted order; reads are kept only when the tx writes, because its read
+    log feeds nothing but its write values. Cadds are folded to one (key,
+    total delta) per key, without the keys the tx also writes, whose pending
+    adds its stores erase. Key texts are not stored: formatting them per
+    replay is cheap, and storing them would double the plan's memory.
+    `serial_digest` memoizes `run_serial`.
+    """
+
+    __slots__ = ("txs", "serial_digest")
+
+    def __init__(self, workload: Workload):
+        self.txs = []
+        for tx in workload:
+            access = tx.access
+            writes = tuple(sorted(access.writes))
+            cadds: dict[StorageKey, int] = {}
+            for key, delta in access.cadds:
+                if key not in access.writes:
+                    cadds[key] = cadds.get(key, 0) + delta
+            if not writes:
+                reads = ()
+            elif access.reads == access.writes:  # a read-modify-write shares one tuple
+                reads = writes
+            else:
+                reads = tuple(sorted(access.reads))
+            self.txs.append((tx.id, reads, writes, tuple(cadds.items())))
+        self.serial_digest: str | None = None
+
+
+def _plan(workload: Workload) -> _ReplayPlan:
+    """The workload's replay plan, built on first use and kept on the object."""
+    plan = workload._memo.get("replay_plan")
+    if plan is None:
+        plan = workload._memo["replay_plan"] = _ReplayPlan(workload)
+    return plan
+
+
+def _replay(schedule) -> StorageState:
+    """Execute (plan entry, snapshot sv, commit version) steps in order on a
+    fresh store, exactly as `exec_abstract` followed by `commit`: reads see
+    the newest version <= sv, writes hash the observations through
+    `_hash_write`, and cadds fold onto each key's latest committed value."""
     state = StorageState()
-    for tx in workload:
-        effect = exec_abstract(tx, tx.id - 1, state)
-        commit(effect, tx.id, state)
+    committed = state._committed
+    for (tx_id, reads, writes, cadds), sv, version in schedule:
+        if version <= state._max_version:
+            raise InvariantViolation(f"version regression: committing {version} after {state._max_version}")
+        if writes:
+            observed = []
+            for key in reads:
+                entry = committed.get(key)
+                idx = bisect_right(entry[0], sv) if entry is not None else 0
+                contract, slot = key  # the key text is `contract:slot`
+                if idx:
+                    observed.append(f"{contract}:{slot}={entry[1][idx - 1]}@{entry[0][idx - 1]}")
+                else:
+                    observed.append(f"{contract}:{slot}=0@-1")
+            observed = ";".join(observed)
+            for key in writes:
+                contract, slot = key
+                value = _hash_write(tx_id, f"{contract}:{slot}", observed)
+                entry = committed.get(key)
+                if entry is None:
+                    committed[key] = ([version], [value])
+                else:
+                    entry[0].append(version)
+                    entry[1].append(value)
+        for key, delta in cadds:
+            entry = committed.get(key)
+            if entry is None:
+                committed[key] = ([version], [delta])
+            else:
+                entry[0].append(version)
+                entry[1].append(entry[1][-1] + delta)
+        state._max_version = version
     return state
 
 
+def serial_final_state(workload: Workload) -> StorageState:
+    """Ground-truth serial executor: tx i reads snapshot i-1 and commits at i."""
+    return _replay((entry, entry[0] - 1, entry[0]) for entry in _plan(workload).txs)
+
+
 def run_serial(workload: Workload) -> str:
-    return serial_final_state(workload).digest()
+    """Digest of `serial_final_state`, computed once per workload object."""
+    plan = _plan(workload)
+    if plan.serial_digest is None:
+        plan.serial_digest = serial_final_state(workload).digest()
+    return plan.serial_digest
 
 
 def replay_final_state(workload: Workload, result: "OccRunResult") -> StorageState:
     """Re-execute the committed attempts of an OCC run.
 
     Deterministic modes replay in id order with each attempt's recorded
-    storage version. Classic OCC has no prefix storage versions, so it is
-    replayed as the serial execution in its achieved commit order, which is
-    the serialization its validation rule guarantees.
+    storage version, which must lie in [-1, id - 1]. Classic OCC has no
+    prefix storage versions, so it is replayed as the serial execution in
+    its achieved commit order, which is the serialization its validation
+    rule guarantees.
     """
     n = len(workload)
     committed = [a for a in result.attempts if a.outcome == "committed"]
@@ -209,25 +306,20 @@ def replay_final_state(workload: Workload, result: "OccRunResult") -> StorageSta
         if not 0 <= attempt.tx_id < n:
             raise ValidationError(f"attempt references unknown tx {attempt.tx_id}")
 
-    state = StorageState()
+    txs = _plan(workload).txs
     if result.mode == "occ-classic":
         if sorted(result.committed_order) != list(range(n)):
             raise ValidationError("classic run must commit every tx exactly once")
-        for position, tx_id in enumerate(result.committed_order):
-            effect = exec_abstract(workload[tx_id], position - 1, state)
-            commit(effect, position, state)
-        return state
+        return _replay((txs[tx_id], position - 1, position) for position, tx_id in enumerate(result.committed_order))
 
     by_id = {a.tx_id: a for a in committed}
     if sorted(by_id) != list(range(n)) or len(committed) != n:
         raise ValidationError("deterministic run must commit every tx exactly once")
-    for tx_id in range(n):
-        attempt = by_id[tx_id]
-        if not -1 <= attempt.sv < n:
-            raise ValidationError(f"tx {tx_id}: storage version {attempt.sv} out of range")
-        effect = exec_abstract(workload[tx_id], attempt.sv, state)
-        commit(effect, tx_id, state)
-    return state
+    svs = [by_id[tx_id].sv for tx_id in range(n)]
+    for tx_id, sv in enumerate(svs):
+        if not -1 <= sv < tx_id:
+            raise ValidationError(f"tx {tx_id}: storage version {sv} outside [-1, {tx_id - 1}]")
+    return _replay(zip(txs, svs, range(n)))
 
 
 def replay_check(workload: Workload, result: "OccRunResult") -> bool:

@@ -108,11 +108,14 @@ class Workload:
 
     `meta` is a free-form JSON-able label map (generator name, seed, key
     tags); it is excluded from equality so parse(emit(w)) == w holds
-    regardless of provenance labels.
+    regardless of provenance labels. `_memo` holds tables derived from this
+    object's transactions (the storage VM's replay plan); it is per object,
+    excluded from equality, and starts empty in every copy `replace` makes.
     """
 
     transactions: tuple[Transaction, ...] = ()
     meta: dict = field(default_factory=dict, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "transactions", tuple(self.transactions))

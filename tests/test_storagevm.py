@@ -1,9 +1,12 @@
 """Versioned storage engine and serial-oracle tests."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from txpar import (
     AccessSet,
@@ -22,11 +25,18 @@ from txpar import (
     gen_defi_fee,
     gen_token_distribution,
     replay_check,
+    replay_final_state,
+    run_occ_classic,
     run_occ_da,
+    run_occ_det_commit,
     run_serial,
     serial_final_state,
+    storagevm,
     write_value,
 )
+from txpar.workload import VALUE_DEPENDENT
+
+from corpus_util import build_corpus
 
 K = StorageKey("c", "K")
 L = StorageKey("c", "L")
@@ -241,6 +251,39 @@ def test_replay_check_rejects_dangling_attempts():
         replay_check(w, bad)
 
 
+def _committed_run(workload, mode, svs=(), order=()):
+    """A run committing each tx once: at `svs[i]` in id order, or, for
+    classic, in `order`."""
+    if mode == "occ-classic":
+        attempts = tuple(ExecAttempt(tx_id, 0, pos - 1, pos, pos + 1, "committed") for pos, tx_id in enumerate(order))
+        committed_order = tuple(order)
+    else:
+        attempts = tuple(ExecAttempt(i, 0, sv, 0, 1, "committed") for i, sv in enumerate(svs))
+        committed_order = tuple(range(len(workload)))
+    n = len(workload)
+    return OccRunResult(
+        mode=mode,
+        threads=1,
+        policy="test",
+        attempts=attempts,
+        makespan=n,
+        committed_order=committed_order,
+        wasted_gas=0,
+        serial_cost=n,
+        speedup=1.0,
+        digest=None,
+    )
+
+
+def test_replay_check_rejects_snapshots_at_or_after_own_commit():
+    # A committed attempt may only observe commits of lower ids.
+    w = Workload(transactions=(_tx(0, writes={K}), _tx(1, reads={K}, writes={L})))
+    assert replay_check(w, _committed_run(w, "occ-da", svs=[-1, 0]))
+    for svs in ([-1, 1], [0, 0], [1, -1]):
+        with pytest.raises(ValidationError, match="storage version"):
+            replay_check(w, _committed_run(w, "occ-da", svs=svs))
+
+
 def test_snapshot_discipline_no_read_above_sv():
     rng = random.Random(88)
     from oracles import random_workload
@@ -257,3 +300,103 @@ def test_snapshot_discipline_no_read_above_sv():
             for _, _, version in effect.read_log:
                 assert version <= attempt.sv
             commit(effect, attempt.tx_id, state)
+
+
+# ---------------------------------------------------------------------------
+# The compiled replay plan against the interpreter (`exec_abstract` + `commit`)
+# ---------------------------------------------------------------------------
+
+
+def _interpreted(workload, steps):
+    """The normative path: one `exec_abstract` + `commit` per (tx, sv,
+    version) step."""
+    state = StorageState()
+    for tx_id, sv, version in steps:
+        commit(exec_abstract(workload[tx_id], sv, state), version, state)
+    return state
+
+
+def _contents(state):
+    """Every committed (version, value) per key, and the last version."""
+    return state.max_version, {key: (list(versions), list(values)) for key, (versions, values) in state._committed.items()}
+
+
+def _text_digest(state):
+    """`StorageState.digest` as specified: sha256 over `key value` lines in
+    key order, with each key in its text form."""
+    lines = "\n".join(f"{key} {value}" for key, value in state.items())
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+def _assert_plan_matches_interpreter(workload, svs, order):
+    n = len(workload)
+    serial = _interpreted(workload, [(i, i - 1, i) for i in range(n)])
+    assert _contents(serial_final_state(workload)) == _contents(serial)
+    assert run_serial(workload) == serial.digest() == _text_digest(serial)
+    cases = [
+        ("occ-da", [(i, sv, i) for i, sv in enumerate(svs)]),
+        ("occ-classic", [(tx_id, pos - 1, pos) for pos, tx_id in enumerate(order)]),
+    ]
+    for mode, steps in cases:
+        expected = _interpreted(workload, steps)
+        replayed = replay_final_state(workload, _committed_run(workload, mode, svs=svs, order=order))
+        assert _contents(replayed) == _contents(expected), mode
+        assert replayed.digest() == _text_digest(expected), mode
+
+
+# Contracts "c" and "c-d" sort one way as tuples and the other way as text.
+_KEYS = [K, L, StorageKey("c-d", "K"), StorageKey("d", "x:y")]
+_key_sets = st.frozensets(st.sampled_from(_KEYS))
+_accesses = st.builds(
+    AccessSet,
+    reads=_key_sets,
+    writes=_key_sets,
+    cadds=st.lists(st.tuples(st.sampled_from(_KEYS), st.integers(-5, 5)), max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_replay_plan_matches_interpreter(data):
+    # Keys land in reads and cadds, writes and cadds, and repeat among a
+    # tx's cadds; snapshots and classic commit orders are arbitrary.
+    accesses = data.draw(st.lists(_accesses, max_size=12))
+    w = Workload(transactions=tuple(Transaction(i, "s", 1, a) for i, a in enumerate(accesses)))
+    svs = [data.draw(st.integers(-1, i - 1)) for i in range(len(w))]
+    order = data.draw(st.permutations(range(len(w))))
+    _assert_plan_matches_interpreter(w, svs, order)
+
+
+def test_replay_plan_matches_interpreter_on_corpus_and_cadd_variants():
+    rng = random.Random(6)
+    for w in build_corpus(20):
+        variants = [w]
+        for key in w.meta.get("bottleneck_keys", []):
+            if w.key_tags.get(key) != VALUE_DEPENDENT:
+                variants.append(cadd_rewrite(w, {StorageKey.parse(key)}))
+        for v in variants:
+            n = len(v)
+            order = list(range(n))
+            rng.shuffle(order)
+            _assert_plan_matches_interpreter(v, [rng.randint(-1, i - 1) for i in range(n)], order)
+            for result in (run_occ_da(v, 8, cadd_aware=True), run_occ_det_commit(v, 8), run_occ_classic(v, 8)):
+                steps = [(tx_id, pos - 1, pos) for pos, tx_id in enumerate(result.committed_order)]
+                if result.mode != "occ-classic":
+                    steps = sorted((a.tx_id, a.sv, a.tx_id) for a in result.attempts if a.outcome == "committed")
+                assert result.digest == _interpreted(v, steps).digest(), result.mode
+
+
+def test_serial_digest_is_memoized_per_object(monkeypatch):
+    w1 = gen_defi_fee(12, traders=3, seed=5)
+    w2 = Workload(transactions=w1.transactions)
+    assert w1 == w2 and w1 is not w2
+    expected = _interpreted(w1, [(i, i - 1, i) for i in range(len(w1))]).digest()
+    executed = []
+    serial = storagevm.serial_final_state
+    monkeypatch.setattr(storagevm, "serial_final_state", lambda w: executed.append(w) or serial(w))
+    assert run_serial(w1) == expected
+    assert run_serial(w1) == expected
+    assert len(executed) == 1 and executed[0] is w1
+    # An equal but distinct object keeps its own memo and executes once.
+    assert run_serial(w2) == expected
+    assert len(executed) == 2 and executed[1] is w2
