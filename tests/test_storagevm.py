@@ -254,13 +254,13 @@ def test_replay_check_rejects_dangling_attempts():
 def _committed_run(workload, mode, svs=(), order=()):
     """A run committing each tx once: at `svs[i]` in id order, or, for
     classic, in `order`."""
+    n = len(workload)
     if mode == "occ-classic":
         attempts = tuple(ExecAttempt(tx_id, 0, pos - 1, pos, pos + 1, "committed") for pos, tx_id in enumerate(order))
         committed_order = tuple(order)
     else:
         attempts = tuple(ExecAttempt(i, 0, sv, 0, 1, "committed") for i, sv in enumerate(svs))
-        committed_order = tuple(range(len(workload)))
-    n = len(workload)
+        committed_order = tuple(range(n))
     return OccRunResult(
         mode=mode,
         threads=1,
