@@ -132,57 +132,42 @@ def _accesses(workload: Workload) -> Iterable[tuple[StorageKey, list[tuple[int, 
 
 
 class KeyIndex:
-    """Per-key sorted ids of the transactions that write and cadd each key,
-    built in one pass over a workload; `accesses()` gives every access to
-    each key, by id. It is the one access index the dependency graphs, the
-    `dep_graph` storage-version table and the OCC engines' commit-window
-    checks are derived from. `build_graph` and `schedule_graph` read only
-    the per-key accesses (`_accesses`), so they skip the engines' tables.
-    `writers` and `cadders` are plain attributes, which the engines' hot
-    `written_between` reads faster than cached properties."""
+    """The one access index of a workload: `accesses()` gives every access
+    to each key, by id. The dependency graphs, the `dep_graph`
+    storage-version table (`max_dependency`) and the OCC engines'
+    commit-window table (`latest_writer`) are all derived from it.
+    `build_graph` and `schedule_graph` read the per-key accesses
+    (`_accesses`) directly, so they skip the engines' table."""
 
     def __init__(self, workload: Workload):
         self.workload = workload
         self.n = len(workload)
-        self.writers: dict[StorageKey, list[int]] = {}
-        self.cadders: dict[StorageKey, list[int]] = {}
-        self._read_keys: dict[bool, list[frozenset[StorageKey]]] = {}
-        for tx in workload:
-            i = tx.id
-            for key in tx.access.writes:
-                self.writers.setdefault(key, []).append(i)
-            for key, _ in tx.access.cadds:  # a multiset: one key may repeat
-                ids = self.cadders.setdefault(key, [])
-                if not ids or ids[-1] != i:
-                    ids.append(i)
+        self._latest_writer: dict[bool, tuple[int, ...]] = {}
 
     def accesses(self) -> Iterable[tuple[StorageKey, list[tuple[int, int]]]]:
         """Each key, with (id, kind mask) of every tx touching it, by id."""
         return _accesses(self.workload)
 
-    def read_keys(self, cadd_aware: bool) -> list[frozenset[StorageKey]]:
-        """Per tx, the keys whose writes in its commit window abort it: its
-        reads, and its cadd keys unless commutative adds are honoured. Built
-        once per mode, so every engine run sharing this index reuses it."""
-        keys = self._read_keys.get(cadd_aware)
-        if keys is None:
-            keys = self._read_keys[cadd_aware] = [
-                tx.access.reads if cadd_aware else tx.access.reads | tx.access.cadd_keys for tx in self.workload
-            ]
-        return keys
-
-    def written_between(self, keys, lo: int, hi: int) -> bool:
-        """True iff some tx with id in [lo, hi] writes or cadds one of `keys`."""
-        if lo > hi:
-            return False
-        for index in (self.writers, self.cadders):
-            for key in keys:
-                ids = index.get(key)
-                if ids:
-                    pos = bisect_left(ids, lo)
-                    if pos < len(ids) and ids[pos] <= hi:
-                        return True
-        return False
+    def latest_writer(self, cadd_aware: bool) -> tuple[int, ...]:
+        """Per tx, the highest earlier id that writes or cadds a key it reads,
+        or -1. Its cadd keys count as reads unless commutative adds are
+        honoured. A commit window (sv, id) always ends at id - 1, so an
+        attempt with storage version sv aborts iff `latest_writer[id] > sv`.
+        Built in O(accesses) once per mode, so every engine run sharing this
+        index reuses it."""
+        table = self._latest_writer.get(cadd_aware)
+        if table is None:
+            aborts_on = READ if cadd_aware else READ | CADD
+            latest = [-1] * self.n
+            for _, accesses in self.accesses():
+                writer = -1  # the latest id so far that writes or cadds this key
+                for j, kind in accesses:
+                    if kind & aborts_on and writer > latest[j]:
+                        latest[j] = writer
+                    if kind & (WRITE | CADD):
+                        writer = j
+            table = self._latest_writer[cadd_aware] = tuple(latest)
+        return table
 
 
 @cache

@@ -153,15 +153,16 @@ class JitterTiming(Timing):
     def __init__(self, seed: int, spread: float = 0.5):
         if not 0 <= spread < 1:
             raise ValidationError(f"jitter spread must be in [0, 1), got {spread}")
-        self._rng = random.Random(seed)
-        self._spread = spread
+        self._random = random.Random(seed).random
+        # `duration` computes `Random.uniform(-spread, spread)` inline: same floats.
+        self._low = -spread
+        self._width = spread - self._low
 
     def duration(self, tx_id: int, attempt: int, gas: int) -> int:
-        factor = 1.0 + self._rng.uniform(-self._spread, self._spread)
-        return max(1, round(gas * factor))
+        return max(1, round(gas * (1.0 + (self._low + self._width * self._random()))))
 
     def tiebreak(self, tx_id: int, attempt: int):
-        return self._rng.random()
+        return self._random()
 
 
 class FixedTiming(Timing):
@@ -243,21 +244,27 @@ def _run_in_order(
     if n == 0:
         return _finalize(workload, mode, threads, policy_name, [], [], 0, with_digest)
 
-    read_keys = index.read_keys(cadd_aware)
+    latest_writer = index.latest_writer(cadd_aware)
     gas = [tx.gas for tx in workload]
     attempt_no = [0] * n
+    heappush, heappop = heapq.heappush, heapq.heappop
+    duration_of, tiebreak = timing.duration, timing.tiebreak
 
-    waiting: list[tuple[int, int]] = []  # (sv, id); admission-gated txs (policy mode)
-    ready: list[int] = []  # ids ready for a pool slot
+    # Gated txs wait as (sv, id) and become ready as (id, sv): one policy call
+    # per attempt. Without a policy all are ready; sv is taken at dispatch.
+    waiting: list[tuple[int, int]] = []
+    ready: list[tuple[int, int]] = []
     if policy is not None:
-        waiting = [(policy.storage_version(i, 0), i) for i in range(n)]
+        storage_version = policy.storage_version
+        waiting = [(storage_version(i, 0), i) for i in range(n)]
         heapq.heapify(waiting)
     else:
-        ready = list(range(n))
-        heapq.heapify(ready)
+        ready = [(i, -1) for i in range(n)]  # ascending ids: already a heap
 
     pool: list[tuple[int, object, int, int, int]] = []  # (end, tie, id, sv, start)
-    commit_queue: list[tuple[int, int, int, int]] = []  # (id, sv, start, end)
+    # Per id, its one completed attempt awaiting its commit turn: (sv, start,
+    # end). The extra None slot stops stage 3 at n.
+    finished: list[tuple[int, int, int] | None] = [None] * (n + 1)
     clock = 0
     next_commit = 0
     attempts: list[ExecAttempt] = []
@@ -266,38 +273,41 @@ def _run_in_order(
     while next_commit < n:
         # Stage 1: admission. Txs whose storage version has committed become
         # ready; ready txs fill free pool slots lowest-id first.
-        while waiting and waiting[0][0] <= next_commit - 1:
-            _, tx_id = heapq.heappop(waiting)
-            heapq.heappush(ready, tx_id)
-        while len(pool) < threads and ready:
-            tx_id = heapq.heappop(ready)
+        while waiting and waiting[0][0] < next_commit:
+            sv, tx_id = heappop(waiting)
+            heappush(ready, (tx_id, sv))
+        while ready and len(pool) < threads:
+            tx_id, sv = heappop(ready)
+            if policy is None:
+                sv = next_commit - 1
             att = attempt_no[tx_id]
-            sv = policy.storage_version(tx_id, att) if policy is not None else next_commit - 1
-            duration = timing.duration(tx_id, att, gas[tx_id])
+            duration = duration_of(tx_id, att, gas[tx_id])
             if duration < 1:
                 raise ValidationError(f"timing gave tx {tx_id} attempt {att} duration {duration}; it must be >= 1")
-            heapq.heappush(pool, (clock + duration, timing.tiebreak(tx_id, att), tx_id, sv, clock))
+            heappush(pool, (clock + duration, tiebreak(tx_id, att), tx_id, sv, clock))
 
-        if not pool and not commit_queue:
+        # The next tx to commit is always admissible, so an empty pool is a stall.
+        if not pool:
             raise InvariantViolation("scheduler stalled with uncommitted transactions")
 
         # Stage 2: retire exactly one completion, advancing the clock.
-        if pool:
-            end, _, tx_id, sv, start = heapq.heappop(pool)
-            clock = end
-            heapq.heappush(commit_queue, (tx_id, sv, start, end))
+        clock, _, tx_id, sv, start = heappop(pool)
+        finished[tx_id] = (sv, start, clock)
 
-        # Stage 3: commit strictly in id order.
-        while commit_queue and commit_queue[0][0] == next_commit:
-            tx_id, sv, start, end = heapq.heappop(commit_queue)
+        # Stage 3: commit strictly in id order. An attempt aborts iff a tx in
+        # its window (sv, id) writes or cadds a key it reads.
+        while finished[next_commit] is not None:
+            tx_id = next_commit
+            sv, start, end = finished[tx_id]
+            finished[tx_id] = None
             att = attempt_no[tx_id]
-            if index.written_between(read_keys[tx_id], sv + 1, tx_id - 1):
+            if latest_writer[tx_id] > sv:
                 attempts.append(ExecAttempt(tx_id, att, sv, start, end, "aborted"))
-                attempt_no[tx_id] += 1
+                attempt_no[tx_id] = att + 1
                 if policy is not None:
-                    heapq.heappush(waiting, (policy.storage_version(tx_id, att + 1), tx_id))
+                    heappush(waiting, (storage_version(tx_id, att + 1), tx_id))
                 else:
-                    heapq.heappush(ready, tx_id)
+                    heappush(ready, (tx_id, -1))
             else:
                 attempts.append(ExecAttempt(tx_id, att, sv, start, end, "committed"))
                 committed_order.append(tx_id)

@@ -11,8 +11,20 @@ from __future__ import annotations
 import heapq
 import random
 
-from txpar import AccessSet, DependencyGraph, ExecAttempt, OccRunResult, StorageKey, Transaction, Workload
-from txpar.occsim import MODE_CLASSIC, _finalize
+from txpar import (
+    AccessSet,
+    DependencyGraph,
+    ExecAttempt,
+    InvariantViolation,
+    OccRunResult,
+    StorageKey,
+    SvPolicy,
+    Timing,
+    Transaction,
+    ValidationError,
+    Workload,
+)
+from txpar.occsim import MODE_CLASSIC, MODE_DA, MODE_DET_COMMIT, _finalize
 
 
 def _kinds(tx: Transaction, key: StorageKey) -> set[str]:
@@ -172,3 +184,118 @@ def oracle_occ_classic(workload: Workload, threads: int, interleaving_seed: int 
                 write_commit_times.setdefault(key, []).append(clock)
 
     return _finalize(workload, MODE_CLASSIC, threads, "fcfs", attempts, committed_order, clock, with_digest)
+
+
+def _written_in_window(workload: Workload, keys: frozenset, sv: int, tx_id: int) -> bool:
+    """Naive commit-window check: does any tx with id in (sv, tx_id) write or
+    cadd one of `keys`? Scans the window's access sets one by one."""
+    return any(keys & (workload[i].access.writes | workload[i].access.cadd_keys) for i in range(sv + 1, tx_id))
+
+
+def _aborting_keys(tx: Transaction, cadd_aware: bool) -> frozenset:
+    """The keys whose writes in its commit window abort `tx`: its reads, plus
+    its cadd keys unless commutative adds are honoured."""
+    return tx.access.reads if cadd_aware else tx.access.reads | tx.access.cadd_keys
+
+
+def oracle_run_in_order(
+    workload: Workload,
+    threads: int,
+    policy: SvPolicy | None,
+    cadd_aware: bool = False,
+    timing: Timing | None = None,
+    *,
+    with_digest: bool = False,
+) -> OccRunResult:
+    """The original in-order engine loop (occ-da with a policy, det-commit
+    without): storage versions are recomputed at dispatch, completed attempts
+    wait in a commit-queue heap, and each commit turn scans its window's
+    access sets. The library engine must return an equal result."""
+    timing = timing or Timing()
+    n = len(workload)
+    mode = MODE_DA if policy is not None else MODE_DET_COMMIT
+    policy_name = policy.variant if policy is not None else "runtime"
+    if n == 0:
+        return _finalize(workload, mode, threads, policy_name, [], [], 0, with_digest)
+
+    read_keys = [_aborting_keys(tx, cadd_aware) for tx in workload]
+    attempt_no = [0] * n
+    waiting: list[tuple[int, int]] = []  # (sv, id); admission-gated txs (policy mode)
+    ready: list[int] = []  # ids ready for a pool slot
+    if policy is not None:
+        waiting = [(policy.storage_version(i, 0), i) for i in range(n)]
+        heapq.heapify(waiting)
+    else:
+        ready = list(range(n))
+        heapq.heapify(ready)
+
+    pool: list[tuple[int, object, int, int, int]] = []  # (end, tie, id, sv, start)
+    commit_queue: list[tuple[int, int, int, int]] = []  # (id, sv, start, end)
+    clock = 0
+    next_commit = 0
+    attempts: list[ExecAttempt] = []
+    committed_order: list[int] = []
+
+    while next_commit < n:
+        while waiting and waiting[0][0] <= next_commit - 1:
+            _, tx_id = heapq.heappop(waiting)
+            heapq.heappush(ready, tx_id)
+        while len(pool) < threads and ready:
+            tx_id = heapq.heappop(ready)
+            att = attempt_no[tx_id]
+            sv = policy.storage_version(tx_id, att) if policy is not None else next_commit - 1
+            duration = timing.duration(tx_id, att, workload[tx_id].gas)
+            if duration < 1:
+                raise ValidationError(f"timing gave tx {tx_id} attempt {att} duration {duration}")
+            heapq.heappush(pool, (clock + duration, timing.tiebreak(tx_id, att), tx_id, sv, clock))
+
+        if not pool and not commit_queue:
+            raise InvariantViolation("scheduler stalled with uncommitted transactions")
+
+        if pool:
+            end, _, tx_id, sv, start = heapq.heappop(pool)
+            clock = end
+            heapq.heappush(commit_queue, (tx_id, sv, start, end))
+
+        while commit_queue and commit_queue[0][0] == next_commit:
+            tx_id, sv, start, end = heapq.heappop(commit_queue)
+            att = attempt_no[tx_id]
+            if _written_in_window(workload, read_keys[tx_id], sv, tx_id):
+                attempts.append(ExecAttempt(tx_id, att, sv, start, end, "aborted"))
+                attempt_no[tx_id] += 1
+                if policy is not None:
+                    heapq.heappush(waiting, (policy.storage_version(tx_id, att + 1), tx_id))
+                else:
+                    heapq.heappush(ready, tx_id)
+            else:
+                attempts.append(ExecAttempt(tx_id, att, sv, start, end, "committed"))
+                committed_order.append(tx_id)
+                next_commit += 1
+
+    return _finalize(workload, mode, threads, policy_name, attempts, committed_order, clock, with_digest)
+
+
+def oracle_occ_da_outcomes(workload: Workload, policy: SvPolicy, cadd_aware: bool = False) -> tuple:
+    """The closed-form occ-da outcome multiset: sorted (tx, attempt, sv,
+    outcome) tuples, with no scheduler at all. Each tx walks its attempts
+    k = 0, 1, ... with sv = policy(tx, k); an attempt aborts iff a tx with id
+    in (sv, id) writes or cadds a key it reads, and the first attempt with an
+    empty window commits. The window check scans each key's writer list,
+    built here from the access sets."""
+    writers: dict[StorageKey, list[int]] = {}  # key -> ids that write or cadd it, ascending
+    for tx in workload:
+        for key in tx.access.writes | tx.access.cadd_keys:
+            writers.setdefault(key, []).append(tx.id)
+    outcomes = []
+    for tx in workload:
+        keys = _aborting_keys(tx, cadd_aware)
+        attempt = 0
+        while True:
+            sv = policy.storage_version(tx.id, attempt)
+            if any(sv < i < tx.id for key in keys for i in writers.get(key, ())):
+                outcomes.append((tx.id, attempt, sv, "aborted"))
+                attempt += 1
+            else:
+                outcomes.append((tx.id, attempt, sv, "committed"))
+                break
+    return tuple(sorted(outcomes))

@@ -19,6 +19,7 @@ from txpar import (
     DependencyGraph,
     FixedTiming,
     JitterTiming,
+    KeyIndex,
     PartitionSpec,
     StorageKey,
     StorageState,
@@ -81,17 +82,18 @@ def test_criterion_2_serial_equivalence(corpus):
     (id, sv) multiset, which fully determines the replay."""
     checked = 0
     replayed = 0
-    for index, (workload, threads) in enumerate(corpus):
+    for position, (workload, threads) in enumerate(corpus):
+        index = KeyIndex(workload)  # shared by every run on this workload
         seen: set = set()
         runs = [
-            run_occ_da(workload, threads, with_digest=False),
-            run_occ_det_commit(workload, threads, with_digest=False),
+            run_occ_da(workload, threads, with_digest=False, index=index),
+            run_occ_det_commit(workload, threads, with_digest=False, index=index),
         ]
         for trial in range(PROBE_TRIALS):
             timing = JitterTiming(seed=PROBE_SEED * 1_000_003 + trial)
-            runs.append(run_occ_da(workload, threads, timing=timing, with_digest=False))
+            runs.append(run_occ_da(workload, threads, timing=timing, with_digest=False, index=index))
             timing = JitterTiming(seed=PROBE_SEED * 1_000_003 + trial)
-            runs.append(run_occ_det_commit(workload, threads, timing=timing, with_digest=False))
+            runs.append(run_occ_det_commit(workload, threads, timing=timing, with_digest=False, index=index))
         for result in runs:
             checked += 1
             key = (result.mode, tuple(sorted((a.tx_id, a.sv) for a in result.attempts if a.outcome == "committed")))
@@ -99,7 +101,7 @@ def test_criterion_2_serial_equivalence(corpus):
                 continue
             seen.add(key)
             replayed += 1
-            assert replay_check(workload, result), (index, result.mode)
+            assert replay_check(workload, result), (position, result.mode)
     print(f"\nACCEPTANCE 2: PASS - {checked} runs checked ({replayed} distinct replays), all digests equal serial")
 
 

@@ -299,13 +299,18 @@ def test_key_index_matches_the_access_sets():
         assert set(accesses) == set().union(*(tx.access.touched() for tx in w))
         for key, kinds in accesses.items():
             assert [i for i, kind in kinds if kind & READ] == [tx.id for tx in w if key in tx.access.reads]
-            assert index.writers.get(key, []) == [tx.id for tx in w if key in tx.access.writes]
-            assert index.cadders.get(key, []) == [tx.id for tx in w if key in tx.access.cadd_keys]
+            assert [i for i, kind in kinds if kind & WRITE] == [tx.id for tx in w if key in tx.access.writes]
+            assert [i for i, kind in kinds if kind & CADD] == [tx.id for tx in w if key in tx.access.cadd_keys]
             expected = [
                 (tx.id, READ * (key in tx.access.reads) | WRITE * (key in tx.access.writes) | CADD * (key in tx.access.cadd_keys))
                 for tx in w
             ]
             assert kinds == [(i, kind) for i, kind in expected if kind]
+        for cadd_aware in (False, True):
+            written = [tx.access.writes | tx.access.cadd_keys for tx in w]
+            read = [tx.access.reads if cadd_aware else tx.access.reads | tx.access.cadd_keys for tx in w]
+            naive = tuple(max((i for i in range(j) if read[j] & written[i]), default=-1) for j in range(len(w)))
+            assert index.latest_writer(cadd_aware) == naive
 
 
 def test_adjacency_is_cached_sorted_and_immutable():

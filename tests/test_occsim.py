@@ -16,8 +16,10 @@ from txpar import (
     SvPolicy,
     Transaction,
     ValidationError,
+    Timing,
     Workload,
     build_graph,
+    cadd_rewrite,
     determinism_probe,
     gen_payments,
     gen_mixed,
@@ -29,7 +31,8 @@ from txpar import (
 )
 
 from corpus_util import build_corpus
-from oracles import oracle_occ_classic, random_workload
+from oracles import oracle_occ_classic, oracle_occ_da_outcomes, oracle_run_in_order, random_workload
+from txpar.workload import VALUE_DEPENDENT
 
 K = StorageKey("c", "K")
 L = StorageKey("c", "L")
@@ -203,11 +206,14 @@ def test_key_index_window_check_matches_naive_scan():
     for _ in range(40):
         w = random_workload(rng, max_n=20)
         index = KeyIndex(w)
-        for tx in w:
-            for keys in (tx.access.reads, tx.access.reads | tx.access.cadd_keys):
+        for cadd_aware in (False, True):
+            latest_writer = index.latest_writer(cadd_aware)
+            assert index.latest_writer(cadd_aware) is latest_writer
+            for tx in w:
+                keys = tx.access.reads if cadd_aware else tx.access.reads | tx.access.cadd_keys
                 for sv in range(-1, tx.id):
                     naive = any(keys & (w[i].access.writes | w[i].access.cadd_keys) for i in range(sv + 1, tx.id))
-                    assert index.written_between(keys, sv + 1, tx.id - 1) == naive
+                    assert (latest_writer[tx.id] > sv) == naive
 
 
 @pytest.mark.parametrize("duration", [0, -100])
@@ -361,6 +367,72 @@ def test_classic_matches_the_quadratic_oracle(w):
 def test_classic_matches_the_quadratic_oracle_on_the_corpus():
     for w in build_corpus(20):
         _assert_classic_matches_oracle(w, (1, 2, 8, 32))
+
+
+# ---------------------------------------------------------------------------
+# in-order engines against the original loop
+# ---------------------------------------------------------------------------
+
+
+def _timings(w, seed):
+    """Factories for the three timing models; each run needs a fresh
+    `JitterTiming`, whose draws are consumed as the run goes."""
+    rng = random.Random(seed)
+    durations = {tx.id: rng.randint(1, 2 * tx.gas) for tx in w}
+    return (Timing, lambda: JitterTiming(seed), lambda: FixedTiming(durations))
+
+
+def _assert_in_order_matches_oracle(w, seed, thread_counts=(1, 4, 32)):
+    rng = random.Random(seed)
+    custom = SvPolicy.custom({(tx.id, k): rng.randint(-1, tx.id - 1) for tx in w for k in range(2) if rng.random() < 0.5})
+    index = KeyIndex(w)
+    for cadd_aware in (False, True):
+        policies = (SvPolicy.minus_one(), SvPolicy.from_workload(w, cadd_aware, index=index), custom, None)
+        for policy in policies:
+            for timing in _timings(w, seed):
+                for threads in thread_counts:
+                    if policy is None:
+                        fast = run_occ_det_commit(w, threads, cadd_aware, timing=timing(), with_digest=False, index=index)
+                    else:
+                        fast = run_occ_da(w, threads, policy, cadd_aware, timing=timing(), with_digest=False, index=index)
+                    expected = oracle_run_in_order(w, threads, policy, cadd_aware, timing())
+                    assert fast == expected, (policy and policy.variant, cadd_aware, threads)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_accesses, st.integers(1, 50)), min_size=1, max_size=20), st.integers(0, 2**16))
+def test_in_order_engines_match_the_original_loop(spec, seed):
+    w = Workload(transactions=tuple(Transaction(id=i, sender="s", gas=gas, access=a) for i, (a, gas) in enumerate(spec)))
+    _assert_in_order_matches_oracle(w, seed)
+
+
+def test_in_order_engines_match_the_original_loop_on_the_corpus():
+    for index, w in enumerate(build_corpus(4)):
+        _assert_in_order_matches_oracle(w, index)
+        tags = w.key_tags
+        keys = {StorageKey.parse(key) for key in w.meta.get("bottleneck_keys", []) if tags.get(key) != VALUE_DEPENDENT}
+        if keys:
+            _assert_in_order_matches_oracle(cadd_rewrite(w, keys), index)
+
+
+def test_probe_equals_the_closed_form_occ_da_outcomes():
+    for index, w in enumerate(build_corpus(300)):
+        threads = (2, 8, 32)[index % 3]
+        for cadd_aware in (False, True):
+            for policy in (SvPolicy.minus_one(), SvPolicy.from_workload(w, cadd_aware)):
+                probe = determinism_probe(w, threads, policy, trials=2, seed=index, cadd_aware=cadd_aware)
+                assert probe.da_patterns == (oracle_occ_da_outcomes(w, policy, cadd_aware),), (index, cadd_aware)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7_000_021, 2**40 + 3])
+@pytest.mark.parametrize("spread", [0.0, 0.1, 0.5, 0.99])
+def test_jitter_draws_match_random_uniform(seed, spread):
+    timing = JitterTiming(seed, spread)
+    r = random.Random(seed)
+    for step in range(200):
+        gas = 1 + 997 * step
+        expected = (max(1, round(gas * (1.0 + r.uniform(-spread, spread)))), r.random())
+        assert (timing.duration(step, 0, gas), timing.tiebreak(step, 0)) == expected
 
 
 # ---------------------------------------------------------------------------
