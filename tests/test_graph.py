@@ -306,11 +306,6 @@ def test_key_index_matches_the_access_sets():
                 for tx in w
             ]
             assert kinds == [(i, kind) for i, kind in expected if kind]
-        for cadd_aware in (False, True):
-            written = [tx.access.writes | tx.access.cadd_keys for tx in w]
-            read = [tx.access.reads if cadd_aware else tx.access.reads | tx.access.cadd_keys for tx in w]
-            naive = tuple(max((i for i in range(j) if read[j] & written[i]), default=-1) for j in range(len(w)))
-            assert index.latest_writer(cadd_aware) == naive
 
 
 def test_adjacency_is_cached_sorted_and_immutable():

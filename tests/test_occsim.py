@@ -14,9 +14,9 @@ from txpar import (
     KeyIndex,
     StorageKey,
     SvPolicy,
+    Timing,
     Transaction,
     ValidationError,
-    Timing,
     Workload,
     build_graph,
     cadd_rewrite,
