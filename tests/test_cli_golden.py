@@ -3,7 +3,9 @@
 Each case runs one or more `txpar` invocations on small generated traces
 and hashes every file they write. The digests were recorded from the CLI
 as it was before its settings, transform steps and per-command pipelines
-were merged into one of each; any change to them is a change to the
+were merged into one of each; `simulate_classic_hot`, whose `runs.json`
+holds thousands of abort triples, was recorded before `report.render_json`
+stopped calling `json.dumps`. Any change to them is a change to the
 output bytes.
 """
 
@@ -20,6 +22,7 @@ TRACES = {
     "fee": ["--pattern", "defi_fee", "--n", "14", "--traders", "14", "--seed", "3"],
     "nft": ["--pattern", "nft_mint", "--n", "10", "--seed", "2"],
     "pay": ["--pattern", "payments", "--n", "16", "--seed", "1"],
+    "hot": ["--pattern", "token_distribution", "--n", "160", "--senders", "1", "--track-total-supply"] + ["--seed", "8"],
 }
 
 CHAINS = {
@@ -104,6 +107,7 @@ CASES = {
         + ["--events", "--seed", "11"]
     ],
     "simulate_threads_8_8": [["simulate", "--input", "{d}/fee.trace", "--threads", "8,8"]],
+    "simulate_classic_hot": [["simulate", "--input", "{d}/hot.trace", "--mode", "occ-classic", "--threads", "8,32"]],
     "analyze_threads_8_8": [["analyze", "--input", "{d}/fee.trace", "--threads", "8,8", "--format", "both"]],
     "simulate_config": [["simulate", "--config", "{d}/sim_cfg.json"]],
     "analyze_config": [["analyze", "--config", "{d}/analyze_cfg.json"]],
@@ -137,6 +141,7 @@ GOLDEN = {
     "histogram_buckets": "f58aa784349d9cca9401913434f9c14aadbec78ecefb5611ef3a2e742b11d2ef",
     "probe_config": "c6658581a987310fb9db6a0c87c65b25b1ecae2f9d8c7418b39ccea4462718fd",
     "simulate_config": "5a304c7714a45004c9fd79d904883ef05a8d658393c1263713427cb4654cf2db",
+    "simulate_classic_hot": "d5312c60547a75be8894918996dc3d8f206e84c06913a6bd577b66decf6e367b",
     "simulate_config_classic_ignores_policy": "338936aa58f581e3c49082b0d35c3e1b1905d9c2e4580589e357fbe3a9a4d5f5",
     "simulate_events_classic": "25f6f744670cf94a35cb860e60accf56b71185189e834145e353a4b9ef48ed10",
     "simulate_events_da": "8eb872e86ed25a97c1c8aa0c66e9f3d3c823aa2b08c7270a25077b48b2382137",
