@@ -142,11 +142,12 @@ class KeyIndex:
     def __init__(self, workload: Workload):
         self.workload = workload
         self.n = len(workload)
+        self._by_key = _accesses(workload)  # one pass, shared by every table below
         self._latest_writer: dict[bool, tuple[int, ...]] = {}
 
     def accesses(self) -> Iterable[tuple[StorageKey, list[tuple[int, int]]]]:
         """Each key, with (id, kind mask) of every tx touching it, by id."""
-        return _accesses(self.workload)
+        return self._by_key
 
     def latest_writer(self, cadd_aware: bool) -> tuple[int, ...]:
         """Per tx, the highest earlier id that writes or cadds a key it reads,

@@ -186,8 +186,9 @@ def _finalize(
     makespan: int,
     with_digest: bool,
 ) -> OccRunResult:
-    serial = workload.serial_gas()
-    wasted = sum(workload[a.tx_id].gas for a in attempts if a.outcome == "aborted")
+    gas = [tx.gas for tx in workload.transactions]
+    serial = sum(gas)
+    wasted = sum([gas[a.tx_id] for a in attempts if a.outcome == "aborted"])
     result = OccRunResult(
         mode=mode,
         threads=threads,

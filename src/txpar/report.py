@@ -2,6 +2,9 @@
 
 Everything here must be byte-stable: same inputs, same bytes out. No
 timestamps, no absolute paths, sorted JSON keys, fixed column orders.
+A JSON output is exactly the bytes of `json.dumps(payload, sort_keys=True,
+indent=2)` plus a newline; `render_json` writes them without the stdlib's
+pure-Python indent path.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ import csv
 import io
 import json
 import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -74,8 +79,60 @@ def write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _render(value, level: int) -> str:
+    """`value` as `json.dumps(value, sort_keys=True, indent=2)` writes it at
+    nesting depth `level`. Exact JSON types take the fast paths; anything
+    else (non-str keys, subclasses, unknown types) is handed to the stdlib,
+    re-indented, so it converts or raises as the stdlib does."""
+    kind = type(value)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = "\n" + "  " * (level + 1)
+        types = set(map(type, value))
+        if types == {int}:
+            body = map(int.__repr__, value)
+        elif types == {list} and all(value) and set(map(type, chain.from_iterable(value))) == {int}:
+            # Non-empty rows of ints, such as abort triples: one %-template per row width.
+            row_inner = inner + "  "
+            widths = set(map(len, value))
+            rows = {width: "[" + row_inner + ("," + row_inner).join(["%d"] * width) + inner + "]" for width in widths}
+            body = [rows[len(row)] % tuple(row) for row in value]
+        else:
+            body = [_render(item, level + 1) for item in value]
+        return "[" + inner + ("," + inner).join(body) + inner[:-2] + "]"
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        inner = "\n" + "  " * (level + 1)
+        body = [encode_basestring_ascii(key) + ": " + _render(item, level + 1) for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(body) + inner[:-2] + "}"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
+
+
 def render_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(payload, sort_keys=True, indent=2) + "\\n"`, byte for byte."""
+    return _render(payload, 0) + "\n"
 
 
 def write_json(path: Path, payload) -> None:

@@ -11,6 +11,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import TraceParseError, ValidationError
@@ -54,6 +55,10 @@ class StorageKey(NamedTuple):
         return cls(contract, slot)
 
 
+def _malformed_key(key: StorageKey) -> bool:
+    return not key.contract or ":" in key.contract or not key.slot
+
+
 def _canon_cadds(cadds: Iterable[tuple[StorageKey, int]]) -> tuple[tuple[StorageKey, int], ...]:
     return tuple(sorted((key, int(delta)) for key, delta in cadds))
 
@@ -74,9 +79,14 @@ class AccessSet:
     cadds: tuple[tuple[StorageKey, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "reads", frozenset(self.reads))
-        object.__setattr__(self, "writes", frozenset(self.writes))
-        object.__setattr__(self, "cadds", _canon_cadds(self.cadds))
+        # Re-wrap only what is not canonical yet: the parser and the generators
+        # pass frozensets and, mostly, no cadds.
+        if type(self.reads) is not frozenset:
+            object.__setattr__(self, "reads", frozenset(self.reads))
+        if type(self.writes) is not frozenset:
+            object.__setattr__(self, "writes", frozenset(self.writes))
+        if self.cadds or type(self.cadds) is not tuple:
+            object.__setattr__(self, "cadds", _canon_cadds(self.cadds))
 
     @property
     def cadd_keys(self) -> frozenset[StorageKey]:
@@ -118,14 +128,25 @@ class Workload:
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "transactions", tuple(self.transactions))
-        for pos, tx in enumerate(self.transactions):
+        txs = tuple(self.transactions)
+        object.__setattr__(self, "transactions", txs)
+        keys: set[StorageKey] = set()
+        for tx in txs:
+            access = tx.access
+            keys.update(access.reads)
+            keys.update(access.writes)
+            if access.cadds:
+                keys.update([key for key, _ in access.cadds])
+        if [tx.id for tx in txs] == list(range(len(txs))) and not any(map(_malformed_key, keys)):
+            return
+        # Something is wrong: find the first offending tx, in order, for the message.
+        for pos, tx in enumerate(txs):
             if tx.id != pos:
                 raise ValidationError(
                     f"transaction ids must be contiguous from 0; position {pos} holds id {tx.id}"
                 )
             for key in tx.access.touched():
-                if not key.contract or ":" in key.contract or not key.slot:
+                if _malformed_key(key):
                     raise ValidationError(f"tx {tx.id}: malformed storage key {key!r}")
 
     def __len__(self) -> int:
@@ -171,18 +192,22 @@ def _iter_lines(stream) -> Iterator[tuple[int, str]]:
 
 
 def _parse_key_list(raw, line_no: int, field_name: str, cache: dict) -> list[StorageKey]:
-    if not isinstance(raw, list):
+    if type(raw) is not list:
         raise TraceParseError(line_no, f"{field_name} must be an array")
+    try:
+        return [cache[item] for item in raw]  # every entry a key string interned already
+    except (KeyError, TypeError):  # a new or malformed key, or an unhashable entry
+        pass
     keys = []
     for item in raw:
-        if not isinstance(item, str):
+        if type(item) is not str:
             raise TraceParseError(line_no, f"{field_name} entries must be strings")
-        try:
-            key = cache.get(item)
-            if key is None:
+        key = cache.get(item)
+        if key is None:
+            try:
                 key = cache[item] = StorageKey.parse(item)
-        except ValidationError as exc:
-            raise TraceParseError(line_no, str(exc)) from None
+            except ValidationError as exc:
+                raise TraceParseError(line_no, str(exc)) from None
         keys.append(key)
     return keys
 
@@ -191,11 +216,12 @@ def parse_trace(stream) -> Workload:
     """Parse a trace (bytes, text, or a file-like object) into a Workload.
 
     Ids are renumbered contiguously from 0; all keys are interned so equal
-    keys share one object.
+    keys share one object. JSON yields exact types only, so the type checks
+    compare types rather than call isinstance.
     """
     meta: dict = {}
     key_cache: dict[str, StorageKey] = {}
-    records: list[tuple[int | None, int, Transaction]] = []  # (declared id, line, tx-with-dummy-id)
+    records: list[tuple[int | None, str, int, AccessSet]] = []  # (declared id, sender, gas, access)
     seen_ids: set[int] = set()
     with_ids: bool | None = None
 
@@ -216,13 +242,13 @@ def parse_trace(stream) -> Workload:
             obj = json.loads(stripped)
         except (ValueError, RecursionError) as exc:  # also an over-long number or too deep a nesting
             raise TraceParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
-        if not isinstance(obj, dict):
+        if type(obj) is not dict:
             raise TraceParseError(line_no, "record must be a JSON object")
 
         declared_id = obj.get("id")
-        if declared_id is not None and (isinstance(declared_id, bool) or not isinstance(declared_id, int)):
-            raise TraceParseError(line_no, "id must be an integer")
         has_id = declared_id is not None
+        if has_id and type(declared_id) is not int:
+            raise TraceParseError(line_no, "id must be an integer")
         if with_ids is None:
             with_ids = has_id
         elif with_ids != has_id:
@@ -233,10 +259,10 @@ def parse_trace(stream) -> Workload:
             seen_ids.add(declared_id)
 
         sender = obj.get("sender")
-        if not isinstance(sender, str) or not sender:
+        if type(sender) is not str or not sender:
             raise TraceParseError(line_no, "sender must be a non-empty string")
         gas = obj.get("gas")
-        if isinstance(gas, bool) or not isinstance(gas, int):
+        if type(gas) is not int:
             raise TraceParseError(line_no, "gas must be an integer")
         if gas < 1:
             raise ValidationError(f"line {line_no}: gas must be >= 1, got {gas}")
@@ -244,27 +270,28 @@ def parse_trace(stream) -> Workload:
         reads = _parse_key_list(obj.get("reads", []), line_no, "reads", key_cache)
         writes = _parse_key_list(obj.get("writes", []), line_no, "writes", key_cache)
         raw_cadds = obj.get("cadds", [])
-        if not isinstance(raw_cadds, list):
+        if type(raw_cadds) is not list:
             raise TraceParseError(line_no, "cadds must be an array")
         cadds = []
         for entry in raw_cadds:
-            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+            if not (type(entry) is list and len(entry) == 2 and type(entry[0]) is str):
                 raise TraceParseError(line_no, "cadds entries must be [key, delta] pairs")
-            if isinstance(entry[1], bool) or not isinstance(entry[1], int):
+            if type(entry[1]) is not int:
                 raise TraceParseError(line_no, "cadd delta must be an integer")
-            (key,) = _parse_key_list([entry[0]], line_no, "cadds", key_cache)
+            key = key_cache.get(entry[0])
+            if key is None:
+                (key,) = _parse_key_list([entry[0]], line_no, "cadds", key_cache)
             cadds.append((key, entry[1]))
 
-        access = AccessSet(reads=frozenset(reads), writes=frozenset(writes), cadds=tuple(cadds))
-        records.append((declared_id, line_no, Transaction(id=0, sender=sender, gas=gas, access=access)))
+        records.append((declared_id, sender, gas, AccessSet(frozenset(reads), frozenset(writes), tuple(cadds))))
 
     if with_ids and records:
         ids = sorted(seen_ids)
         if ids[-1] - ids[0] + 1 != len(ids):
             raise ValidationError(f"ids must be contiguous, got range {ids[0]}..{ids[-1]} for {len(ids)} records")
-        records.sort(key=lambda rec: rec[0])
+        records.sort(key=itemgetter(0))
 
-    txs = tuple(replace(tx, id=pos) for pos, (_, _, tx) in enumerate(records))
+    txs = tuple(Transaction(pos, sender, gas, access) for pos, (_, sender, gas, access) in enumerate(records))
     return Workload(transactions=txs, meta=meta)
 
 

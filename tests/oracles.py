@@ -9,7 +9,10 @@ check each other.
 from __future__ import annotations
 
 import heapq
+import json
 import random
+from dataclasses import replace
+from typing import Iterator
 
 from txpar import (
     AccessSet,
@@ -19,12 +22,14 @@ from txpar import (
     OccRunResult,
     StorageKey,
     SvPolicy,
+    TraceParseError,
     Timing,
     Transaction,
     ValidationError,
     Workload,
 )
 from txpar.occsim import MODE_CLASSIC, MODE_DA, MODE_DET_COMMIT, _finalize
+from txpar.workload import _META_PREFIX
 
 
 def _kinds(tx: Transaction, key: StorageKey) -> set[str]:
@@ -299,3 +304,114 @@ def oracle_occ_da_outcomes(workload: Workload, policy: SvPolicy, cadd_aware: boo
                 outcomes.append((tx.id, attempt, sv, "committed"))
                 break
     return tuple(sorted(outcomes))
+
+
+def _oracle_iter_lines(stream) -> Iterator[tuple[int, str]]:
+    text = stream if isinstance(stream, (bytes, str)) else stream.read()  # else file-like
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = text.count(b"\n", 0, exc.start) + 1
+            raise TraceParseError(line_no, f"not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        yield line_no, line
+
+
+def _oracle_parse_key_list(raw, line_no: int, field_name: str, cache: dict) -> list[StorageKey]:
+    if not isinstance(raw, list):
+        raise TraceParseError(line_no, f"{field_name} must be an array")
+    keys = []
+    for item in raw:
+        if not isinstance(item, str):
+            raise TraceParseError(line_no, f"{field_name} entries must be strings")
+        try:
+            key = cache.get(item)
+            if key is None:
+                key = cache[item] = StorageKey.parse(item)
+        except ValidationError as exc:
+            raise TraceParseError(line_no, str(exc)) from None
+        keys.append(key)
+    return keys
+
+
+def oracle_parse_trace(stream) -> Workload:
+    """`parse_trace` as it was before it built each transaction once: every
+    check, message and line number of the trace format, on the plain path.
+
+    Ids are renumbered contiguously from 0; all keys are interned so equal
+    keys share one object.
+    """
+    meta: dict = {}
+    key_cache: dict[str, StorageKey] = {}
+    records: list[tuple[int | None, int, Transaction]] = []  # (declared id, line, tx-with-dummy-id)
+    seen_ids: set[int] = set()
+    with_ids: bool | None = None
+
+    for line_no, line in _oracle_iter_lines(stream):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            if stripped.startswith(_META_PREFIX.strip() + " "):
+                try:
+                    parsed = json.loads(stripped[len(_META_PREFIX.strip()) :].strip())
+                    if isinstance(parsed, dict):
+                        meta = parsed
+                except (ValueError, RecursionError):
+                    pass  # foreign comment that merely resembles a meta line
+            continue
+        try:
+            obj = json.loads(stripped)
+        except (ValueError, RecursionError) as exc:  # also an over-long number or too deep a nesting
+            raise TraceParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+        if not isinstance(obj, dict):
+            raise TraceParseError(line_no, "record must be a JSON object")
+
+        declared_id = obj.get("id")
+        if declared_id is not None and (isinstance(declared_id, bool) or not isinstance(declared_id, int)):
+            raise TraceParseError(line_no, "id must be an integer")
+        has_id = declared_id is not None
+        if with_ids is None:
+            with_ids = has_id
+        elif with_ids != has_id:
+            raise ValidationError(f"line {line_no}: either every record carries an id or none does")
+        if has_id:
+            if declared_id in seen_ids:
+                raise ValidationError(f"line {line_no}: duplicate id {declared_id}")
+            seen_ids.add(declared_id)
+
+        sender = obj.get("sender")
+        if not isinstance(sender, str) or not sender:
+            raise TraceParseError(line_no, "sender must be a non-empty string")
+        gas = obj.get("gas")
+        if isinstance(gas, bool) or not isinstance(gas, int):
+            raise TraceParseError(line_no, "gas must be an integer")
+        if gas < 1:
+            raise ValidationError(f"line {line_no}: gas must be >= 1, got {gas}")
+
+        reads = _oracle_parse_key_list(obj.get("reads", []), line_no, "reads", key_cache)
+        writes = _oracle_parse_key_list(obj.get("writes", []), line_no, "writes", key_cache)
+        raw_cadds = obj.get("cadds", [])
+        if not isinstance(raw_cadds, list):
+            raise TraceParseError(line_no, "cadds must be an array")
+        cadds = []
+        for entry in raw_cadds:
+            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+                raise TraceParseError(line_no, "cadds entries must be [key, delta] pairs")
+            if isinstance(entry[1], bool) or not isinstance(entry[1], int):
+                raise TraceParseError(line_no, "cadd delta must be an integer")
+            (key,) = _oracle_parse_key_list([entry[0]], line_no, "cadds", key_cache)
+            cadds.append((key, entry[1]))
+
+        access = AccessSet(reads=frozenset(reads), writes=frozenset(writes), cadds=tuple(cadds))
+        records.append((declared_id, line_no, Transaction(id=0, sender=sender, gas=gas, access=access)))
+
+    if with_ids and records:
+        ids = sorted(seen_ids)
+        if ids[-1] - ids[0] + 1 != len(ids):
+            raise ValidationError(f"ids must be contiguous, got range {ids[0]}..{ids[-1]} for {len(ids)} records")
+        records.sort(key=lambda rec: rec[0])
+
+    txs = tuple(replace(tx, id=pos) for pos, (_, _, tx) in enumerate(records))
+    return Workload(transactions=txs, meta=meta)

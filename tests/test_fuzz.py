@@ -2,6 +2,8 @@
 
 Malformed input must map to a documented exit code, never to a traceback:
 `parse_trace` raises only ValidationError, and `cli.main` returns 0, 1 or 2.
+`parse_trace` must also agree with the plain parser kept in
+`oracles.oracle_parse_trace`: the same workload and meta, or the same error.
 The inputs are tiny and the example counts bounded, so these run in seconds.
 """
 
@@ -12,8 +14,13 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from txpar import ValidationError, parse_trace
+from txpar import StorageKey, ValidationError, emit_trace, parse_trace
 from txpar.cli import main
+from txpar.transforms import cadd_rewrite
+from txpar.workload import VALUE_DEPENDENT
+
+from corpus_util import corpus_workload
+from oracles import oracle_parse_trace
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -59,6 +66,36 @@ def test_parse_trace_raises_only_validation_errors(data):
         parse_trace(data)
     except ValidationError:
         pass
+
+
+def parse_outcome(parse, data):
+    """(workload, meta) on success, else (error type, message, line number)."""
+    try:
+        workload = parse(data)
+    except ValidationError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return workload, workload.meta
+
+
+@FUZZ
+@given(st.lists(trace_lines, max_size=6).map(b"\n".join))
+@example(b'{"sender": "a", "gas": 5, "reads": ["c:s", 1]}\n{"sender": "b", "gas": 5, "reads": ["c:s", "c:s"]}')
+@example(b'{"sender": "a", "gas": 5, "reads": ["c:s"], "writes": [["c:s"]], "cadds": [["c:s", 1], ["c:t", 2]]}')
+@example(b'{"id": 1, "sender": "a", "gas": 5}\n{"id": 0, "sender": "b", "gas": 6, "cadds": [["c:s", true]]}')
+@example(b'{"sender": "a", "gas": 5, "cadds": [["c:s", 1]]}\n{"sender": "a", "gas": 5, "cadds": [["no-colon", 1]]}')
+def test_parse_trace_agrees_with_the_plain_parser(data):
+    assert parse_outcome(parse_trace, data) == parse_outcome(oracle_parse_trace, data)
+
+
+def test_parse_trace_agrees_with_the_plain_parser_on_corpus_traces():
+    for index in range(20):
+        workload = corpus_workload(index)
+        counters = {StorageKey.parse(k) for k in workload.meta["bottleneck_keys"]} - {
+            StorageKey.parse(k) for k, tag in workload.key_tags.items() if tag == VALUE_DEPENDENT
+        }
+        for data in (emit_trace(workload), emit_trace(cadd_rewrite(workload, counters))):
+            ours, plain = parse_trace(data), oracle_parse_trace(data)
+            assert ours == plain and ours.meta == plain.meta
 
 
 patterns = st.sampled_from(["payments", "token_distribution", "defi_fee", "nft_mint", "mixed", "bogus"])

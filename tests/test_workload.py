@@ -279,6 +279,31 @@ def test_workload_rejects_non_contiguous_ids():
         Workload(transactions=(tx,))
 
 
+def test_workload_names_the_first_offending_transaction():
+    good = AccessSet(reads={StorageKey("c", "s")})
+    bad_write = AccessSet(writes={StorageKey("a:b", "s")})
+    bad_cadd = AccessSet(cadds=[(StorageKey("c", ""), 1)])
+    txs = [Transaction(0, "x", 5, good), Transaction(1, "x", 5, bad_write), Transaction(3, "x", 5)]
+    with pytest.raises(ValidationError, match=r"^tx 1: malformed storage key StorageKey\(contract='a:b'"):
+        Workload(transactions=txs)
+    with pytest.raises(ValidationError, match="position 1 holds id 2"):
+        Workload(transactions=[Transaction(0, "x", 5, good), Transaction(2, "x", 5, bad_write)])
+    with pytest.raises(ValidationError, match=r"^tx 0: malformed storage key StorageKey\(contract='c', slot=''\)"):
+        Workload(transactions=[Transaction(0, "x", 5, bad_cadd), Transaction(2, "x", 5)])
+
+
+def test_access_set_rewraps_only_what_is_not_canonical():
+    k1, k2 = StorageKey("c", "a"), StorageKey("c", "b")
+    reads = frozenset({k1})
+    access = AccessSet(reads=reads, writes=[k2], cadds=[(k2, 2), (k1, True)])
+    assert access.reads is reads
+    assert type(access.writes) is frozenset and access.writes == {k2}
+    assert access.cadds == ((k1, 1), (k2, 2)) and type(access.cadds[0][1]) is int
+    assert AccessSet(cadds=((k2, 2), (k1, 1))).cadds == ((k1, 1), (k2, 2))
+    assert AccessSet(cadds=iter([(k1, 1)])).cadds == ((k1, 1),)
+    assert AccessSet() == AccessSet(reads=set(), writes=(), cadds=[])
+
+
 def test_workload_meta_excluded_from_equality():
     w1 = gen_payments(3, seed=0)
     w2 = Workload(transactions=w1.transactions, meta={"other": True})
