@@ -83,6 +83,9 @@ def parse_outcome(parse, data):
 @example(b'{"sender": "a", "gas": 5, "reads": ["c:s"], "writes": [["c:s"]], "cadds": [["c:s", 1], ["c:t", 2]]}')
 @example(b'{"id": 1, "sender": "a", "gas": 5}\n{"id": 0, "sender": "b", "gas": 6, "cadds": [["c:s", true]]}')
 @example(b'{"sender": "a", "gas": 5, "cadds": [["c:s", 1]]}\n{"sender": "a", "gas": 5, "cadds": [["no-colon", 1]]}')
+@example(b'{"sender": "a", "gas": true}')
+@example(b'{"id": false, "sender": "a", "gas": 3}')
+@example(b'{"sender": "a", "gas": 5, "writes": ["c:s"]}\n{"sender": "a", "gas": 5, "reads": ["c:s", ""]}')
 def test_parse_trace_agrees_with_the_plain_parser(data):
     assert parse_outcome(parse_trace, data) == parse_outcome(oracle_parse_trace, data)
 

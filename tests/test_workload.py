@@ -283,13 +283,15 @@ def test_workload_names_the_first_offending_transaction():
     good = AccessSet(reads={StorageKey("c", "s")})
     bad_write = AccessSet(writes={StorageKey("a:b", "s")})
     bad_cadd = AccessSet(cadds=[(StorageKey("c", ""), 1)])
-    txs = [Transaction(0, "x", 5, good), Transaction(1, "x", 5, bad_write), Transaction(3, "x", 5)]
-    with pytest.raises(ValidationError, match=r"^tx 1: malformed storage key StorageKey\(contract='a:b'"):
-        Workload(transactions=txs)
+    for last in (2, 3):  # with contiguous ids, and with a later id out of place
+        txs = [Transaction(0, "x", 5, good), Transaction(1, "x", 5, bad_write), Transaction(last, "x", 5)]
+        with pytest.raises(ValidationError, match=r"^tx 1: malformed storage key StorageKey\(contract='a:b'"):
+            Workload(transactions=txs)
     with pytest.raises(ValidationError, match="position 1 holds id 2"):
         Workload(transactions=[Transaction(0, "x", 5, good), Transaction(2, "x", 5, bad_write)])
-    with pytest.raises(ValidationError, match=r"^tx 0: malformed storage key StorageKey\(contract='c', slot=''\)"):
-        Workload(transactions=[Transaction(0, "x", 5, bad_cadd), Transaction(2, "x", 5)])
+    for last in (1, 2):
+        with pytest.raises(ValidationError, match=r"^tx 0: malformed storage key StorageKey\(contract='c', slot=''\)"):
+            Workload(transactions=[Transaction(0, "x", 5, bad_cadd), Transaction(last, "x", 5)])
 
 
 def test_access_set_rewraps_only_what_is_not_canonical():
