@@ -82,8 +82,10 @@ def write_text(path: Path, text: str) -> None:
 def _float_text(value: float) -> str:
     if value != value:
         return "NaN"
-    if value in (math.inf, -math.inf):
-        return "Infinity" if value > 0 else "-Infinity"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
     return float.__repr__(value)
 
 

@@ -11,7 +11,6 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import TraceParseError, ValidationError
@@ -278,9 +277,7 @@ def parse_trace(stream) -> Workload:
                 raise TraceParseError(line_no, "cadds entries must be [key, delta] pairs")
             if type(entry[1]) is not int:
                 raise TraceParseError(line_no, "cadd delta must be an integer")
-            key = key_cache.get(entry[0])
-            if key is None:
-                (key,) = _parse_key_list([entry[0]], line_no, "cadds", key_cache)
+            (key,) = _parse_key_list([entry[0]], line_no, "cadds", key_cache)
             cadds.append((key, entry[1]))
 
         records.append((declared_id, sender, gas, AccessSet(frozenset(reads), frozenset(writes), tuple(cadds))))
@@ -289,7 +286,7 @@ def parse_trace(stream) -> Workload:
         ids = sorted(seen_ids)
         if ids[-1] - ids[0] + 1 != len(ids):
             raise ValidationError(f"ids must be contiguous, got range {ids[0]}..{ids[-1]} for {len(ids)} records")
-        records.sort(key=itemgetter(0))
+        records.sort(key=lambda rec: rec[0])
 
     txs = tuple(Transaction(pos, sender, gas, access) for pos, (_, sender, gas, access) in enumerate(records))
     return Workload(transactions=txs, meta=meta)
