@@ -134,7 +134,10 @@ def _render(value, level: int) -> str:
 
 def render_json(payload) -> str:
     """`json.dumps(payload, sort_keys=True, indent=2) + "\\n"`, byte for byte."""
-    return _render(payload, 0) + "\n"
+    try:
+        return _render(payload, 0) + "\n"
+    except RecursionError:  # a cycle or very deep nesting: the stdlib's error, or its bytes
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def write_json(path: Path, payload) -> None:

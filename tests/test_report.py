@@ -69,9 +69,11 @@ def test_render_json_converts_and_raises_as_the_stdlib():
 
     value = {"n": [Count(3), Ratio(0.5)], "k": {2: 1, 1.5: 3, True: 0}}
     assert render_json(value) == stdlib(value)
-    for bad in ([object()], {"a": {1: 2, "b": 3}}):
-        with pytest.raises(TypeError) as ours:
+    cycle = [1]
+    cycle.append({"a": cycle})
+    for bad, error in (([object()], TypeError), ({"a": {1: 2, "b": 3}}, TypeError), (cycle, ValueError)):
+        with pytest.raises(error) as ours:
             render_json(bad)
-        with pytest.raises(TypeError) as theirs:
+        with pytest.raises(error) as theirs:
             stdlib(bad)
         assert str(ours.value) == str(theirs.value)
