@@ -40,7 +40,8 @@ MODE_DA = "occ-da"
 class ExecAttempt(NamedTuple):
     """One execution attempt: the i-th run of a transaction, its snapshot
     version, its span in virtual time, and whether it committed. A named
-    tuple, because the engines build one per attempt."""
+    tuple, because the engines build one per attempt; the in-order engine
+    builds it with `tuple.__new__`, skipping the Python-level `__new__`."""
 
     tx_id: int
     attempt: int
@@ -178,6 +179,7 @@ class FixedTiming(Timing):
 
 def _finalize(
     workload: Workload,
+    gas: list[int],
     mode: str,
     threads: int,
     policy_name: str,
@@ -186,7 +188,6 @@ def _finalize(
     makespan: int,
     with_digest: bool,
 ) -> OccRunResult:
-    gas = [tx.gas for tx in workload.transactions]
     serial = sum(gas)
     wasted = sum([gas[a.tx_id] for a in attempts if a.outcome == "aborted"])
     result = OccRunResult(
@@ -231,8 +232,10 @@ def _run_in_order(
     assigned version has committed. Without one (det-commit), every tx is
     ready immediately and snapshots the highest committed id at dispatch.
 
-    Loop stages per iteration: admit ready txs into free pool slots, retire
-    the pool's earliest completion, then drain in-order commits.
+    Loop stages per iteration: admit ready txs into free pool slots, lowest
+    id first; retire the pool's earliest completion; then drain in-order
+    commits. An attempt costs O(log threads), for the pool; a tx parked
+    until its storage version commits costs O(log n) more.
     """
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
@@ -243,24 +246,28 @@ def _run_in_order(
         raise ValidationError(f"policy covers {len(policy.first_sv)} txs, the workload has {n}")
     index = _checked_index(workload, index)
     if n == 0:
-        return _finalize(workload, mode, threads, policy_name, [], [], 0, with_digest)
+        return _finalize(workload, [], mode, threads, policy_name, [], [], 0, with_digest)
 
     latest_writer = index.latest_writer(cadd_aware)
     gas = [tx.gas for tx in workload]
     attempt_no = [0] * n
     heappush, heappop = heapq.heappush, heapq.heappop
     duration_of, tiebreak = timing.duration, timing.tiebreak
+    new_attempt = tuple.__new__
+    storage_version = policy.storage_version if policy is not None else None
 
-    # Gated txs wait as (sv, id) and become ready as (id, sv): one policy call
-    # per attempt. Without a policy all are ready; sv is taken at dispatch.
-    waiting: list[tuple[int, int]] = []
-    ready: list[tuple[int, int]] = []
-    if policy is not None:
-        storage_version = policy.storage_version
-        waiting = [(storage_version(i, 0), i) for i in range(n)]
-        heapq.heapify(waiting)
-    else:
-        ready = [(i, -1) for i in range(n)]  # ascending ids: already a heap
+    # First attempts leave in id order from `cursor`. With a policy, one whose
+    # storage version has not committed waits in `parked` as (sv, id) and
+    # moves to `released` as (id, sv) once it has: one policy call per
+    # attempt. A retry waits in `retry` as (id, sv); there is at most one,
+    # since only tx `next_commit` can abort and it cannot abort again before
+    # its retry runs. Dispatching the retry, then `released`, then the
+    # cursor is lowest-ready-id-first: the retry's id is the lowest
+    # uncommitted one and every released id is below the cursor.
+    cursor = 0
+    parked: list[tuple[int, int]] = []
+    released: list[tuple[int, int]] = []
+    retry: tuple[int, int] | None = None
 
     pool: list[tuple[int, object, int, int, int]] = []  # (end, tie, id, sv, start)
     # Per id, its one completed attempt awaiting its commit turn: (sv, start,
@@ -272,14 +279,28 @@ def _run_in_order(
     committed_order: list[int] = []
 
     while next_commit < n:
-        # Stage 1: admission. Txs whose storage version has committed become
-        # ready; ready txs fill free pool slots lowest-id first.
-        while waiting and waiting[0][0] < next_commit:
-            sv, tx_id = heappop(waiting)
-            heappush(ready, (tx_id, sv))
-        while ready and len(pool) < threads:
-            tx_id, sv = heappop(ready)
-            if policy is None:
+        # Stage 1: admission. Parked txs whose storage version has committed
+        # are released; ready txs fill free pool slots lowest id first.
+        while parked and parked[0][0] < next_commit:
+            sv, tx_id = heappop(parked)
+            heappush(released, (tx_id, sv))
+        while len(pool) < threads:
+            if retry is not None:
+                tx_id, sv = retry
+                retry = None
+            elif released:
+                tx_id, sv = heappop(released)
+            elif cursor < n:
+                tx_id = cursor
+                cursor += 1
+                if storage_version is not None:
+                    sv = storage_version(tx_id, 0)
+                    if sv >= next_commit:
+                        heappush(parked, (sv, tx_id))
+                        continue
+            else:
+                break
+            if storage_version is None:
                 sv = next_commit - 1
             att = attempt_no[tx_id]
             duration = duration_of(tx_id, att, gas[tx_id])
@@ -303,18 +324,17 @@ def _run_in_order(
             finished[tx_id] = None
             att = attempt_no[tx_id]
             if latest_writer[tx_id] > sv:
-                attempts.append(ExecAttempt(tx_id, att, sv, start, end, "aborted"))
+                attempts.append(new_attempt(ExecAttempt, (tx_id, att, sv, start, end, "aborted")))
                 attempt_no[tx_id] = att + 1
-                if policy is not None:
-                    heappush(waiting, (storage_version(tx_id, att + 1), tx_id))
-                else:
-                    heappush(ready, (tx_id, -1))
+                if retry is not None:
+                    raise InvariantViolation(f"tx {tx_id} aborted while the retry of tx {retry[0]} is pending")
+                retry = (tx_id, storage_version(tx_id, att + 1) if storage_version is not None else -1)
             else:
-                attempts.append(ExecAttempt(tx_id, att, sv, start, end, "committed"))
+                attempts.append(new_attempt(ExecAttempt, (tx_id, att, sv, start, end, "committed")))
                 committed_order.append(tx_id)
                 next_commit += 1
 
-    return _finalize(workload, mode, threads, policy_name, attempts, committed_order, clock, with_digest)
+    return _finalize(workload, gas, mode, threads, policy_name, attempts, committed_order, clock, with_digest)
 
 
 def run_occ_da(
@@ -378,7 +398,7 @@ def run_occ_classic(
         raise ValidationError(f"threads must be >= 1, got {threads}")
     n = len(workload)
     if n == 0:
-        return _finalize(workload, MODE_CLASSIC, threads, "fcfs", [], [], 0, with_digest)
+        return _finalize(workload, [], MODE_CLASSIC, threads, "fcfs", [], [], 0, with_digest)
 
     order = list(range(n))
     random.Random(interleaving_seed).shuffle(order)
@@ -428,7 +448,7 @@ def run_occ_classic(
             for key in written[tx_id]:
                 last_write[key] = clock
 
-    return _finalize(workload, MODE_CLASSIC, threads, "fcfs", attempts, committed_order, clock, with_digest)
+    return _finalize(workload, gas, MODE_CLASSIC, threads, "fcfs", attempts, committed_order, clock, with_digest)
 
 
 @dataclass(frozen=True)

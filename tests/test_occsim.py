@@ -247,6 +247,21 @@ def test_occ_da_snapshot_gate_waits_for_commit():
     assert start_1 >= end_0
 
 
+def test_occ_da_parked_tx_lets_a_later_ready_tx_take_its_slot():
+    # tx1 waits for tx0's commit, so tx2 (sv -1) takes the second slot at
+    # clock 0, and tx1 starts only when tx0 commits at clock 10.
+    w = Workload(transactions=(_tx(0, 10, writes={K}), _tx(1, 5, reads={K}), _tx(2, 7)))
+    policy = SvPolicy.custom({(1, 0): 0, (2, 0): -1})
+    result = run_occ_da(w, 2, policy, with_digest=False)
+    assert result.attempts == (
+        (0, 0, -1, 0, 10, "committed"),
+        (1, 0, 0, 10, 15, "committed"),
+        (2, 0, -1, 0, 7, "committed"),
+    )
+    assert result.makespan == 15
+    assert result == oracle_run_in_order(w, 2, policy)
+
+
 # ---------------------------------------------------------------------------
 # det-commit
 # ---------------------------------------------------------------------------
@@ -384,7 +399,7 @@ def _timings(w, seed):
 
 def _assert_in_order_matches_oracle(w, seed, thread_counts=(1, 4, 32)):
     rng = random.Random(seed)
-    custom = SvPolicy.custom({(tx.id, k): rng.randint(-1, tx.id - 1) for tx in w for k in range(2) if rng.random() < 0.5})
+    custom = SvPolicy.custom({(tx.id, k): rng.randint(-1, tx.id - 1) for tx in w for k in range(4) if rng.random() < 0.5})
     index = KeyIndex(w)
     for cadd_aware in (False, True):
         policies = (SvPolicy.minus_one(), SvPolicy.from_workload(w, cadd_aware, index=index), custom, None)
