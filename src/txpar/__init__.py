@@ -12,7 +12,6 @@ from .errors import (
 )
 from .graph import (
     DependencyGraph,
-    KeyIndex,
     PathReport,
     build_graph,
     conflicts,
@@ -21,7 +20,6 @@ from .graph import (
     graph_to_edgelist,
     graph_to_json_dict,
     heaviest_from,
-    max_dependency,
     schedule_graph,
 )
 from .occsim import (

@@ -9,6 +9,7 @@ All outputs are byte-deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import inspect
 import json
@@ -19,7 +20,7 @@ from pathlib import Path
 from . import report
 from .bound import bound_schedule
 from .errors import InvariantViolation, ValidationError
-from .graph import DependencyGraph, KeyIndex, build_graph, critical_path, schedule_graph
+from .graph import DependencyGraph, build_graph, critical_path, schedule_graph
 from .occsim import (
     MODE_CLASSIC,
     MODE_DA,
@@ -248,8 +249,9 @@ def _rewrite(workload: Workload, steps: list[dict]) -> Workload:
 
 
 def _graph(workload: Workload, args) -> tuple[DependencyGraph, int]:
-    """The graph to schedule on, with its edge count. A chain that prunes edges needs the full, normative graph;
-    otherwise the compact schedule graph gives the same schedules, and the count is the full conflicting pairs."""
+    """The graph to schedule on and to set `dep_graph` versions from, with its edge count. A chain that prunes edges
+    needs the full, normative graph; otherwise the compact schedule graph gives the same schedules and versions, and
+    the count is the full conflicting pairs."""
     if not args.prunes:
         return schedule_graph(workload, args.cadd_aware)
     graph = build_graph(workload, args.cadd_aware)
@@ -260,10 +262,13 @@ def _graph(workload: Workload, args) -> tuple[DependencyGraph, int]:
 
 def _blocks(args, uses_graph: bool = True):
     """Yield (label, workload, graph) per input, the workload rewritten by the chain's workload
-    steps; graph() builds the workload's graph and edge count (see _graph) on first call only."""
+    steps; graph() builds the workload's graph and edge count (see _graph) on first call only. A block is released
+    once the caller moves on, so the tables its workload memoizes do not pile up over the inputs."""
     if args.prunes and not uses_graph:
         raise ValidationError("prune_edges prunes graphs; only analyze, bound and simulate --policy dep_graph use one")
-    for label, workload in _resolve_workloads(args):
+    blocks = collections.deque(_resolve_workloads(args))
+    while blocks:
+        label, workload = blocks.popleft()
         workload = _rewrite(workload, args.rewrites)
         yield label, workload, functools.cache(functools.partial(_graph, workload, args))
 
@@ -362,17 +367,12 @@ def cmd_simulate(args) -> int:
     rows = []
     events = []
     for label, workload, graph in _blocks(args, uses_graph=dep_graph):
-        index = KeyIndex(workload) if args.mode != MODE_CLASSIC else None  # shared by every run below
-        policy = SvPolicy.minus_one()
-        if dep_graph and args.prunes:  # a pruned graph is normative: its edges set the table
-            policy = SvPolicy.from_graph(graph()[0])
-        elif dep_graph:
-            policy = SvPolicy.from_workload(workload, args.cadd_aware, index=index)
+        policy = SvPolicy.from_graph(graph()[0]) if dep_graph else SvPolicy.minus_one()
         for t in args.threads:
             if args.mode == MODE_DA:
-                result = run_occ_da(workload, t, policy, args.cadd_aware, index=index)
+                result = run_occ_da(workload, t, policy, args.cadd_aware)
             elif args.mode == MODE_DET_COMMIT:
-                result = run_occ_det_commit(workload, t, args.cadd_aware, index=index)
+                result = run_occ_det_commit(workload, t, args.cadd_aware)
             else:
                 result = run_occ_classic(workload, t, interleaving_seed=args.seed)
             row = {
@@ -389,7 +389,7 @@ def cmd_simulate(args) -> int:
                 "digest": result.digest,
             }
             if args.mode == MODE_DA:
-                baseline = run_occ_det_commit(workload, t, args.cadd_aware, with_digest=False, index=index)
+                baseline = run_occ_det_commit(workload, t, args.cadd_aware, with_digest=False)
                 row["identical_to_det_commit"] = (
                     result.makespan == baseline.makespan and result.abort_pattern() == baseline.abort_pattern()
                 )

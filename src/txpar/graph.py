@@ -5,10 +5,9 @@ cadd-aware mode."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterable
 
 from .errors import ValidationError
 from .workload import AccessSet, StorageKey, Transaction, Workload
@@ -111,64 +110,51 @@ def conflicts(
     return _pair_conflict(a.access, b.access, cadd_aware, write_cadd_conflicts)
 
 
-def _accesses(workload: Workload) -> Iterable[tuple[StorageKey, list[tuple[int, int]]]]:
-    """Each key, with (id, kind mask) of every tx touching it, by id: one
-    pass over the workload in id order."""
-    touched: dict[StorageKey, list[tuple[int, int]]] = {}
-    for tx in workload:
-        i, access = tx.id, tx.access
-        for kind, keys in ((READ, access.reads), (WRITE, access.writes), (CADD, access.cadds)):
-            for key in keys:
-                if kind == CADD:
-                    key = key[0]  # a (key, delta) pair; one key may repeat
-                by_id = touched.get(key)
-                if by_id is None:
-                    touched[key] = [(i, kind)]
-                elif by_id[-1][0] == i:  # this tx touches the key in another way too
-                    by_id[-1] = (i, by_id[-1][1] | kind)
-                else:
-                    by_id.append((i, kind))
-    return touched.items()
+def _accesses(workload: Workload) -> dict[StorageKey, list[tuple[int, int]]]:
+    """Each key, to (id, kind mask) of every tx touching it, by id: the one
+    per-key access index. Built in one pass in id order on first use and kept
+    in the workload's memo, so both graphs and the engines' `latest_writer`
+    table share it."""
+    touched = workload._memo.get("accesses")
+    if touched is None:
+        touched = workload._memo["accesses"] = {}
+        for tx in workload:
+            i, access = tx.id, tx.access
+            for kind, keys in ((READ, access.reads), (WRITE, access.writes), (CADD, access.cadds)):
+                for key in keys:
+                    if kind == CADD:
+                        key = key[0]  # a (key, delta) pair; one key may repeat
+                    by_id = touched.get(key)
+                    if by_id is None:
+                        touched[key] = [(i, kind)]
+                    elif by_id[-1][0] == i:  # this tx touches the key in another way too
+                        by_id[-1] = (i, by_id[-1][1] | kind)
+                    else:
+                        by_id.append((i, kind))
+    return touched
 
 
-class KeyIndex:
-    """The one access index of a workload: `accesses()` gives every access
-    to each key, by id. The dependency graphs, the `dep_graph`
-    storage-version table (`max_dependency`) and the OCC engines'
-    commit-window table (`latest_writer`) are all derived from it.
-    `build_graph` and `schedule_graph` read the per-key accesses
-    (`_accesses`) directly, so they skip the engines' table."""
-
-    def __init__(self, workload: Workload):
-        self.workload = workload
-        self.n = len(workload)
-        self._by_key = _accesses(workload)  # one pass, shared by every table below
-        self._latest_writer: dict[bool, tuple[int, ...]] = {}
-
-    def accesses(self) -> Iterable[tuple[StorageKey, list[tuple[int, int]]]]:
-        """Each key, with (id, kind mask) of every tx touching it, by id."""
-        return self._by_key
-
-    def latest_writer(self, cadd_aware: bool) -> tuple[int, ...]:
-        """Per tx, the highest earlier id that writes or cadds a key it reads,
-        or -1. Its cadd keys count as reads unless commutative adds are
-        honoured. A commit window (sv, id) always ends at id - 1, so an
-        attempt with storage version sv aborts iff `latest_writer[id] > sv`.
-        Built in O(accesses) once per mode, so every engine run sharing this
-        index reuses it."""
-        table = self._latest_writer.get(cadd_aware)
-        if table is None:
-            aborts_on = READ if cadd_aware else READ | CADD
-            latest = [-1] * self.n
-            for _, accesses in self.accesses():
-                writer = -1  # the latest id so far that writes or cadds this key
-                for j, kind in accesses:
-                    if kind & aborts_on and writer > latest[j]:
-                        latest[j] = writer
-                    if kind & (WRITE | CADD):
-                        writer = j
-            table = self._latest_writer[cadd_aware] = tuple(latest)
-        return table
+def latest_writer(workload: Workload, cadd_aware: bool) -> tuple[int, ...]:
+    """Per tx, the highest earlier id that writes or cadds a key it reads, or
+    -1. Its cadd keys count as reads unless commutative adds are honoured. A
+    commit window (sv, id) always ends at id - 1, so an attempt with storage
+    version sv aborts iff `latest_writer[id] > sv`. Built in O(accesses) once
+    per mode and kept in the workload's memo, so every engine run on the
+    workload reuses it."""
+    memo_key = ("latest_writer", cadd_aware)
+    table = workload._memo.get(memo_key)
+    if table is None:
+        aborts_on = READ if cadd_aware else READ | CADD
+        latest = [-1] * len(workload)
+        for accesses in _accesses(workload).values():
+            writer = -1  # the latest id so far that writes or cadds this key
+            for j, kind in accesses:
+                if kind & aborts_on and writer > latest[j]:
+                    latest[j] = writer
+                if kind & (WRITE | CADD):
+                    writer = j
+        table = workload._memo[memo_key] = tuple(latest)
+    return table
 
 
 @cache
@@ -191,22 +177,6 @@ def _kind_conflicts(cadd_aware: bool, write_cadd_conflicts: bool) -> tuple[tuple
     )
 
 
-def max_dependency(index: KeyIndex, cadd_aware: bool, write_cadd_conflicts: bool = True) -> tuple[int, ...]:
-    """For each tx, the highest earlier id it conflicts with, or -1: the
-    highest predecessor in `build_graph`'s edge set, in O(accesses)."""
-    conflict = _kind_conflicts(cadd_aware, write_cadd_conflicts)
-    dep = [-1] * index.n
-    for _, accesses in index.accesses():
-        latest: dict[int, int] = {}  # kind mask -> the latest id so far with it
-        for j, kind in accesses:
-            row = conflict[kind]
-            for earlier, i in latest.items():
-                if row[earlier] and i > dep[j]:
-                    dep[j] = i
-            latest[kind] = j
-    return tuple(dep)
-
-
 def build_graph(
     workload: Workload,
     cadd_aware: bool = False,
@@ -221,7 +191,7 @@ def build_graph(
     """
     conflict = _kind_conflicts(cadd_aware, write_cadd_conflicts)
     edge_keys: dict[tuple[int, int], set[StorageKey]] = {}
-    for key, accesses in _accesses(workload):
+    for key, accesses in _accesses(workload).items():
         by_kind: dict[int, list[int]] = {}  # kind mask -> earlier ids with it
         for j, kind in accesses:
             row = conflict[kind]
@@ -241,22 +211,6 @@ def build_graph(
     )
 
 
-@cache
-def _schedule_rules(
-    cadd_aware: bool, write_cadd_conflicts: bool
-) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-    """`[later]`: each earlier kind mask the later one conflicts with, and its
-    blocker kinds, which conflict with both (the later kind after the
-    blocker, the blocker after the earlier kind). Derived from
-    `_kind_conflicts`, so every mode gets its rule from one table."""
-    conflict = _kind_conflicts(cadd_aware, write_cadd_conflicts)
-    kinds = range(1, 8)
-    return tuple(
-        tuple((b, tuple(c for c in kinds if conflict[a][c] and conflict[c][b])) for b in kinds if conflict[a][b])
-        for a in range(8)
-    )
-
-
 def schedule_graph(
     workload: Workload,
     cadd_aware: bool = False,
@@ -266,32 +220,57 @@ def schedule_graph(
     """A subgraph of `build_graph`'s edges with the same reachability, and the
     number of conflicting pairs `build_graph` would emit.
 
-    On each key, the pair (j, i) is left out when some access between them
-    conflicts with both: (j, k) and (k, i) are pairs of that key, so by
-    induction on j - i a kept path joins j to i. Both graphs therefore
-    contain the transitive reduction, and with positive weights every
-    heaviest path and every list-schedule ready time is the same in both:
-    `critical_path` and `bound_schedule` give equal results on either. On a
-    hot key the graph is a chain, so its cost follows the number of
-    accesses, not of pairs; the pairs are counted as per-tx bitsets.
+    Each key's pairs are reduced transitively (Aho, Garey and Ullman, SIAM J.
+    Comput. 1(2), 1972). On one key, the earlier accesses of a kind b that an
+    access reaches through the key's pairs are downward closed: if the last
+    hop is k -> i, then k conflicts with every earlier b too, as conflicts
+    depend only on kinds. So a reach table, for each kind the highest id
+    reached, describes them all, and the latest access of a kind reaches
+    what any earlier one of that kind does. An access keeps its pairs with
+    the earlier b above the highest b reached by the latest access of a kind
+    it conflicts with; a kept pair is reached no other way, so the highest
+    conflicting earlier id is always kept. Both graphs have the same
+    transitive closure, and with positive weights every heaviest path and
+    list-schedule ready time is the same in both: `critical_path` and
+    `bound_schedule` give equal results on either. On a hot key the graph is
+    a chain, so its cost follows the number of accesses, not of pairs; the
+    pairs are counted as per-tx bitsets. A key touched in one way only is
+    that chain, or has no pairs, without the tables.
     """
-    rules = _schedule_rules(cadd_aware, write_cadd_conflicts)
+    conflict = _kind_conflicts(cadd_aware, write_cadd_conflicts)
     edges: set[tuple[int, int]] = set()
     earlier = [0] * len(workload)  # per tx, the earlier ids it conflicts with, as a bitset
-    for _, accesses in _accesses(workload):
+    for accesses in _accesses(workload).values():
         if len(accesses) < 2:
+            continue
+        first = accesses[0][1]
+        if all(kind == first for _, kind in accesses):
+            if conflict[first][first]:
+                chain = [j for j, _ in accesses]
+                edges.update(zip(chain[1:], chain))
+                mask = 0  # the ids so far, as a bitset
+                for j in chain:
+                    earlier[j] |= mask
+                    mask |= 1 << j
             continue
         ids: dict[int, list[int]] = {}  # kind mask -> the ids with it so far, ascending
         bits: dict[int, int] = {}  # kind mask -> the same ids, as a bitset
+        reach: dict[int, dict[int, int]] = {}  # kind mask -> its latest access's reach table
         for j, kind in accesses:
-            for b, blockers in rules[kind]:
-                older = ids.get(b)
-                if older is None:
-                    continue
+            row = conflict[kind]
+            near = [b for b in ids if row[b]]  # the present kinds j conflicts with
+            table: dict[int, int] = {}
+            for c in near:
+                for b, i in reach[c].items():
+                    if i > table.get(b, -1):
+                        table[b] = i
+            for b in near:
+                older = ids[b]
                 earlier[j] |= bits[b]
-                floor = max([ids[c][-1] for c in blockers if c in ids], default=0)
-                for i in older[bisect_left(older, floor) :]:
+                for i in older[bisect_right(older, table.get(b, -1)) :]:
                     edges.add((j, i))
+                table[b] = older[-1]
+            reach[kind] = table
             if kind in ids:
                 ids[kind].append(j)
                 bits[kind] |= 1 << j
@@ -355,7 +334,7 @@ def graph_from_json_dict(data: dict) -> DependencyGraph:
             edges=frozenset((int(j), int(i)) for j, i in data["edges"]),
             weights=tuple(int(w) for w in data["weights"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed graph JSON: {exc}") from None
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple
 
 from .errors import InvariantViolation, ValidationError
-from .graph import DependencyGraph, KeyIndex, max_dependency
+from .graph import DependencyGraph, latest_writer, schedule_graph
 from .storagevm import replay_final_state
 from .workload import StorageKey, Workload
 
@@ -101,17 +101,21 @@ class SvPolicy:
 
     @classmethod
     def from_graph(cls, graph: DependencyGraph) -> "SvPolicy":
-        """Start each tx at its highest predecessor in `graph`, for graphs
-        whose edges are normative (a pruned graph, say)."""
-        return cls(variant="dep_graph", first_sv=tuple(deps[-1] if deps else -1 for deps in graph.dependencies()))
+        """Start each tx at its highest predecessor in `graph`: the compact
+        schedule graph, which keeps every such edge, or a pruned graph, whose
+        edges are normative."""
+        first_sv = [-1] * graph.n
+        for j, i in graph.edges:
+            if i > first_sv[j]:
+                first_sv[j] = i
+        return cls(variant="dep_graph", first_sv=tuple(first_sv))
 
     @classmethod
-    def from_workload(cls, workload: Workload, cadd_aware: bool = False, *, index: KeyIndex | None = None) -> "SvPolicy":
-        """The `from_graph(build_graph(workload, cadd_aware))` policy, derived
-        from the per-key access index without building the graph. `index`
-        is the workload's `KeyIndex`, built here when not given."""
-        index = _checked_index(workload, index)
-        return cls(variant="dep_graph", first_sv=max_dependency(index, cadd_aware))
+    def from_workload(cls, workload: Workload, cadd_aware: bool = False) -> "SvPolicy":
+        """The `from_graph(build_graph(workload, cadd_aware))` policy, read off
+        the compact schedule graph, which keeps every tx's highest
+        conflicting earlier id."""
+        return cls.from_graph(schedule_graph(workload, cadd_aware)[0])
 
     @classmethod
     def custom(cls, table: Mapping[tuple[int, int], int]) -> "SvPolicy":
@@ -207,16 +211,6 @@ def _finalize(
     return result
 
 
-def _checked_index(workload: Workload, index: KeyIndex | None) -> KeyIndex:
-    """`index`, or a new one when None; one built for another workload is
-    rejected."""
-    if index is None:
-        return KeyIndex(workload)
-    if index.workload is not workload and index.workload != workload:
-        raise ValidationError("the key index was built for another workload")
-    return index
-
-
 def _run_in_order(
     workload: Workload,
     threads: int,
@@ -224,7 +218,6 @@ def _run_in_order(
     cadd_aware: bool,
     timing: Timing,
     with_digest: bool,
-    index: KeyIndex | None,
 ) -> OccRunResult:
     """Shared engine for the two in-order-commit modes.
 
@@ -244,11 +237,10 @@ def _run_in_order(
     policy_name = policy.variant if policy is not None else "runtime"
     if policy is not None and policy.first_sv is not None and len(policy.first_sv) != n:
         raise ValidationError(f"policy covers {len(policy.first_sv)} txs, the workload has {n}")
-    index = _checked_index(workload, index)
     if n == 0:
         return _finalize(workload, [], mode, threads, policy_name, [], [], 0, with_digest)
 
-    latest_writer = index.latest_writer(cadd_aware)
+    latest = latest_writer(workload, cadd_aware)
     gas = [tx.gas for tx in workload]
     attempt_no = [0] * n
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -323,7 +315,7 @@ def _run_in_order(
             sv, start, end = finished[tx_id]
             finished[tx_id] = None
             att = attempt_no[tx_id]
-            if latest_writer[tx_id] > sv:
+            if latest[tx_id] > sv:
                 attempts.append(new_attempt(ExecAttempt, (tx_id, att, sv, start, end, "aborted")))
                 attempt_no[tx_id] = att + 1
                 if retry is not None:
@@ -345,12 +337,10 @@ def run_occ_da(
     *,
     timing: Timing | None = None,
     with_digest: bool = True,
-    index: KeyIndex | None = None,
 ) -> OccRunResult:
     """OCC with deterministic aborts: storage versions fixed per (tx,
     attempt) before execution, so the commit/abort outcome of every attempt
-    is independent of execution timing. `index` is the workload's
-    `KeyIndex`, built here when not given."""
+    is independent of execution timing."""
     return _run_in_order(
         workload,
         threads,
@@ -358,7 +348,6 @@ def run_occ_da(
         cadd_aware,
         timing or Timing(),
         with_digest,
-        index,
     )
 
 
@@ -369,12 +358,11 @@ def run_occ_det_commit(
     *,
     timing: Timing | None = None,
     with_digest: bool = True,
-    index: KeyIndex | None = None,
 ) -> OccRunResult:
     """OCC with deterministic commit order only: commits follow block order,
     but each dispatch snapshots the highest committed id at that moment, so
-    abort patterns vary with timing. `index` is as for `run_occ_da`."""
-    return _run_in_order(workload, threads, None, cadd_aware, timing or Timing(), with_digest, index)
+    abort patterns vary with timing."""
+    return _run_in_order(workload, threads, None, cadd_aware, timing or Timing(), with_digest)
 
 
 def run_occ_classic(
@@ -489,19 +477,18 @@ def determinism_probe(
     if trials < 2:
         raise ValidationError(f"trials must be >= 2, got {trials}")
     policy = policy if policy is not None else SvPolicy.minus_one()
-    index = KeyIndex(workload)  # shared by every trial of both engines
     da_patterns: list = []
     dc_patterns: list = []
     makespans: list[int] = []
     for trial in range(trials):
         timing = JitterTiming(seed=seed * 1_000_003 + trial, spread=jitter)
-        da = run_occ_da(workload, threads, policy, cadd_aware, timing=timing, with_digest=False, index=index)
+        da = run_occ_da(workload, threads, policy, cadd_aware, timing=timing, with_digest=False)
         makespans.append(da.makespan)
         pattern = da.outcome_multiset()
         if pattern not in da_patterns:
             da_patterns.append(pattern)
         timing = JitterTiming(seed=seed * 1_000_003 + trial, spread=jitter)
-        dc = run_occ_det_commit(workload, threads, cadd_aware, timing=timing, with_digest=False, index=index)
+        dc = run_occ_det_commit(workload, threads, cadd_aware, timing=timing, with_digest=False)
         dc_pattern = dc.abort_pattern()
         if dc_pattern not in dc_patterns:
             dc_patterns.append(dc_pattern)

@@ -114,11 +114,6 @@ class StorageState:
         lines = "\n".join(f"{contract}:{slot} {values[-1]}" for (contract, slot), (_, values) in rows)
         return hashlib.sha256(lines.encode()).hexdigest()
 
-    def dump(self) -> str:
-        """Sorted `key value version` lines for golden-file comparisons."""
-        rows = sorted((key, values[-1], versions[-1]) for key, (versions, values) in self._committed.items())
-        return "\n".join(f"{key} {value} {version}" for key, value, version in rows) + ("\n" if rows else "")
-
 
 class TxVm:
     """Executes storage operations against a fixed snapshot, buffering

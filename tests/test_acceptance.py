@@ -19,7 +19,6 @@ from txpar import (
     DependencyGraph,
     FixedTiming,
     JitterTiming,
-    KeyIndex,
     PartitionSpec,
     StorageKey,
     StorageState,
@@ -83,17 +82,16 @@ def test_criterion_2_serial_equivalence(corpus):
     checked = 0
     replayed = 0
     for position, (workload, threads) in enumerate(corpus):
-        index = KeyIndex(workload)  # shared by every run on this workload
         seen: set = set()
         runs = [
-            run_occ_da(workload, threads, with_digest=False, index=index),
-            run_occ_det_commit(workload, threads, with_digest=False, index=index),
+            run_occ_da(workload, threads, with_digest=False),
+            run_occ_det_commit(workload, threads, with_digest=False),
         ]
         for trial in range(PROBE_TRIALS):
             timing = JitterTiming(seed=PROBE_SEED * 1_000_003 + trial)
-            runs.append(run_occ_da(workload, threads, timing=timing, with_digest=False, index=index))
+            runs.append(run_occ_da(workload, threads, timing=timing, with_digest=False))
             timing = JitterTiming(seed=PROBE_SEED * 1_000_003 + trial)
-            runs.append(run_occ_det_commit(workload, threads, timing=timing, with_digest=False, index=index))
+            runs.append(run_occ_det_commit(workload, threads, timing=timing, with_digest=False))
         for result in runs:
             checked += 1
             key = (result.mode, tuple(sorted((a.tx_id, a.sv) for a in result.attempts if a.outcome == "committed")))

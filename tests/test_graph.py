@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from txpar import (
     AccessSet,
     DependencyGraph,
-    KeyIndex,
     StorageKey,
     Transaction,
     ValidationError,
@@ -26,10 +25,9 @@ from txpar import (
     graph_to_edgelist,
     graph_to_json_dict,
     heaviest_from,
-    max_dependency,
     schedule_graph,
 )
-from txpar.graph import CADD, READ, WRITE
+from txpar.graph import CADD, READ, WRITE, _accesses
 from txpar.workload import VALUE_DEPENDENT
 
 from corpus_util import build_corpus
@@ -232,6 +230,23 @@ def test_graph_json_round_trip():
     assert again == DependencyGraph(n=g.n, edges=g.edges, weights=g.weights)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": "x", "weights": [1], "edges": []},
+        {"n": 2, "weights": [1, 1], "edges": [[1, 0, 5]]},
+        {"n": 2, "weights": [1, 1], "edges": [[1]]},
+        {"n": 2, "weights": [1, 1]},
+        {"n": 2, "weights": None, "edges": []},
+        {"n": 2, "weights": [1, 1], "edges": [[0, 1]]},
+    ],
+    ids=["n_not_an_int", "edge_of_three", "edge_of_one", "no_edges", "weights_null", "edge_points_forward"],
+)
+def test_malformed_graph_json_is_a_validation_error(data):
+    with pytest.raises(ValidationError):
+        graph_from_json_dict(data)
+
+
 def test_graph_edgelist_format():
     text = graph_to_edgelist(DIAMOND)
     lines = text.strip().splitlines()
@@ -240,62 +255,26 @@ def test_graph_edgelist_format():
 
 
 # ---------------------------------------------------------------------------
-# Per-key access index: the max-dependency table against the full edge set
+# Per-key access index
 # ---------------------------------------------------------------------------
 
 CADD_MODES = [(False, True), (False, False), (True, True), (True, False)]  # (cadd_aware, write_cadd_conflicts)
-
-
-def _max_predecessor(g):
-    out = [-1] * g.n
-    for j, i in g.edges:
-        out[j] = max(out[j], i)
-    return tuple(out)
-
-
-def _assert_table_matches_graph(w):
-    index = KeyIndex(w)
-    for cadd_aware, wcc in CADD_MODES:
-        g = build_graph(w, cadd_aware, write_cadd_conflicts=wcc)
-        assert max_dependency(index, cadd_aware, wcc) == _max_predecessor(g), (cadd_aware, wcc)
-
-
 _KEYS = [StorageKey("c", f"k{i}") for i in range(5)]
 _key_sets = st.frozensets(st.sampled_from(_KEYS), max_size=3)
-_accesses = st.builds(
+_access_sets = st.builds(
     AccessSet,
     reads=_key_sets,
     writes=_key_sets,
     cadds=st.lists(st.tuples(st.sampled_from(_KEYS), st.integers(-3, 3)), max_size=3),
 )
-workloads = st.lists(_accesses, min_size=1, max_size=16).map(
-    lambda accesses: Workload(
-        transactions=tuple(Transaction(id=i, sender="s", gas=1, access=a) for i, a in enumerate(accesses))
-    )
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(workloads)
-def test_max_dependency_is_max_predecessor_of_build_graph(w):
-    _assert_table_matches_graph(w)
-
-
-def test_max_dependency_is_max_predecessor_on_corpus_and_cadd_variants():
-    for w in build_corpus(40):
-        _assert_table_matches_graph(w)
-        tags = w.key_tags
-        for key in w.meta.get("bottleneck_keys", []):
-            if tags.get(key) != VALUE_DEPENDENT:
-                _assert_table_matches_graph(cadd_rewrite(w, {StorageKey.parse(key)}))
 
 
 def test_key_index_matches_the_access_sets():
     rng = random.Random(31)
     for _ in range(40):
         w = random_workload(rng, max_n=20)
-        index = KeyIndex(w)
-        accesses = dict(index.accesses())
+        accesses = _accesses(w)
+        assert _accesses(w) is accesses is w._memo["accesses"]  # one pass per workload
         assert set(accesses) == set().union(*(tx.access.touched() for tx in w))
         for key, kinds in accesses.items():
             assert [i for i, kind in kinds if kind & READ] == [tx.id for tx in w if key in tx.access.reads]
@@ -337,19 +316,27 @@ def _reachable(g):
     return below
 
 
+def _max_predecessor(g):
+    out = [-1] * g.n
+    for j, i in g.edges:
+        out[j] = max(out[j], i)
+    return tuple(out)
+
+
 def _assert_schedule_graph_matches(w):
     for cadd_aware, wcc in CADD_MODES:
         full = build_graph(w, cadd_aware, write_cadd_conflicts=wcc)
         compact, pairs = schedule_graph(w, cadd_aware, write_cadd_conflicts=wcc)
         assert compact.edges <= full.edges, (cadd_aware, wcc)
         assert _reachable(compact) == _reachable(full), (cadd_aware, wcc)
+        assert _max_predecessor(compact) == _max_predecessor(full), (cadd_aware, wcc)  # sets the dep_graph policy
         assert critical_path(compact) == critical_path(full), (cadd_aware, wcc)
         for threads in (1, 2, 3, 8):
             assert bound_schedule(compact, threads) == bound_schedule(full, threads), (cadd_aware, wcc, threads)
         assert pairs == len(full.edges), (cadd_aware, wcc)
 
 
-weighted_workloads = st.lists(st.tuples(_accesses, st.integers(1, 6)), min_size=1, max_size=16).map(
+weighted_workloads = st.lists(st.tuples(_access_sets, st.integers(1, 6)), min_size=1, max_size=16).map(
     lambda txs: Workload(
         transactions=tuple(Transaction(id=i, sender="s", gas=gas, access=a) for i, (a, gas) in enumerate(txs))
     )
@@ -371,10 +358,28 @@ def test_schedule_graph_matches_build_graph_on_corpus_and_cadd_variants():
                 _assert_schedule_graph_matches(cadd_rewrite(w, {StorageKey.parse(key)}))
 
 
-def test_schedule_graph_of_a_hot_key_block_is_linear():
-    n = 2000
-    w = gen_token_distribution(n, senders=1, track_total_supply=True, seed=0)
-    compact, pairs = schedule_graph(w)
+def _alternating_block(n):
+    """Even ids read one key and odd ids cadd it: cadd-aware, each reader
+    conflicts with every earlier cadder and each cadder with every earlier
+    reader, so half of all pairs conflict."""
+    return Workload(
+        transactions=tuple(
+            Transaction(id=i, sender="s", gas=1, access=AccessSet(cadds=((K, 1),)) if i % 2 else AccessSet(reads={K}))
+            for i in range(n)
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "block, cadd_aware, n, expected_pairs",
+    [
+        (lambda n: gen_token_distribution(n, senders=1, track_total_supply=True, seed=0), False, 2000, 2000 * 1999 // 2),
+        (_alternating_block, True, 200, 200 * 200 // 4),
+    ],
+    ids=["token_distribution", "alternating_read_cadd"],
+)
+def test_schedule_graph_of_a_hot_key_block_is_linear(block, cadd_aware, n, expected_pairs):
+    compact, pairs = schedule_graph(block(n), cadd_aware)
     assert len(compact.edges) < 2 * n
-    assert pairs == n * (n - 1) // 2  # every pair shares the sender's balance
+    assert pairs == expected_pairs  # token_distribution: every pair shares the sender's balance
     assert critical_path(compact).critical_path == tuple(range(n))

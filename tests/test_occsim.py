@@ -2,6 +2,7 @@
 invariant, and serial equivalence."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from txpar import (
     AccessSet,
     FixedTiming,
     JitterTiming,
-    KeyIndex,
     StorageKey,
     SvPolicy,
     Timing,
@@ -32,6 +32,7 @@ from txpar import (
 
 from corpus_util import build_corpus
 from oracles import oracle_occ_classic, oracle_occ_da_outcomes, oracle_run_in_order, random_workload
+from txpar.graph import latest_writer
 from txpar.workload import VALUE_DEPENDENT
 
 K = StorageKey("c", "K")
@@ -205,15 +206,14 @@ def test_key_index_window_check_matches_naive_scan():
     rng = random.Random(41)
     for _ in range(40):
         w = random_workload(rng, max_n=20)
-        index = KeyIndex(w)
         for cadd_aware in (False, True):
-            latest_writer = index.latest_writer(cadd_aware)
-            assert index.latest_writer(cadd_aware) is latest_writer
+            latest = latest_writer(w, cadd_aware)
+            assert latest_writer(w, cadd_aware) is latest is w._memo[("latest_writer", cadd_aware)]
             for tx in w:
                 keys = tx.access.reads if cadd_aware else tx.access.reads | tx.access.cadd_keys
                 for sv in range(-1, tx.id):
                     naive = any(keys & (w[i].access.writes | w[i].access.cadd_keys) for i in range(sv + 1, tx.id))
-                    assert (latest_writer[tx.id] > sv) == naive
+                    assert (latest[tx.id] > sv) == naive
 
 
 @pytest.mark.parametrize("duration", [0, -100])
@@ -227,14 +227,16 @@ def test_engines_reject_non_positive_durations(duration):
 
 def test_in_order_engines_reuse_a_key_index_of_the_same_workload():
     w = gen_mixed([("payments", {}, 1), ("token_distribution", {"senders": 1}, 1)], 30, seed=4)
-    index = KeyIndex(w)
-    assert run_occ_da(w, 4, index=index) == run_occ_da(w, 4)
-    assert run_occ_det_commit(w, 4, index=index) == run_occ_det_commit(w, 4)
-    other = KeyIndex(gen_payments(30, seed=4))
-    with pytest.raises(ValidationError):
-        run_occ_da(w, 4, index=other)
-    with pytest.raises(ValidationError):
-        run_occ_det_commit(w, 4, index=other)
+    for cadd_aware in (False, True):
+        run_occ_det_commit(w, 4, cadd_aware)
+        assert w._memo  # the access index, window table and replay plan stay on the workload
+        for run in (
+            lambda w: run_occ_da(w, 4, SvPolicy.from_workload(w, cadd_aware), cadd_aware),
+            lambda w: run_occ_det_commit(w, 4, cadd_aware),
+        ):
+            cold = replace(w)
+            assert not cold._memo
+            assert run(w) == run(cold)
 
 
 def test_occ_da_snapshot_gate_waits_for_commit():
@@ -400,16 +402,15 @@ def _timings(w, seed):
 def _assert_in_order_matches_oracle(w, seed, thread_counts=(1, 4, 32)):
     rng = random.Random(seed)
     custom = SvPolicy.custom({(tx.id, k): rng.randint(-1, tx.id - 1) for tx in w for k in range(4) if rng.random() < 0.5})
-    index = KeyIndex(w)
     for cadd_aware in (False, True):
-        policies = (SvPolicy.minus_one(), SvPolicy.from_workload(w, cadd_aware, index=index), custom, None)
+        policies = (SvPolicy.minus_one(), SvPolicy.from_workload(w, cadd_aware), custom, None)
         for policy in policies:
             for timing in _timings(w, seed):
                 for threads in thread_counts:
                     if policy is None:
-                        fast = run_occ_det_commit(w, threads, cadd_aware, timing=timing(), with_digest=False, index=index)
+                        fast = run_occ_det_commit(w, threads, cadd_aware, timing=timing(), with_digest=False)
                     else:
-                        fast = run_occ_da(w, threads, policy, cadd_aware, timing=timing(), with_digest=False, index=index)
+                        fast = run_occ_da(w, threads, policy, cadd_aware, timing=timing(), with_digest=False)
                     expected = oracle_run_in_order(w, threads, policy, cadd_aware, timing())
                     assert fast == expected, (policy and policy.variant, cadd_aware, threads)
 

@@ -185,13 +185,6 @@ def test_defi_fee_cadd_rewrite_counts_n_deltas():
     assert state.latest(fee) == 6  # tagged delta is +1 per trade
 
 
-def test_state_dump_golden():
-    state = StorageState()
-    commit_tx(state, 0, {K: 10})
-    commit_tx(state, 1, {L: -3})
-    assert state.dump() == "c:K 10 0\nc:L -3 1\n"
-
-
 def test_replay_check_edge_free_classic():
     from txpar import run_occ_classic
 
