@@ -234,24 +234,13 @@ def schedule_graph(
     list-schedule ready time is the same in both: `critical_path` and
     `bound_schedule` give equal results on either. On a hot key the graph is
     a chain, so its cost follows the number of accesses, not of pairs; the
-    pairs are counted as per-tx bitsets. A key touched in one way only is
-    that chain, or has no pairs, without the tables.
+    pairs are counted as per-tx bitsets.
     """
     conflict = _kind_conflicts(cadd_aware, write_cadd_conflicts)
     edges: set[tuple[int, int]] = set()
     earlier = [0] * len(workload)  # per tx, the earlier ids it conflicts with, as a bitset
     for accesses in _accesses(workload).values():
         if len(accesses) < 2:
-            continue
-        first = accesses[0][1]
-        if all(kind == first for _, kind in accesses):
-            if conflict[first][first]:
-                chain = [j for j, _ in accesses]
-                edges.update(zip(chain[1:], chain))
-                mask = 0  # the ids so far, as a bitset
-                for j in chain:
-                    earlier[j] |= mask
-                    mask |= 1 << j
             continue
         ids: dict[int, list[int]] = {}  # kind mask -> the ids with it so far, ascending
         bits: dict[int, int] = {}  # kind mask -> the same ids, as a bitset
