@@ -62,7 +62,9 @@ def bound_schedule(g: DependencyGraph, threads: int) -> ScheduleResult:
 
     priority = heaviest_from(g)
     dependents = g.dependents()
-    indegree = [len(lst) for lst in g.dependencies()]
+    indegree = [0] * n
+    for j, _ in g.edges:
+        indegree[j] += 1
 
     ready: list[tuple[int, int]] = [(-priority[i], i) for i in range(n) if indegree[i] == 0]
     heapq.heapify(ready)
@@ -116,11 +118,9 @@ def brute_force_makespan(g: DependencyGraph, threads: int) -> int:
     n = g.n
     if n == 0:
         return 0
-    deps = g.dependencies()
     pred_mask = [0] * n
-    for i in range(n):
-        for p in deps[i]:
-            pred_mask[i] |= 1 << p
+    for j, i in g.edges:
+        pred_mask[j] |= 1 << i
     weights = g.weights
     full = (1 << n) - 1
     memo: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}

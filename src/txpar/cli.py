@@ -249,9 +249,8 @@ def _rewrite(workload: Workload, steps: list[dict]) -> Workload:
 
 
 def _graph(workload: Workload, args) -> tuple[DependencyGraph, int]:
-    """The graph to schedule on and to set `dep_graph` versions from, with its edge count. A chain that prunes edges
-    needs the full, normative graph; otherwise the compact schedule graph gives the same schedules and versions, and
-    the count is the full conflicting pairs."""
+    """The graph to schedule on, with its edge count. A chain that prunes edges needs the full, normative graph;
+    otherwise the compact schedule graph gives the same schedules, and the count is the full conflicting pairs."""
     if not args.prunes:
         return schedule_graph(workload, args.cadd_aware)
     graph = build_graph(workload, args.cadd_aware)
@@ -261,16 +260,14 @@ def _graph(workload: Workload, args) -> tuple[DependencyGraph, int]:
 
 
 def _blocks(args, uses_graph: bool = True):
-    """Yield (label, workload, graph) per input, the workload rewritten by the chain's workload
-    steps; graph() builds the workload's graph and edge count (see _graph) on first call only. A block is released
+    """Yield (label, workload) per input, the workload rewritten by the chain's workload steps. A block is released
     once the caller moves on, so the tables its workload memoizes do not pile up over the inputs."""
     if args.prunes and not uses_graph:
         raise ValidationError("prune_edges prunes graphs; only analyze, bound and simulate --policy dep_graph use one")
     blocks = collections.deque(_resolve_workloads(args))
     while blocks:
         label, workload = blocks.popleft()
-        workload = _rewrite(workload, args.rewrites)
-        yield label, workload, functools.cache(functools.partial(_graph, workload, args))
+        yield label, _rewrite(workload, args.rewrites)
 
 
 def _write_table(args, name: str, rows: list, header: list[str], flat: list) -> None:
@@ -316,8 +313,8 @@ def cmd_generate(args) -> int:
 def cmd_analyze(args) -> int:
     rows = []
     flat = []
-    for label, workload, graph in _blocks(args):
-        schedule, edges = graph()
+    for label, workload in _blocks(args):
+        schedule, edges = _graph(workload, args)
         path = critical_path(schedule)
         bounds = {}
         for t in args.threads:
@@ -343,9 +340,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_bound(args) -> int:
     rows = []
-    for label, _, graph in _blocks(args):
+    for label, workload in _blocks(args):
+        schedule = _graph(workload, args)[0]
         for t in args.threads:
-            result = bound_schedule(graph()[0], t)
+            result = bound_schedule(schedule, t)
             row = {
                 "workload": label,
                 "threads": t,
@@ -366,8 +364,13 @@ def cmd_simulate(args) -> int:
     dep_graph = args.mode == MODE_DA and args.policy == "dep_graph"
     rows = []
     events = []
-    for label, workload, graph in _blocks(args, uses_graph=dep_graph):
-        policy = SvPolicy.from_graph(graph()[0]) if dep_graph else SvPolicy.minus_one()
+    for label, workload in _blocks(args, uses_graph=dep_graph):
+        if not dep_graph:
+            policy = SvPolicy.minus_one()
+        elif args.prunes:  # the pruned graph's edges are normative
+            policy = SvPolicy.from_graph(_graph(workload, args)[0])
+        else:
+            policy = SvPolicy.from_workload(workload, args.cadd_aware)
         for t in args.threads:
             if args.mode == MODE_DA:
                 result = run_occ_da(workload, t, policy, args.cadd_aware)
@@ -439,7 +442,7 @@ def cmd_transform(args) -> int:
 
 def cmd_probe(args) -> int:
     rows = []
-    for label, workload, _ in _blocks(args, uses_graph=False):
+    for label, workload in _blocks(args, uses_graph=False):
         for t in args.threads:
             probe = determinism_probe(workload, t, trials=args.trials, seed=args.seed, cadd_aware=args.cadd_aware)
             row = {"workload": label, **vars(probe)}

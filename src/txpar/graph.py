@@ -31,7 +31,7 @@ class DependencyGraph:
     edges: frozenset[tuple[int, int]]
     weights: tuple[int, ...]
     edge_keys: dict = field(default_factory=dict, compare=False, repr=False)
-    _adjacency: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _dependents: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset((int(j), int(i)) for j, i in self.edges))
@@ -51,21 +51,13 @@ class DependencyGraph:
 
     def dependents(self) -> tuple[tuple[int, ...], ...]:
         """For each id, the sorted ids that depend on it. Computed once."""
-        return self._neighbours(1, 0)
-
-    def dependencies(self) -> tuple[tuple[int, ...], ...]:
-        """For each id, the sorted ids it depends on. Computed once."""
-        return self._neighbours(0, 1)
-
-    def _neighbours(self, src: int, dst: int) -> tuple[tuple[int, ...], ...]:
-        cached = self._adjacency.get(src)
-        if cached is None:
+        if self._dependents is None:
             out: list[list[int]] = [[] for _ in range(self.n)]
-            # Sorted (j, i) edges list every id's neighbours in ascending order.
-            for edge in sorted(self.edges):
-                out[edge[src]].append(edge[dst])
-            cached = self._adjacency[src] = tuple(map(tuple, out))
-        return cached
+            # Sorted (j, i) edges list every id's dependents in ascending order.
+            for j, i in sorted(self.edges):
+                out[i].append(j)
+            object.__setattr__(self, "_dependents", tuple(map(tuple, out)))
+        return self._dependents
 
 
 @dataclass(frozen=True)
@@ -113,48 +105,69 @@ def conflicts(
 def _accesses(workload: Workload) -> dict[StorageKey, list[tuple[int, int]]]:
     """Each key, to (id, kind mask) of every tx touching it, by id: the one
     per-key access index. Built in one pass in id order on first use and kept
-    in the workload's memo, so both graphs and the engines' `latest_writer`
-    table share it."""
+    in the workload's memo, so both graphs and `latest_conflict` share it. A
+    key a tx reads and writes takes one lookup; only a cadd key can meet an
+    entry of the same tx."""
     touched = workload._memo.get("accesses")
     if touched is None:
         touched = workload._memo["accesses"] = {}
         for tx in workload:
             i, access = tx.id, tx.access
-            for kind, keys in ((READ, access.reads), (WRITE, access.writes), (CADD, access.cadds)):
-                for key in keys:
-                    if kind == CADD:
-                        key = key[0]  # a (key, delta) pair; one key may repeat
-                    by_id = touched.get(key)
-                    if by_id is None:
-                        touched[key] = [(i, kind)]
-                    elif by_id[-1][0] == i:  # this tx touches the key in another way too
-                        by_id[-1] = (i, by_id[-1][1] | kind)
-                    else:
-                        by_id.append((i, kind))
+            reads, writes = access.reads, access.writes
+            for key in reads:
+                touched.setdefault(key, []).append((i, READ | WRITE) if key in writes else (i, READ))
+            for key in writes:
+                if key not in reads:
+                    touched.setdefault(key, []).append((i, WRITE))
+            for key, _ in access.cadds:  # (key, delta) pairs; one key may repeat
+                by_id = touched.setdefault(key, [])
+                if by_id and by_id[-1][0] == i:  # this tx touches the key in another way too
+                    by_id[-1] = (i, by_id[-1][1] | CADD)
+                else:
+                    by_id.append((i, CADD))
     return touched
+
+
+def latest_conflict(workload: Workload, rule: tuple[tuple[bool, ...], ...]) -> tuple[int, ...]:
+    """Per tx, the highest earlier id on a shared key whose kind mask
+    `rule[its kind][that kind]` pairs with its own, or -1. One pass over the
+    access index: each key keeps the latest id of each kind mask seen so far,
+    and keys with one access are skipped. Kept in the workload's memo under
+    the rule's identity, so every engine run on the workload reuses it."""
+    memo_key = ("latest_conflict", id(rule))
+    hit = workload._memo.get(memo_key)
+    if hit is not None and hit[0] is rule:  # holding the rule keeps its id from being reused
+        return hit[1]
+    latest = [-1] * len(workload)
+    for accesses in _accesses(workload).values():
+        if len(accesses) < 2:
+            continue
+        last: dict[int, int] = {}  # kind mask -> the latest id with it so far
+        for j, kind in accesses:
+            row = rule[kind]
+            for b, i in last.items():
+                if row[b] and i > latest[j]:
+                    latest[j] = i
+            last[kind] = j
+    table = tuple(latest)
+    workload._memo[memo_key] = (rule, table)
+    return table
+
+
+@cache
+def _abort_rule(cadd_aware: bool) -> tuple[tuple[bool, ...], ...]:
+    """`[later][earlier]`: whether a tx with the later kind mask reads a key
+    that one with the earlier mask writes or cadds. Its cadds count as reads
+    unless commutative adds are honoured."""
+    reads = READ if cadd_aware else READ | CADD
+    return tuple(tuple(bool(later & reads and earlier & (WRITE | CADD)) for earlier in range(8)) for later in range(8))
 
 
 def latest_writer(workload: Workload, cadd_aware: bool) -> tuple[int, ...]:
     """Per tx, the highest earlier id that writes or cadds a key it reads, or
-    -1. Its cadd keys count as reads unless commutative adds are honoured. A
-    commit window (sv, id) always ends at id - 1, so an attempt with storage
-    version sv aborts iff `latest_writer[id] > sv`. Built in O(accesses) once
-    per mode and kept in the workload's memo, so every engine run on the
-    workload reuses it."""
-    memo_key = ("latest_writer", cadd_aware)
-    table = workload._memo.get(memo_key)
-    if table is None:
-        aborts_on = READ if cadd_aware else READ | CADD
-        latest = [-1] * len(workload)
-        for accesses in _accesses(workload).values():
-            writer = -1  # the latest id so far that writes or cadds this key
-            for j, kind in accesses:
-                if kind & aborts_on and writer > latest[j]:
-                    latest[j] = writer
-                if kind & (WRITE | CADD):
-                    writer = j
-        table = workload._memo[memo_key] = tuple(latest)
-    return table
+    -1. A commit window (sv, id) always ends at id - 1, so an attempt with
+    storage version sv aborts iff `latest_writer[id] > sv`."""
+    return latest_conflict(workload, _abort_rule(cadd_aware))
 
 
 @cache
@@ -228,11 +241,10 @@ def schedule_graph(
     reached, describes them all, and the latest access of a kind reaches
     what any earlier one of that kind does. An access keeps its pairs with
     the earlier b above the highest b reached by the latest access of a kind
-    it conflicts with; a kept pair is reached no other way, so the highest
-    conflicting earlier id is always kept. Both graphs have the same
-    transitive closure, and with positive weights every heaviest path and
-    list-schedule ready time is the same in both: `critical_path` and
-    `bound_schedule` give equal results on either. On a hot key the graph is
+    it conflicts with; a kept pair is reached no other way. Both graphs have
+    the same transitive closure, and with positive weights every heaviest
+    path and list-schedule ready time is the same in both: `critical_path`
+    and `bound_schedule` give equal results on either. On a hot key the graph is
     a chain, so its cost follows the number of accesses, not of pairs; the
     pairs are counted as per-tx bitsets.
     """

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple
 
 from .errors import InvariantViolation, ValidationError
-from .graph import DependencyGraph, latest_writer, schedule_graph
+from .graph import DependencyGraph, _kind_conflicts, latest_conflict, latest_writer
 from .storagevm import replay_final_state
 from .workload import StorageKey, Workload
 
@@ -101,9 +101,8 @@ class SvPolicy:
 
     @classmethod
     def from_graph(cls, graph: DependencyGraph) -> "SvPolicy":
-        """Start each tx at its highest predecessor in `graph`: the compact
-        schedule graph, which keeps every such edge, or a pruned graph, whose
-        edges are normative."""
+        """Start each tx at its highest predecessor in `graph`. The CLI uses it
+        only for a graph that a chain has pruned, whose edges are normative."""
         first_sv = [-1] * graph.n
         for j, i in graph.edges:
             if i > first_sv[j]:
@@ -112,10 +111,10 @@ class SvPolicy:
 
     @classmethod
     def from_workload(cls, workload: Workload, cadd_aware: bool = False) -> "SvPolicy":
-        """The `from_graph(build_graph(workload, cadd_aware))` policy, read off
-        the compact schedule graph, which keeps every tx's highest
-        conflicting earlier id."""
-        return cls.from_graph(schedule_graph(workload, cadd_aware)[0])
+        """The `from_graph(build_graph(workload, cadd_aware))` policy, built
+        with no graph: each tx's highest conflicting earlier id, from one pass
+        over the workload's access index (`graph.latest_conflict`)."""
+        return cls(variant="dep_graph", first_sv=latest_conflict(workload, _kind_conflicts(cadd_aware, True)))
 
     @classmethod
     def custom(cls, table: Mapping[tuple[int, int], int]) -> "SvPolicy":

@@ -118,10 +118,11 @@ class Workload:
     `meta` is a free-form JSON-able label map (generator name, seed, key
     tags); it is excluded from equality so parse(emit(w)) == w holds
     regardless of provenance labels. `_memo` holds tables derived from this
-    object's transactions: the per-key access index (`graph._accesses`), the
-    engines' `latest_writer` table per cadd mode and the storage VM's replay
-    plan. It is per object, excluded from equality, and starts empty in every
-    copy `replace` makes.
+    object's transactions: the per-key access index (`graph._accesses`), one
+    `graph.latest_conflict` table per kind rule (the engines' `latest_writer`
+    per cadd mode and the `dep_graph` policy's first versions) and the
+    storage VM's replay plan. It is per object, excluded from equality, and
+    starts empty in every copy `replace` makes.
     """
 
     transactions: tuple[Transaction, ...] = ()

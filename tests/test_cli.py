@@ -256,6 +256,23 @@ def test_config_file_drives_simulation(tmp_path):
     assert len(rows) == 2  # two generated workloads, one thread count
 
 
+def test_simulate_dep_graph_without_prune_step_builds_no_graph(tmp_path, monkeypatch):
+    import txpar.cli as cli_module
+
+    trace = tmp_path / "w.trace"
+    run(["generate", "--pattern", "defi_fee", "--n", "16", "--traders", "4", "--seed", "3", "--out", str(trace)])
+    argv = ["simulate", "--input", str(trace), "--policy", "dep_graph", "--threads", "2,8", "--out"]
+    assert run(argv + [str(tmp_path / "plain")]) == 0
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("simulate --policy dep_graph built a graph")
+
+    monkeypatch.setattr(cli_module, "schedule_graph", no_graph)
+    monkeypatch.setattr(cli_module, "build_graph", no_graph)
+    assert run(argv + [str(tmp_path / "patched")]) == 0
+    assert (tmp_path / "patched" / "runs.json").read_bytes() == (tmp_path / "plain" / "runs.json").read_bytes()
+
+
 def test_simulate_dep_graph_with_prune_step_uses_the_pruned_graph(tmp_path):
     trace = tmp_path / "w.trace"
     run(["generate", "--pattern", "defi_fee", "--n", "16", "--traders", "16", "--seed", "3", "--out", str(trace)])

@@ -27,7 +27,7 @@ from txpar import (
     heaviest_from,
     schedule_graph,
 )
-from txpar.graph import CADD, READ, WRITE, _accesses
+from txpar.graph import CADD, READ, WRITE, _accesses, _kind_conflicts, latest_conflict
 from txpar.workload import VALUE_DEPENDENT
 
 from corpus_util import build_corpus
@@ -293,13 +293,12 @@ def test_adjacency_is_cached_sorted_and_immutable():
         g = random_dag(rng, max_n=12)
         deps = g.dependents()
         assert deps == tuple(tuple(sorted(j for j, i in g.edges if i == x)) for x in range(g.n))
-        assert g.dependencies() == tuple(tuple(sorted(i for j, i in g.edges if j == x)) for x in range(g.n))
         assert g.dependents() is deps
         assert g == DependencyGraph(n=g.n, edges=g.edges, weights=g.weights)
     with pytest.raises(TypeError):
         deps[0] = (1,)
     with pytest.raises(AttributeError):
-        g.dependencies()[0].append(0)
+        g.dependents()[0].append(0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +309,8 @@ def test_adjacency_is_cached_sorted_and_immutable():
 def _reachable(g):
     """Per id, the bitset of every id it transitively depends on."""
     below = [0] * g.n
-    for j, deps in enumerate(g.dependencies()):
-        for i in deps:
-            below[j] |= below[i] | 1 << i
+    for j, i in sorted(g.edges):  # every id below j is final by then
+        below[j] |= below[i] | 1 << i
     return below
 
 
@@ -329,7 +327,8 @@ def _assert_schedule_graph_matches(w):
         compact, pairs = schedule_graph(w, cadd_aware, write_cadd_conflicts=wcc)
         assert compact.edges <= full.edges, (cadd_aware, wcc)
         assert _reachable(compact) == _reachable(full), (cadd_aware, wcc)
-        assert _max_predecessor(compact) == _max_predecessor(full), (cadd_aware, wcc)  # sets the dep_graph policy
+        assert _max_predecessor(compact) == _max_predecessor(full), (cadd_aware, wcc)
+        assert latest_conflict(w, _kind_conflicts(cadd_aware, wcc)) == _max_predecessor(full), (cadd_aware, wcc)
         assert critical_path(compact) == critical_path(full), (cadd_aware, wcc)
         for threads in (1, 2, 3, 8):
             assert bound_schedule(compact, threads) == bound_schedule(full, threads), (cadd_aware, wcc, threads)
