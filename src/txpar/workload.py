@@ -181,7 +181,7 @@ class Workload:
 # ---------------------------------------------------------------------------
 
 
-def _iter_lines(stream) -> Iterator[tuple[int, str]]:
+def _decode(stream) -> str:
     text = stream if isinstance(stream, (bytes, str)) else stream.read()  # else file-like
     if isinstance(text, bytes):
         try:
@@ -189,28 +189,51 @@ def _iter_lines(stream) -> Iterator[tuple[int, str]]:
         except UnicodeDecodeError as exc:
             line_no = text.count(b"\n", 0, exc.start) + 1
             raise TraceParseError(line_no, f"not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        yield line_no, line
+    return text
+
+
+#: The scanner behind `json.loads` (C code in CPython), called directly: it
+#: takes a string and an index and returns (value, end index).
+_scan_once = json.decoder.JSONDecoder().scan_once
+
+
+def _decode_record(stripped: str, line_no: int):
+    """Decode one record line; `stripped` has no surrounding whitespace.
+
+    The scanner's result is taken only when it ends the line. Anything else
+    (no value, malformed or too deep JSON, trailing data) goes through
+    `json.loads`, so an error is worded by `json.loads` itself.
+    """
+    try:
+        obj, end = _scan_once(stripped, 0)
+        if end == len(stripped):
+            return obj
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    try:
+        return json.loads(stripped)
+    except (ValueError, RecursionError) as exc:  # also an over-long number or too deep a nesting
+        raise TraceParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
 
 
 def _parse_key_list(raw, line_no: int, field_name: str, cache: dict) -> list[StorageKey]:
     if type(raw) is not list:
         raise TraceParseError(line_no, f"{field_name} must be an array")
-    try:
-        return [cache[item] for item in raw]  # every entry a key string interned already
-    except (KeyError, TypeError):  # a new or malformed key, or an unhashable entry
-        pass
     keys = []
-    for item in raw:
-        if type(item) is not str:
-            raise TraceParseError(line_no, f"{field_name} entries must be strings")
-        key = cache.get(item)
-        if key is None:
-            try:
-                key = cache[item] = StorageKey.parse(item)
-            except ValidationError as exc:
-                raise TraceParseError(line_no, str(exc)) from None
-        keys.append(key)
+    get = cache.get
+    try:
+        for item in raw:
+            key = get(item)
+            if key is None:  # a new key string, or an entry that is not a string
+                if type(item) is not str:
+                    raise TraceParseError(line_no, f"{field_name} entries must be strings")
+                try:
+                    key = cache[item] = StorageKey.parse(item)
+                except ValidationError as exc:
+                    raise TraceParseError(line_no, str(exc)) from None
+            keys.append(key)
+    except TypeError:  # an unhashable entry: an array or an object
+        raise TraceParseError(line_no, f"{field_name} entries must be strings") from None
     return keys
 
 
@@ -218,8 +241,13 @@ def parse_trace(stream) -> Workload:
     """Parse a trace (bytes, text, or a file-like object) into a Workload.
 
     Ids are renumbered contiguously from 0; all keys are interned so equal
-    keys share one object. JSON yields exact types only, so the type checks
-    compare types rather than call isinstance.
+    keys share one object. Each record line is decoded by the scanner behind
+    `json.loads`, and any line the scanner does not take whole goes through
+    `json.loads` itself, so invalid JSON is reported in `json.loads`'s words.
+    A `writes` list equal to its record's `reads` list (a read-modify-write)
+    shares the reads frozenset, which has already been checked. JSON yields
+    exact types only, so the type checks compare types rather than call
+    isinstance.
     """
     meta: dict = {}
     key_cache: dict[str, StorageKey] = {}
@@ -227,7 +255,7 @@ def parse_trace(stream) -> Workload:
     seen_ids: set[int] = set()
     with_ids: bool | None = None
 
-    for line_no, line in _iter_lines(stream):
+    for line_no, line in enumerate(_decode(stream).splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -240,10 +268,7 @@ def parse_trace(stream) -> Workload:
                 except (ValueError, RecursionError):
                     pass  # foreign comment that merely resembles a meta line
             continue
-        try:
-            obj = json.loads(stripped)
-        except (ValueError, RecursionError) as exc:  # also an over-long number or too deep a nesting
-            raise TraceParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+        obj = _decode_record(stripped, line_no)
         if type(obj) is not dict:
             raise TraceParseError(line_no, "record must be a JSON object")
 
@@ -269,8 +294,13 @@ def parse_trace(stream) -> Workload:
         if gas < 1:
             raise ValidationError(f"line {line_no}: gas must be >= 1, got {gas}")
 
-        reads = _parse_key_list(obj.get("reads", []), line_no, "reads", key_cache)
-        writes = _parse_key_list(obj.get("writes", []), line_no, "writes", key_cache)
+        raw_reads = obj.get("reads", [])
+        reads = frozenset(_parse_key_list(raw_reads, line_no, "reads", key_cache))
+        raw_writes = obj.get("writes", [])
+        if raw_writes == raw_reads:  # a read-modify-write: every entry is a key string checked above
+            writes = reads
+        else:
+            writes = frozenset(_parse_key_list(raw_writes, line_no, "writes", key_cache))
         raw_cadds = obj.get("cadds", [])
         if type(raw_cadds) is not list:
             raise TraceParseError(line_no, "cadds must be an array")
@@ -283,7 +313,7 @@ def parse_trace(stream) -> Workload:
             (key,) = _parse_key_list([entry[0]], line_no, "cadds", key_cache)
             cadds.append((key, entry[1]))
 
-        records.append((declared_id, sender, gas, AccessSet(frozenset(reads), frozenset(writes), tuple(cadds))))
+        records.append((declared_id, sender, gas, AccessSet(reads, writes, tuple(cadds))))
 
     if with_ids and records:
         ids = sorted(seen_ids)

@@ -336,8 +336,10 @@ def _oracle_parse_key_list(raw, line_no: int, field_name: str, cache: dict) -> l
 
 
 def oracle_parse_trace(stream) -> Workload:
-    """`parse_trace` as it was before it built each transaction once: every
-    check, message and line number of the trace format, on the plain path.
+    """The plain path that the scanning `parse_trace` is checked against:
+    `json.loads` on every record line, `StorageKey.parse` on every key entry,
+    and `reads` and `writes` each walked and checked on their own. It keeps
+    every check, message and line number of the trace format.
 
     Ids are renumbered contiguously from 0; all keys are interned so equal
     keys share one object.

@@ -52,6 +52,11 @@ trace_lines = st.one_of(
     records.map(lambda r: json.dumps(r).encode()),
     st.sampled_from([b"# txpar-trace v1", b"# meta {", b"", b"#"]),
     json_values.map(lambda v: b"# meta " + json.dumps(v).encode()),
+    st.tuples(
+        st.sampled_from([b"", b" ", b"\t ", b"\xc2\xa0"]),
+        records.map(lambda r: json.dumps(r).encode()),
+        st.sampled_from([b"", b" ", b" 5", b"}", b" {}", b"\xc2\xa0"]),
+    ).map(b"".join),
 )
 
 
@@ -86,6 +91,14 @@ def parse_outcome(parse, data):
 @example(b'{"sender": "a", "gas": true}')
 @example(b'{"id": false, "sender": "a", "gas": 3}')
 @example(b'{"sender": "a", "gas": 5, "writes": ["c:s"]}\n{"sender": "a", "gas": 5, "reads": ["c:s", ""]}')
+@example(b'{"sender":"a","gas":1} 5')
+@example(b'{"sender": "a", "gas": 5}\n{')
+@example(b'\xc2\xa0{"sender": "a", "gas": 5, "reads": ["c:s"]}\xc2\xa0')
+@example(b'\xef\xbb\xbf{"sender": "a", "gas": 5}')
+@example(b'{"sender": "a", "gas": 5}\n\xef\xbb\xbf{"sender": "b", "gas": 5}')
+@example(b'{"sender": "a", "gas": 5, "reads": ["c:s", "no-colon"], "writes": ["c:s", "no-colon"]}')
+@example(b'{"sender": "a", "gas": 5, "reads": ["c:s", 1], "writes": ["c:s", 1]}')
+@example(b'{"sender": ' + b"[" * 100_000)
 def test_parse_trace_agrees_with_the_plain_parser(data):
     assert parse_outcome(parse_trace, data) == parse_outcome(oracle_parse_trace, data)
 

@@ -23,8 +23,10 @@ from txpar import (
     gen_token_distribution,
     parse_trace,
 )
+from txpar.transforms import cadd_rewrite
 from txpar.workload import VALUE_DEPENDENT
 
+from corpus_util import corpus_workload
 from oracles import oracle_edges
 
 
@@ -135,6 +137,25 @@ def test_round_trip_generators():
         assert again == w
         # meta survives our own emitter's comment line
         assert again.meta == w.meta
+
+
+def test_parsed_keys_are_interned_across_collections_and_txs():
+    workload = corpus_workload(4)  # nft mints and an exchange fee key, the one cadd_rewrite takes
+    counters = {StorageKey.parse(k) for k in workload.meta["bottleneck_keys"]} - {
+        StorageKey.parse(k) for k, tag in workload.key_tags.items() if tag == VALUE_DEPENDENT
+    }
+    rewritten = cadd_rewrite(workload, counters)
+    assert counters and any(tx.access.cadds for tx in rewritten)
+    for source in (workload, rewritten):
+        parsed = parse_trace(emit_trace(source))
+        first: dict[StorageKey, StorageKey] = {}
+        uses = 0
+        for tx in parsed:
+            access = tx.access
+            for key in [*access.reads, *access.writes, *(key for key, _ in access.cadds)]:
+                assert first.setdefault(key, key) is key, key
+                uses += 1
+        assert uses > len(first)  # some keys recur, so the identity check bites
 
 
 @settings(max_examples=60, deadline=None)
