@@ -202,9 +202,9 @@ def _partition_counters(workload: Workload, step: dict) -> Workload:
     return partition_counters(workload, spec)
 
 
-def _prune_edges(graph: DependencyGraph, workload: Workload, step: dict, seed: int) -> DependencyGraph:
+def _prune_edges(graph: DependencyGraph, workload: Workload, step: dict, args) -> DependencyGraph:
     keys = _key_set(step["target_keys"], workload)
-    return prune_edges_probabilistic(graph, keys, step["p"], seed=step.get("seed", seed))
+    return prune_edges_probabilistic(graph, workload, keys, step["p"], step.get("seed", args.seed), args.cadd_aware)
 
 
 #: Each step kind: the parsers of its required fields, and how it applies. prune_edges
@@ -255,7 +255,7 @@ def _graph(workload: Workload, args) -> tuple[DependencyGraph, int]:
         return schedule_graph(workload, args.cadd_aware)
     graph = build_graph(workload, args.cadd_aware)
     for step in args.prunes:
-        graph = _STEPS["prune_edges"][1](graph, workload, step, args.seed)
+        graph = _STEPS["prune_edges"][1](graph, workload, step, args)
     return graph, len(graph.edges)
 
 

@@ -22,15 +22,12 @@ class DependencyGraph:
 
     Edges are (later_id, earlier_id) pairs: the later transaction depends on
     the earlier one. Acyclic by construction since every edge points from a
-    higher id to a strictly lower one. `edge_keys` annotates each edge with
-    the storage keys that justify it; it is derived data and excluded from
-    equality.
+    higher id to a strictly lower one.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
     weights: tuple[int, ...]
-    edge_keys: dict = field(default_factory=dict, compare=False, repr=False)
     _dependents: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -67,19 +64,26 @@ class PathReport:
     total_weight: int
 
 
-def _pair_conflict(x: AccessSet, y: AccessSet, cadd_aware: bool, write_cadd_conflicts: bool) -> bool:
-    if not cadd_aware:
-        # Commutative adds degrade to plain read+write accesses.
-        x_write = x.writes | x.cadd_keys
-        y_write = y.writes | y.cadd_keys
-        return bool(x_write & (y.reads | y_write)) or bool(y_write & (x.reads | x_write))
-    x_cadds = x.cadd_keys
-    y_cadds = y.cadd_keys
-    y_vs_write = y.reads | y.writes | (y_cadds if write_cadd_conflicts else frozenset())
-    x_vs_write = x.reads | x.writes | (x_cadds if write_cadd_conflicts else frozenset())
-    if x.writes & y_vs_write or y.writes & x_vs_write:
-        return True
-    return bool(x_cadds & y.reads) or bool(y_cadds & x.reads)
+@cache
+def _kind_conflicts(cadd_aware: bool, write_cadd_conflicts: bool) -> tuple[tuple[bool, ...], ...]:
+    """`[later][earlier]`: whether two accesses to one key with these kind
+    masks conflict. This table is the conflict rule. Plain mode treats a cadd
+    as a read+write, so a pair conflicts if either side writes or cadds. In
+    cadd-aware mode a write conflicts with a read, a write and, unless
+    `write_cadd_conflicts` is False, a cadd; a cadd conflicts with a read;
+    two cadds commute."""
+    write_vs = READ | WRITE | (CADD if write_cadd_conflicts else 0)
+
+    def one_way(x: int, y: int) -> bool:  # x's access against y's, both possibly empty
+        if not cadd_aware:
+            return bool(x & (WRITE | CADD) and y)
+        return bool(x & WRITE and y & write_vs or x & CADD and y & READ)
+
+    return tuple(tuple(one_way(later, earlier) or one_way(earlier, later) for earlier in range(8)) for later in range(8))
+
+
+def _kind(access: AccessSet, key: StorageKey) -> int:
+    return READ * (key in access.reads) | WRITE * (key in access.writes) | CADD * (key in access.cadd_keys)
 
 
 def conflicts(
@@ -99,7 +103,9 @@ def conflicts(
     """
     if a.id == b.id:
         raise ValidationError("conflicts() requires two distinct transactions")
-    return _pair_conflict(a.access, b.access, cadd_aware, write_cadd_conflicts)
+    rule = _kind_conflicts(cadd_aware, write_cadd_conflicts)
+    x, y = a.access, b.access
+    return any(rule[_kind(x, key)][_kind(y, key)] for key in x.touched() & y.touched())
 
 
 def _accesses(workload: Workload) -> dict[StorageKey, list[tuple[int, int]]]:
@@ -170,24 +176,22 @@ def latest_writer(workload: Workload, cadd_aware: bool) -> tuple[int, ...]:
     return latest_conflict(workload, _abort_rule(cadd_aware))
 
 
-@cache
-def _kind_conflicts(cadd_aware: bool, write_cadd_conflicts: bool) -> tuple[tuple[bool, ...], ...]:
-    """`[later][earlier]`: whether accesses to one key with these kind masks
-    conflict. Derived from `_pair_conflict` on single-key access sets, so
-    both stay one rule."""
-    key = StorageKey("k", "k")
-    access = [
-        AccessSet(
-            reads={key} if kind & READ else (),
-            writes={key} if kind & WRITE else (),
-            cadds=((key, 1),) if kind & CADD else (),
-        )
-        for kind in range(8)
-    ]
-    return tuple(
-        tuple(_pair_conflict(access[later], access[earlier], cadd_aware, write_cadd_conflicts) for earlier in range(8))
-        for later in range(8)
-    )
+def _pairs(per_key, conflict: tuple[tuple[bool, ...], ...]) -> set[tuple[int, int]]:
+    """Every (later, earlier) pair that conflicts on one of the given keys,
+    each given as its (id, kind mask) accesses in id order. Each key emits
+    each of its pairs once, so the cost follows the conflicting pairs."""
+    edges: set[tuple[int, int]] = set()
+    for accesses in per_key:
+        if len(accesses) < 2:
+            continue
+        by_kind: dict[int, list[int]] = {}  # kind mask -> earlier ids with it
+        for j, kind in accesses:
+            row = conflict[kind]
+            for earlier, ids in by_kind.items():
+                if row[earlier]:
+                    edges.update([(j, i) for i in ids])
+            by_kind.setdefault(kind, []).append(j)
+    return edges
 
 
 def build_graph(
@@ -199,29 +203,24 @@ def build_graph(
     """Build the dependency graph from the per-key access index.
 
     Produces exactly the edge set of the naive pairwise conflicts() scan
-    (the normative oracle), in O(sum of per-key conflicting pairs): each
-    key emits each of its (later, earlier) pairs once.
+    (the normative oracle), in O(sum of per-key conflicting pairs).
     """
-    conflict = _kind_conflicts(cadd_aware, write_cadd_conflicts)
-    edge_keys: dict[tuple[int, int], set[StorageKey]] = {}
-    for key, accesses in _accesses(workload).items():
-        by_kind: dict[int, list[int]] = {}  # kind mask -> earlier ids with it
-        for j, kind in accesses:
-            row = conflict[kind]
-            for earlier, ids in by_kind.items():
-                if not row[earlier]:
-                    continue
-                for i in ids:
-                    edge_keys.setdefault((j, i), set()).add(key)
-            by_kind.setdefault(kind, []).append(j)
+    edges = _pairs(_accesses(workload).values(), _kind_conflicts(cadd_aware, write_cadd_conflicts))
+    return DependencyGraph(n=len(workload), edges=frozenset(edges), weights=tuple(tx.gas for tx in workload))
 
-    frozen = {edge: frozenset(keys) for edge, keys in edge_keys.items()}
-    return DependencyGraph(
-        n=len(workload),
-        edges=frozenset(frozen),
-        weights=tuple(tx.gas for tx in workload),
-        edge_keys=frozen,
-    )
+
+def edges_only_on(workload: Workload, keys, cadd_aware: bool = False) -> set[tuple[int, int]]:
+    """The (later, earlier) pairs of `build_graph(workload, cadd_aware)` whose
+    two txs conflict on some of `keys` and on no other key. Other keys are
+    searched for pairs only among the txs that touch `keys`."""
+    keys = frozenset(keys)
+    touched = _accesses(workload)
+    conflict = _kind_conflicts(cadd_aware, True)
+    on = _pairs((touched[key] for key in keys if key in touched), conflict)
+    ids = {i for key in keys for i, _ in touched.get(key, ())}
+    shared = (accesses for key, accesses in touched.items() if len(accesses) > 1 and key not in keys)
+    elsewhere = _pairs(([access for access in accesses if access[0] in ids] for accesses in shared), conflict)
+    return on - elsewhere
 
 
 def schedule_graph(
@@ -328,12 +327,18 @@ def graph_to_json_dict(g: DependencyGraph) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    if type(value) is not int:  # a float, string or bool would be coerced silently
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def graph_from_json_dict(data: dict) -> DependencyGraph:
     try:
         return DependencyGraph(
-            n=int(data["n"]),
-            edges=frozenset((int(j), int(i)) for j, i in data["edges"]),
-            weights=tuple(int(w) for w in data["weights"]),
+            n=_json_int(data["n"]),
+            edges=frozenset((_json_int(j), _json_int(i)) for j, i in data["edges"]),
+            weights=tuple(_json_int(w) for w in data["weights"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed graph JSON: {exc}") from None

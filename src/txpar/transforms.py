@@ -13,7 +13,7 @@ from fractions import Fraction
 import random
 
 from .errors import SoundnessError, ValidationError
-from .graph import DependencyGraph
+from .graph import DependencyGraph, edges_only_on
 from .workload import VALUE_DEPENDENT, AccessSet, StorageKey, Transaction, Workload
 
 
@@ -173,12 +173,15 @@ def partition_counters(workload: Workload, spec: PartitionSpec) -> Workload:
 
 def prune_edges_probabilistic(
     g: DependencyGraph,
+    workload: Workload,
     target_keys: frozenset[StorageKey] | set[StorageKey],
     removal_probability,
     seed: int = 0,
+    cadd_aware: bool = False,
 ) -> DependencyGraph:
-    """Remove, with the given probability, each edge attributable solely to
-    the target keys; edges also justified by other keys are kept.
+    """Remove, with the given probability, each edge of `g` whose two txs
+    conflict in `workload` on target keys and on no other key; every other
+    edge is kept. `cadd_aware` is the mode `g` was built in.
 
     Models the expected effect of partitioning the targets without
     rewriting the workload. Accepts the probability as a float, int, or
@@ -188,19 +191,10 @@ def prune_edges_probabilistic(
     p = float(Fraction(removal_probability)) if not isinstance(removal_probability, float) else removal_probability
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"removal probability must be in [0, 1], got {removal_probability}")
-    target_keys = frozenset(target_keys)
     rng = random.Random(seed)
-    kept_edges = set()
-    kept_keys = {}
-    for edge in sorted(g.edges):
-        causes = g.edge_keys.get(edge)
-        prunable = causes is not None and bool(causes) and causes <= target_keys
-        if prunable and rng.random() < p:
-            continue
-        kept_edges.add(edge)
-        if causes is not None:
-            kept_keys[edge] = causes
-    return DependencyGraph(n=g.n, edges=frozenset(kept_edges), weights=g.weights, edge_keys=kept_keys)
+    candidates = sorted(g.edges & edges_only_on(workload, target_keys, cadd_aware))
+    removed = [edge for edge in candidates if rng.random() < p]
+    return DependencyGraph(n=g.n, edges=g.edges.difference(removed), weights=g.weights)
 
 
 def cadd_rewrite(workload: Workload, target_keys: frozenset[StorageKey] | set[StorageKey]) -> Workload:

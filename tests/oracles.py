@@ -12,6 +12,7 @@ import heapq
 import json
 import random
 from dataclasses import replace
+from fractions import Fraction
 from typing import Iterator
 
 from txpar import (
@@ -43,23 +44,32 @@ def _kinds(tx: Transaction, key: StorageKey) -> set[str]:
     return kinds
 
 
-def oracle_conflict(a: Transaction, b: Transaction, cadd_aware: bool = False, write_cadd_conflicts: bool = True) -> bool:
-    """Per-key conflict check: same storage entry, at least one write-like
-    access, with the cadd-only exemption in cadd-aware mode."""
+def oracle_conflict_keys(
+    a: Transaction, b: Transaction, cadd_aware: bool = False, write_cadd_conflicts: bool = True
+) -> frozenset[StorageKey]:
+    """The keys on which the pair conflicts, checked key by key: same storage
+    entry, at least one write-like access, with the cadd-only exemption in
+    cadd-aware mode."""
+    causes = set()
     for key in a.access.touched() | b.access.touched():
         ka, kb = _kinds(a, key), _kinds(b, key)
         if not ka or not kb:
             continue
         if not cadd_aware:
             if "w" in ka or "c" in ka or "w" in kb or "c" in kb:
-                return True
+                causes.add(key)
             continue
         for x, y in ((ka, kb), (kb, ka)):
             if "w" in x and ("r" in y or "w" in y or ("c" in y and write_cadd_conflicts)):
-                return True
+                causes.add(key)
             if "c" in x and "r" in y:
-                return True
-    return False
+                causes.add(key)
+    return frozenset(causes)
+
+
+def oracle_conflict(a: Transaction, b: Transaction, cadd_aware: bool = False, write_cadd_conflicts: bool = True) -> bool:
+    """Per-key conflict check: the pair conflicts iff some key causes it."""
+    return bool(oracle_conflict_keys(a, b, cadd_aware, write_cadd_conflicts))
 
 
 def oracle_edges(workload: Workload, cadd_aware: bool = False, write_cadd_conflicts: bool = True) -> set[tuple[int, int]]:
@@ -71,6 +81,33 @@ def oracle_edges(workload: Workload, cadd_aware: bool = False, write_cadd_confli
             if oracle_conflict(txs[i], txs[j], cadd_aware, write_cadd_conflicts):
                 edges.add((j, i))
     return edges
+
+
+def oracle_prune(
+    g: DependencyGraph,
+    workload: Workload,
+    target_keys,
+    removal_probability,
+    seed: int = 0,
+    cadd_aware: bool = False,
+) -> tuple[DependencyGraph, set[tuple[int, int]]]:
+    """The annotated prune: every pair of the workload carries the keys it
+    conflicts on (`oracle_conflict_keys`), and a pair is prunable iff those
+    keys are non-empty and all targets. The edges of `g` are visited in
+    sorted order, with one uniform draw per prunable edge. Returns the pruned
+    graph and the workload's prunable pairs."""
+    p = float(Fraction(removal_probability))
+    target_keys = frozenset(target_keys)
+    txs = list(workload)
+    prunable = set()
+    for j in range(len(txs)):
+        for i in range(j):
+            causes = oracle_conflict_keys(txs[j], txs[i], cadd_aware)
+            if causes and causes <= target_keys:
+                prunable.add((j, i))
+    rng = random.Random(seed)
+    kept = {edge for edge in sorted(g.edges) if edge not in prunable or rng.random() >= p}
+    return DependencyGraph(n=g.n, edges=frozenset(kept), weights=g.weights), prunable
 
 
 def all_paths(g: DependencyGraph):

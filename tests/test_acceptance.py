@@ -186,7 +186,7 @@ def test_criterion_6_partitioned_counter_effect():
         partitioned = partition_counters(w, PartitionSpec(target_keys=targets, length=2))
         r = bound_schedule(build_graph(partitioned), 32)
         part_s, part_m = part_s + r.serial_cost, part_m + r.makespan
-        r = bound_schedule(prune_edges_probabilistic(g, targets, 1, seed=i), 32)
+        r = bound_schedule(prune_edges_probabilistic(g, w, targets, 1, seed=i), 32)
         free_s, free_m = free_s + r.serial_cost, free_m + r.makespan
         r = bound_schedule(DependencyGraph(n=g.n, edges=frozenset(), weights=g.weights), 32)
         ceil_s, ceil_m = ceil_s + r.serial_cost, ceil_m + r.makespan
@@ -220,9 +220,10 @@ def test_criterion_7_pruning_probability():
                 access=AccessSet(reads=frozenset({hot, own}), writes=frozenset({hot, own})),
             )
         )
-    g = build_graph(Workload(transactions=tuple(txs)))
+    w = Workload(transactions=tuple(txs))
+    g = build_graph(w)
     assert len(g.edges) == 10011
-    pruned = prune_edges_probabilistic(g, {hot}, Fraction(8, 9), seed=2024)
+    pruned = prune_edges_probabilistic(g, w, {hot}, Fraction(8, 9), seed=2024)
     removed = 1 - len(pruned.edges) / len(g.edges)
     assert abs(removed - 8 / 9) <= 0.01
     print(f"\nACCEPTANCE 7: PASS - removed fraction {removed:.4f} vs 8/9 = {8/9:.4f} over {len(g.edges)} edges")

@@ -285,7 +285,7 @@ def test_simulate_dep_graph_with_prune_step_uses_the_pruned_graph(tmp_path):
 
     w = parse_trace(trace.read_bytes())
     full = build_graph(w)
-    pruned = prune_edges_probabilistic(full, {StorageKey.parse(k) for k in w.meta["bottleneck_keys"]}, 0.5, seed=5)
+    pruned = prune_edges_probabilistic(full, w, {StorageKey.parse(k) for k in w.meta["bottleneck_keys"]}, 0.5, seed=5)
     assert 0 < len(pruned.edges) < len(full.edges)
     policy = SvPolicy.from_graph(pruned)
     assert policy != SvPolicy.from_workload(w)

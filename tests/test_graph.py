@@ -27,11 +27,18 @@ from txpar import (
     heaviest_from,
     schedule_graph,
 )
-from txpar.graph import CADD, READ, WRITE, _accesses, _kind_conflicts, latest_conflict
+from txpar.graph import CADD, READ, WRITE, _accesses, _kind_conflicts, edges_only_on, latest_conflict
 from txpar.workload import VALUE_DEPENDENT
 
 from corpus_util import build_corpus
-from oracles import oracle_critical_weight, oracle_edges, oracle_heaviest_from, random_dag, random_workload
+from oracles import (
+    oracle_conflict,
+    oracle_critical_weight,
+    oracle_edges,
+    oracle_heaviest_from,
+    random_dag,
+    random_workload,
+)
 
 K = StorageKey("c", "K")
 
@@ -113,7 +120,8 @@ def test_build_graph_four_tx_example_single_edge():
     )
     g = build_graph(w)
     assert g.edges == frozenset({(2, 0)})
-    assert g.edge_keys[(2, 0)] == frozenset({K})
+    assert edges_only_on(w, {K}) == {(2, 0)}  # K alone causes the edge
+    assert edges_only_on(w, {StorageKey("c", "l")}) == set()
 
 
 def test_edge_orientation_validated():
@@ -239,8 +247,31 @@ def test_graph_json_round_trip():
         {"n": 2, "weights": [1, 1]},
         {"n": 2, "weights": None, "edges": []},
         {"n": 2, "weights": [1, 1], "edges": [[0, 1]]},
+        {"n": 2.9, "weights": [1, 1], "edges": []},
+        {"n": "2", "weights": [1, 1], "edges": []},
+        {"n": True, "weights": [1], "edges": []},
+        {"n": 2, "weights": ["3", 1], "edges": []},
+        {"n": 2, "weights": [3, True], "edges": []},
+        {"n": 2, "weights": [1, 1.5], "edges": []},
+        {"n": 2, "weights": [1, 1], "edges": [[1.7, 0]]},
+        {"n": 2, "weights": [1, 1], "edges": [[1, False]]},
     ],
-    ids=["n_not_an_int", "edge_of_three", "edge_of_one", "no_edges", "weights_null", "edge_points_forward"],
+    ids=[
+        "n_not_an_int",
+        "edge_of_three",
+        "edge_of_one",
+        "no_edges",
+        "weights_null",
+        "edge_points_forward",
+        "n_float",
+        "n_numeric_string",
+        "n_bool",
+        "weight_string",
+        "weight_bool",
+        "weight_float",
+        "edge_end_float",
+        "edge_end_bool",
+    ],
 )
 def test_malformed_graph_json_is_a_validation_error(data):
     with pytest.raises(ValidationError):
@@ -267,6 +298,16 @@ _access_sets = st.builds(
     writes=_key_sets,
     cadds=st.lists(st.tuples(st.sampled_from(_KEYS), st.integers(-3, 3)), max_size=3),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_access_sets, _access_sets)
+def test_conflicts_matches_the_per_key_oracle(x, y):
+    a, b = Transaction(id=0, sender="a", gas=1, access=x), Transaction(id=1, sender="b", gas=1, access=y)
+    for cadd_aware, wcc in CADD_MODES:
+        expected = oracle_conflict(a, b, cadd_aware, wcc)
+        assert conflicts(a, b, cadd_aware, write_cadd_conflicts=wcc) == expected, (cadd_aware, wcc)
+        assert conflicts(b, a, cadd_aware, write_cadd_conflicts=wcc) == expected, (cadd_aware, wcc)
 
 
 def test_key_index_matches_the_access_sets():

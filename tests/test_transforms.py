@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from txpar import (
     DependencyGraph,
@@ -26,7 +28,9 @@ from txpar import (
     sub_counter_key,
 )
 
-from oracles import oracle_edges
+from txpar.graph import edges_only_on
+
+from oracles import oracle_edges, oracle_prune, random_workload
 
 
 def _sender_balance_key(w: Workload) -> StorageKey:
@@ -196,7 +200,7 @@ def test_partition_edge_monotonicity_with_reader_fanout_exception():
         g_before = build_graph(w)
         out = partition_counters(w, PartitionSpec(target_keys=frozenset({key}), length=2))
         g_after = build_graph(out)
-        non_target_edges = {e for e, causes in g_before.edge_keys.items() if not causes <= {key}}
+        non_target_edges = g_before.edges - edges_only_on(w, {key})
         readers = {tx.id for tx in w if key in tx.access.reads}
         writers = {tx.id for tx in w if key in tx.access.writes}
         fanout = {(max(r, x), min(r, x)) for r in readers for x in writers if r != x}
@@ -246,8 +250,8 @@ def _hot_key_clique(n_writers: int):
 def test_prune_p0_is_identity_and_p1_removes_all_target_edges():
     w, hot = _hot_key_clique(12)
     g = build_graph(w)
-    assert prune_edges_probabilistic(g, {hot}, 0, seed=1).edges == g.edges
-    assert prune_edges_probabilistic(g, {hot}, 1, seed=1).edges == frozenset()
+    assert prune_edges_probabilistic(g, w, {hot}, 0, seed=1).edges == g.edges
+    assert prune_edges_probabilistic(g, w, {hot}, 1, seed=1).edges == frozenset()
 
 
 def test_prune_keeps_edges_with_non_target_causes():
@@ -259,9 +263,10 @@ def test_prune_keeps_edges_with_non_target_causes():
         Transaction(id=0, sender="a", gas=10, access=AccessSet(reads=frozenset({hot, other}), writes=frozenset({hot, other}))),
         Transaction(id=1, sender="b", gas=10, access=AccessSet(reads=frozenset({hot, other}), writes=frozenset({hot, other}))),
     )
-    g = build_graph(Workload(transactions=txs))
+    w = Workload(transactions=txs)
+    g = build_graph(w)
     # the edge is justified by both keys, so it survives even p=1
-    assert prune_edges_probabilistic(g, {hot}, 1, seed=0).edges == g.edges
+    assert prune_edges_probabilistic(g, w, {hot}, 1, seed=0).edges == g.edges
 
 
 def test_prune_eight_ninths_within_binomial_tolerance():
@@ -269,7 +274,7 @@ def test_prune_eight_ninths_within_binomial_tolerance():
     w, hot = _hot_key_clique(142)
     g = build_graph(w)
     assert len(g.edges) == 142 * 141 // 2
-    pruned = prune_edges_probabilistic(g, {hot}, Fraction(8, 9), seed=2024)
+    pruned = prune_edges_probabilistic(g, w, {hot}, Fraction(8, 9), seed=2024)
     removed = 1 - len(pruned.edges) / len(g.edges)
     assert abs(removed - 8 / 9) <= 0.01
 
@@ -277,18 +282,39 @@ def test_prune_eight_ninths_within_binomial_tolerance():
 def test_prune_deterministic_and_validated():
     w, hot = _hot_key_clique(10)
     g = build_graph(w)
-    a = prune_edges_probabilistic(g, {hot}, 0.5, seed=7)
-    b = prune_edges_probabilistic(g, {hot}, 0.5, seed=7)
+    a = prune_edges_probabilistic(g, w, {hot}, 0.5, seed=7)
+    b = prune_edges_probabilistic(g, w, {hot}, 0.5, seed=7)
     assert a.edges == b.edges
-    assert prune_edges_probabilistic(g, {hot}, 0.5, seed=8).edges != a.edges
+    assert prune_edges_probabilistic(g, w, {hot}, 0.5, seed=8).edges != a.edges
     with pytest.raises(ValidationError):
-        prune_edges_probabilistic(g, {hot}, 1.5, seed=0)
+        prune_edges_probabilistic(g, w, {hot}, 1.5, seed=0)
 
 
 def test_prune_without_attribution_keeps_edges():
-    g = DependencyGraph(n=3, edges=frozenset({(1, 0), (2, 1)}), weights=(1, 1, 1))
+    from txpar import AccessSet, Transaction
+
+    # The txs only read the hot key, so the workload gives these edges no cause.
     hot = StorageKey("c", "hot")
-    assert prune_edges_probabilistic(g, {hot}, 1, seed=0).edges == g.edges
+    reader = AccessSet(reads=frozenset({hot}))
+    w = Workload(transactions=tuple(Transaction(id=i, sender=f"s{i}", gas=1, access=reader) for i in range(3)))
+    g = DependencyGraph(n=3, edges=frozenset({(1, 0), (2, 1)}), weights=(1, 1, 1))
+    assert prune_edges_probabilistic(g, w, {hot}, 1, seed=0).edges == g.edges
+
+
+_POOL = [StorageKey("c", f"k{i}") for i in range(5)]  # random_workload's keys at key_pool=5
+_prune_steps = st.tuples(st.frozensets(st.sampled_from(_POOL)), st.sampled_from([0, Fraction(1, 2), 1]), st.integers(0, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.lists(_prune_steps, min_size=2, max_size=2))
+def test_prune_matches_the_annotated_oracle(seed, cadd_aware, steps):
+    w = random_workload(random.Random(seed), max_n=12, key_pool=5)
+    g = expected = build_graph(w, cadd_aware)
+    for targets, p, step_seed in steps:  # the second step prunes a pruned graph
+        g = prune_edges_probabilistic(g, w, targets, p, step_seed, cadd_aware)
+        expected, prunable = oracle_prune(expected, w, targets, p, step_seed, cadd_aware)
+        assert g == expected
+        assert edges_only_on(w, targets, cadd_aware) == prunable
 
 
 # ---------------------------------------------------------------------------
