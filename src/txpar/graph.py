@@ -82,8 +82,9 @@ def _kind_conflicts(cadd_aware: bool, write_cadd_conflicts: bool) -> tuple[tuple
     return tuple(tuple(one_way(later, earlier) or one_way(earlier, later) for earlier in range(8)) for later in range(8))
 
 
-def _kind(access: AccessSet, key: StorageKey) -> int:
-    return READ * (key in access.reads) | WRITE * (key in access.writes) | CADD * (key in access.cadd_keys)
+def _masks(access: AccessSet) -> dict[StorageKey, int]:  # each key touched, to its kind mask
+    reads, writes, cadds = access.reads, access.writes, access.cadd_keys
+    return {key: READ * (key in reads) | WRITE * (key in writes) | CADD * (key in cadds) for key in reads | writes | cadds}
 
 
 def conflicts(
@@ -104,8 +105,8 @@ def conflicts(
     if a.id == b.id:
         raise ValidationError("conflicts() requires two distinct transactions")
     rule = _kind_conflicts(cadd_aware, write_cadd_conflicts)
-    x, y = a.access, b.access
-    return any(rule[_kind(x, key)][_kind(y, key)] for key in x.touched() & y.touched())
+    x, y = _masks(a.access), _masks(b.access)
+    return any(rule[kind][y[key]] for key, kind in x.items() if key in y)
 
 
 def _accesses(workload: Workload) -> dict[StorageKey, list[tuple[int, int]]]:
@@ -209,13 +210,15 @@ def build_graph(
     return DependencyGraph(n=len(workload), edges=frozenset(edges), weights=tuple(tx.gas for tx in workload))
 
 
-def edges_only_on(workload: Workload, keys, cadd_aware: bool = False) -> set[tuple[int, int]]:
-    """The (later, earlier) pairs of `build_graph(workload, cadd_aware)` whose
-    two txs conflict on some of `keys` and on no other key. Other keys are
+def edges_only_on(
+    workload: Workload, keys, cadd_aware: bool = False, *, write_cadd_conflicts: bool = True
+) -> set[tuple[int, int]]:
+    """The (later, earlier) pairs of `build_graph` in the same mode whose two
+    txs conflict on some of `keys` and on no other key. Other keys are
     searched for pairs only among the txs that touch `keys`."""
     keys = frozenset(keys)
     touched = _accesses(workload)
-    conflict = _kind_conflicts(cadd_aware, True)
+    conflict = _kind_conflicts(cadd_aware, write_cadd_conflicts)
     on = _pairs((touched[key] for key in keys if key in touched), conflict)
     ids = {i for key in keys for i, _ in touched.get(key, ())}
     shared = (accesses for key, accesses in touched.items() if len(accesses) > 1 and key not in keys)

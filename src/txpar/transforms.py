@@ -178,10 +178,12 @@ def prune_edges_probabilistic(
     removal_probability,
     seed: int = 0,
     cadd_aware: bool = False,
+    *,
+    write_cadd_conflicts: bool = True,
 ) -> DependencyGraph:
     """Remove, with the given probability, each edge of `g` whose two txs
     conflict in `workload` on target keys and on no other key; every other
-    edge is kept. `cadd_aware` is the mode `g` was built in.
+    edge is kept. `g` must be the graph of `workload` in the mode given.
 
     Models the expected effect of partitioning the targets without
     rewriting the workload. Accepts the probability as a float, int, or
@@ -191,9 +193,11 @@ def prune_edges_probabilistic(
     p = float(Fraction(removal_probability)) if not isinstance(removal_probability, float) else removal_probability
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"removal probability must be in [0, 1], got {removal_probability}")
+    if g.weights != tuple(tx.gas for tx in workload):
+        raise ValidationError(f"the graph's {g.n} vertex weights are not the gas of the workload's {len(workload)} txs")
+    prunable = edges_only_on(workload, target_keys, cadd_aware, write_cadd_conflicts=write_cadd_conflicts)
     rng = random.Random(seed)
-    candidates = sorted(g.edges & edges_only_on(workload, target_keys, cadd_aware))
-    removed = [edge for edge in candidates if rng.random() < p]
+    removed = [edge for edge in sorted(g.edges & prunable) if rng.random() < p]
     return DependencyGraph(n=g.n, edges=g.edges.difference(removed), weights=g.weights)
 
 

@@ -32,6 +32,9 @@ from txpar import (
 from txpar.occsim import MODE_CLASSIC, MODE_DA, MODE_DET_COMMIT, _finalize
 from txpar.workload import _META_PREFIX
 
+#: Every conflict mode, as (cadd_aware, write_cadd_conflicts).
+CADD_MODES = [(False, True), (False, False), (True, True), (True, False)]
+
 
 def _kinds(tx: Transaction, key: StorageKey) -> set[str]:
     kinds = set()
@@ -90,6 +93,7 @@ def oracle_prune(
     removal_probability,
     seed: int = 0,
     cadd_aware: bool = False,
+    write_cadd_conflicts: bool = True,
 ) -> tuple[DependencyGraph, set[tuple[int, int]]]:
     """The annotated prune: every pair of the workload carries the keys it
     conflicts on (`oracle_conflict_keys`), and a pair is prunable iff those
@@ -102,7 +106,7 @@ def oracle_prune(
     prunable = set()
     for j in range(len(txs)):
         for i in range(j):
-            causes = oracle_conflict_keys(txs[j], txs[i], cadd_aware)
+            causes = oracle_conflict_keys(txs[j], txs[i], cadd_aware, write_cadd_conflicts)
             if causes and causes <= target_keys:
                 prunable.add((j, i))
     rng = random.Random(seed)

@@ -32,6 +32,7 @@ from txpar.workload import VALUE_DEPENDENT
 
 from corpus_util import build_corpus
 from oracles import (
+    CADD_MODES,
     oracle_conflict,
     oracle_critical_weight,
     oracle_edges,
@@ -289,7 +290,6 @@ def test_graph_edgelist_format():
 # Per-key access index
 # ---------------------------------------------------------------------------
 
-CADD_MODES = [(False, True), (False, False), (True, True), (True, False)]  # (cadd_aware, write_cadd_conflicts)
 _KEYS = [StorageKey("c", f"k{i}") for i in range(5)]
 _key_sets = st.frozensets(st.sampled_from(_KEYS), max_size=3)
 _access_sets = st.builds(

@@ -30,7 +30,7 @@ from txpar import (
 
 from txpar.graph import edges_only_on
 
-from oracles import oracle_edges, oracle_prune, random_workload
+from oracles import CADD_MODES, oracle_edges, oracle_prune, random_workload
 
 
 def _sender_balance_key(w: Workload) -> StorageKey:
@@ -306,15 +306,45 @@ _prune_steps = st.tuples(st.frozensets(st.sampled_from(_POOL)), st.sampled_from(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.booleans(), st.lists(_prune_steps, min_size=2, max_size=2))
-def test_prune_matches_the_annotated_oracle(seed, cadd_aware, steps):
+@given(st.integers(0, 2**32 - 1), st.sampled_from(CADD_MODES), st.lists(_prune_steps, min_size=2, max_size=2))
+def test_prune_matches_the_annotated_oracle(seed, mode, steps):
+    cadd_aware, wcc = mode
     w = random_workload(random.Random(seed), max_n=12, key_pool=5)
-    g = expected = build_graph(w, cadd_aware)
+    g = expected = build_graph(w, cadd_aware, write_cadd_conflicts=wcc)
     for targets, p, step_seed in steps:  # the second step prunes a pruned graph
-        g = prune_edges_probabilistic(g, w, targets, p, step_seed, cadd_aware)
-        expected, prunable = oracle_prune(expected, w, targets, p, step_seed, cadd_aware)
+        g = prune_edges_probabilistic(g, w, targets, p, step_seed, cadd_aware, write_cadd_conflicts=wcc)
+        expected, prunable = oracle_prune(expected, w, targets, p, step_seed, cadd_aware, wcc)
         assert g == expected
-        assert edges_only_on(w, targets, cadd_aware) == prunable
+        assert edges_only_on(w, targets, cadd_aware, write_cadd_conflicts=wcc) == prunable
+
+
+def test_prune_follows_the_write_cadd_mode_of_the_graph():
+    from txpar import AccessSet, Transaction
+
+    # tx1's write of c meets tx0's cadd of c: a cause only while write-vs-cadd conflicts.
+    hot, c = StorageKey("c", "hot"), StorageKey("c", "c")
+    txs = (
+        Transaction(id=0, sender="a", gas=10, access=AccessSet(writes=frozenset({hot}), cadds=((c, 1),))),
+        Transaction(id=1, sender="b", gas=10, access=AccessSet(writes=frozenset({hot, c}))),
+    )
+    w = Workload(transactions=txs)
+    for wcc in (True, False):
+        g = build_graph(w, cadd_aware=True, write_cadd_conflicts=wcc)
+        assert g.edges == {(1, 0)}
+        pruned = prune_edges_probabilistic(g, w, {hot}, 1, cadd_aware=True, write_cadd_conflicts=wcc)
+        assert pruned.edges == (g.edges if wcc else frozenset())
+
+
+def test_prune_rejects_a_graph_of_another_workload():
+    w3 = gen_token_distribution(3, seed=0)
+    w5 = gen_token_distribution(5, seed=0)
+    targets = w5[0].access.touched()
+    with pytest.raises(ValidationError):
+        prune_edges_probabilistic(build_graph(w3), w5, targets, 1)
+    g = build_graph(w3)
+    other_gas = DependencyGraph(n=g.n, edges=g.edges, weights=tuple(weight + 1 for weight in g.weights))
+    with pytest.raises(ValidationError):
+        prune_edges_probabilistic(other_gas, w3, targets, 1)
 
 
 # ---------------------------------------------------------------------------
