@@ -69,6 +69,8 @@ def _is_gas(value) -> bool:
 
 
 def _is_probability(value) -> bool:
+    if type(value) is bool:  # Fraction(True) is 1
+        return False
     try:
         float(Fraction(value))
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):

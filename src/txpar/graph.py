@@ -65,19 +65,17 @@ class PathReport:
 
 
 @cache
-def _kind_conflicts(cadd_aware: bool, write_cadd_conflicts: bool) -> tuple[tuple[bool, ...], ...]:
+def _kind_conflicts(cadd_aware: bool) -> tuple[tuple[bool, ...], ...]:
     """`[later][earlier]`: whether two accesses to one key with these kind
     masks conflict. This table is the conflict rule. Plain mode treats a cadd
     as a read+write, so a pair conflicts if either side writes or cadds. In
-    cadd-aware mode a write conflicts with a read, a write and, unless
-    `write_cadd_conflicts` is False, a cadd; a cadd conflicts with a read;
-    two cadds commute."""
-    write_vs = READ | WRITE | (CADD if write_cadd_conflicts else 0)
+    cadd-aware mode a write conflicts with every access, a cadd conflicts
+    with a read, and two cadds commute."""
 
     def one_way(x: int, y: int) -> bool:  # x's access against y's, both possibly empty
         if not cadd_aware:
             return bool(x & (WRITE | CADD) and y)
-        return bool(x & WRITE and y & write_vs or x & CADD and y & READ)
+        return bool(x & WRITE and y or x & CADD and y & READ)
 
     return tuple(tuple(one_way(later, earlier) or one_way(earlier, later) for earlier in range(8)) for later in range(8))
 
@@ -87,24 +85,16 @@ def _masks(access: AccessSet) -> dict[StorageKey, int]:  # each key touched, to 
     return {key: READ * (key in reads) | WRITE * (key in writes) | CADD * (key in cadds) for key in reads | writes | cadds}
 
 
-def conflicts(
-    a: Transaction,
-    b: Transaction,
-    cadd_aware: bool = False,
-    *,
-    write_cadd_conflicts: bool = True,
-) -> bool:
+def conflicts(a: Transaction, b: Transaction, cadd_aware: bool = False) -> bool:
     """True iff the two transactions have a storage conflict.
 
     Plain mode treats commutative adds as ordinary read+write accesses. In
     cadd-aware mode a key conflicts unless both sides touch it with cadds
-    only; `write_cadd_conflicts=False` additionally exempts a plain write on
-    one side against a cadd on the other (sound under in-order commits, kept
-    behind a flag because the conservative default is the baseline).
+    only: a plain write on one side still conflicts with a cadd on the other.
     """
     if a.id == b.id:
         raise ValidationError("conflicts() requires two distinct transactions")
-    rule = _kind_conflicts(cadd_aware, write_cadd_conflicts)
+    rule = _kind_conflicts(cadd_aware)
     x, y = _masks(a.access), _masks(b.access)
     return any(rule[kind][y[key]] for key, kind in x.items() if key in y)
 
@@ -195,30 +185,23 @@ def _pairs(per_key, conflict: tuple[tuple[bool, ...], ...]) -> set[tuple[int, in
     return edges
 
 
-def build_graph(
-    workload: Workload,
-    cadd_aware: bool = False,
-    *,
-    write_cadd_conflicts: bool = True,
-) -> DependencyGraph:
+def build_graph(workload: Workload, cadd_aware: bool = False) -> DependencyGraph:
     """Build the dependency graph from the per-key access index.
 
     Produces exactly the edge set of the naive pairwise conflicts() scan
     (the normative oracle), in O(sum of per-key conflicting pairs).
     """
-    edges = _pairs(_accesses(workload).values(), _kind_conflicts(cadd_aware, write_cadd_conflicts))
+    edges = _pairs(_accesses(workload).values(), _kind_conflicts(cadd_aware))
     return DependencyGraph(n=len(workload), edges=frozenset(edges), weights=tuple(tx.gas for tx in workload))
 
 
-def edges_only_on(
-    workload: Workload, keys, cadd_aware: bool = False, *, write_cadd_conflicts: bool = True
-) -> set[tuple[int, int]]:
+def edges_only_on(workload: Workload, keys, cadd_aware: bool = False) -> set[tuple[int, int]]:
     """The (later, earlier) pairs of `build_graph` in the same mode whose two
     txs conflict on some of `keys` and on no other key. Other keys are
     searched for pairs only among the txs that touch `keys`."""
     keys = frozenset(keys)
     touched = _accesses(workload)
-    conflict = _kind_conflicts(cadd_aware, write_cadd_conflicts)
+    conflict = _kind_conflicts(cadd_aware)
     on = _pairs((touched[key] for key in keys if key in touched), conflict)
     ids = {i for key in keys for i, _ in touched.get(key, ())}
     shared = (accesses for key, accesses in touched.items() if len(accesses) > 1 and key not in keys)
@@ -226,12 +209,7 @@ def edges_only_on(
     return on - elsewhere
 
 
-def schedule_graph(
-    workload: Workload,
-    cadd_aware: bool = False,
-    *,
-    write_cadd_conflicts: bool = True,
-) -> tuple[DependencyGraph, int]:
+def schedule_graph(workload: Workload, cadd_aware: bool = False) -> tuple[DependencyGraph, int]:
     """A subgraph of `build_graph`'s edges with the same reachability, and the
     number of conflicting pairs `build_graph` would emit.
 
@@ -250,7 +228,7 @@ def schedule_graph(
     a chain, so its cost follows the number of accesses, not of pairs; the
     pairs are counted as per-tx bitsets.
     """
-    conflict = _kind_conflicts(cadd_aware, write_cadd_conflicts)
+    conflict = _kind_conflicts(cadd_aware)
     edges: set[tuple[int, int]] = set()
     earlier = [0] * len(workload)  # per tx, the earlier ids it conflicts with, as a bitset
     for accesses in _accesses(workload).values():

@@ -114,7 +114,7 @@ class SvPolicy:
         """The `from_graph(build_graph(workload, cadd_aware))` policy, built
         with no graph: each tx's highest conflicting earlier id, from one pass
         over the workload's access index (`graph.latest_conflict`)."""
-        return cls(variant="dep_graph", first_sv=latest_conflict(workload, _kind_conflicts(cadd_aware, True)))
+        return cls(variant="dep_graph", first_sv=latest_conflict(workload, _kind_conflicts(cadd_aware)))
 
     @classmethod
     def custom(cls, table: Mapping[tuple[int, int], int]) -> "SvPolicy":
@@ -468,11 +468,10 @@ def determinism_probe(
     seed: int = 0,
     *,
     cadd_aware: bool = False,
-    jitter: float = 0.5,
 ) -> ProbeReport:
     """Run both in-order schedulers `trials` times under randomized
-    completion tie-breaking and per-attempt duration jitter, collecting the
-    distinct outcome multisets of each."""
+    completion tie-breaking and per-attempt duration jitter (`JitterTiming`'s
+    default spread), collecting the distinct outcome multisets of each."""
     if trials < 2:
         raise ValidationError(f"trials must be >= 2, got {trials}")
     policy = policy if policy is not None else SvPolicy.minus_one()
@@ -480,13 +479,13 @@ def determinism_probe(
     dc_patterns: list = []
     makespans: list[int] = []
     for trial in range(trials):
-        timing = JitterTiming(seed=seed * 1_000_003 + trial, spread=jitter)
+        timing = JitterTiming(seed=seed * 1_000_003 + trial)
         da = run_occ_da(workload, threads, policy, cadd_aware, timing=timing, with_digest=False)
         makespans.append(da.makespan)
         pattern = da.outcome_multiset()
         if pattern not in da_patterns:
             da_patterns.append(pattern)
-        timing = JitterTiming(seed=seed * 1_000_003 + trial, spread=jitter)
+        timing = JitterTiming(seed=seed * 1_000_003 + trial)
         dc = run_occ_det_commit(workload, threads, cadd_aware, timing=timing, with_digest=False)
         dc_pattern = dc.abort_pattern()
         if dc_pattern not in dc_patterns:

@@ -57,10 +57,11 @@ class PartitionSpec:
 def _with_meta_note(workload: Workload, txs: tuple[Transaction, ...], note: dict, extra_tags: dict) -> Workload:
     meta = dict(workload.meta)
     if extra_tags:
-        tags = dict(meta.get("key_tags", {}))
-        tags.update(extra_tags)
-        meta["key_tags"] = tags
-    meta["transforms"] = list(meta.get("transforms", [])) + [note]
+        meta["key_tags"] = {**workload.key_tags, **extra_tags}
+    done = meta.get("transforms", [])
+    if type(done) is not list:
+        raise ValidationError(f"meta 'transforms' must be a JSON array, got {done!r}")
+    meta["transforms"] = done + [note]
     return Workload(transactions=txs, meta=meta)
 
 
@@ -178,12 +179,11 @@ def prune_edges_probabilistic(
     removal_probability,
     seed: int = 0,
     cadd_aware: bool = False,
-    *,
-    write_cadd_conflicts: bool = True,
 ) -> DependencyGraph:
     """Remove, with the given probability, each edge of `g` whose two txs
     conflict in `workload` on target keys and on no other key; every other
-    edge is kept. `g` must be the graph of `workload` in the mode given.
+    edge is kept. `g` must be the graph of `workload` in the cadd mode given:
+    in either mode a write-vs-cadd overlap on another key keeps the edge.
 
     Models the expected effect of partitioning the targets without
     rewriting the workload. Accepts the probability as a float, int, or
@@ -195,7 +195,7 @@ def prune_edges_probabilistic(
         raise ValidationError(f"removal probability must be in [0, 1], got {removal_probability}")
     if g.weights != tuple(tx.gas for tx in workload):
         raise ValidationError(f"the graph's {g.n} vertex weights are not the gas of the workload's {len(workload)} txs")
-    prunable = edges_only_on(workload, target_keys, cadd_aware, write_cadd_conflicts=write_cadd_conflicts)
+    prunable = edges_only_on(workload, target_keys, cadd_aware)
     rng = random.Random(seed)
     removed = [edge for edge in sorted(g.edges & prunable) if rng.random() < p]
     return DependencyGraph(n=g.n, edges=g.edges.difference(removed), weights=g.weights)

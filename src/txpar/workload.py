@@ -163,7 +163,10 @@ class Workload:
     @property
     def key_tags(self) -> dict:
         """Per-key rewrite tags: canonical key string -> delta or 'value-dependent'."""
-        return self.meta.get("key_tags", {})
+        tags = self.meta.get("key_tags", {})
+        if type(tags) is not dict:
+            raise ValidationError(f"meta 'key_tags' must be a JSON object, got {tags!r}")
+        return tags
 
     def serial_gas(self) -> int:
         return sum(tx.gas for tx in self.transactions)

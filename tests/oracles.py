@@ -32,8 +32,8 @@ from txpar import (
 from txpar.occsim import MODE_CLASSIC, MODE_DA, MODE_DET_COMMIT, _finalize
 from txpar.workload import _META_PREFIX
 
-#: Every conflict mode, as (cadd_aware, write_cadd_conflicts).
-CADD_MODES = [(False, True), (False, False), (True, True), (True, False)]
+#: Both conflict modes, as cadd_aware.
+CADD_MODES = [False, True]
 
 
 def _kinds(tx: Transaction, key: StorageKey) -> set[str]:
@@ -47,9 +47,7 @@ def _kinds(tx: Transaction, key: StorageKey) -> set[str]:
     return kinds
 
 
-def oracle_conflict_keys(
-    a: Transaction, b: Transaction, cadd_aware: bool = False, write_cadd_conflicts: bool = True
-) -> frozenset[StorageKey]:
+def oracle_conflict_keys(a: Transaction, b: Transaction, cadd_aware: bool = False) -> frozenset[StorageKey]:
     """The keys on which the pair conflicts, checked key by key: same storage
     entry, at least one write-like access, with the cadd-only exemption in
     cadd-aware mode."""
@@ -63,25 +61,25 @@ def oracle_conflict_keys(
                 causes.add(key)
             continue
         for x, y in ((ka, kb), (kb, ka)):
-            if "w" in x and ("r" in y or "w" in y or ("c" in y and write_cadd_conflicts)):
+            if "w" in x and ("r" in y or "w" in y or "c" in y):
                 causes.add(key)
             if "c" in x and "r" in y:
                 causes.add(key)
     return frozenset(causes)
 
 
-def oracle_conflict(a: Transaction, b: Transaction, cadd_aware: bool = False, write_cadd_conflicts: bool = True) -> bool:
+def oracle_conflict(a: Transaction, b: Transaction, cadd_aware: bool = False) -> bool:
     """Per-key conflict check: the pair conflicts iff some key causes it."""
-    return bool(oracle_conflict_keys(a, b, cadd_aware, write_cadd_conflicts))
+    return bool(oracle_conflict_keys(a, b, cadd_aware))
 
 
-def oracle_edges(workload: Workload, cadd_aware: bool = False, write_cadd_conflicts: bool = True) -> set[tuple[int, int]]:
+def oracle_edges(workload: Workload, cadd_aware: bool = False) -> set[tuple[int, int]]:
     """Normative O(n^2) pairwise scan."""
     edges = set()
     txs = list(workload)
     for j in range(len(txs)):
         for i in range(j):
-            if oracle_conflict(txs[i], txs[j], cadd_aware, write_cadd_conflicts):
+            if oracle_conflict(txs[i], txs[j], cadd_aware):
                 edges.add((j, i))
     return edges
 
@@ -93,7 +91,6 @@ def oracle_prune(
     removal_probability,
     seed: int = 0,
     cadd_aware: bool = False,
-    write_cadd_conflicts: bool = True,
 ) -> tuple[DependencyGraph, set[tuple[int, int]]]:
     """The annotated prune: every pair of the workload carries the keys it
     conflicts on (`oracle_conflict_keys`), and a pair is prunable iff those
@@ -106,7 +103,7 @@ def oracle_prune(
     prunable = set()
     for j in range(len(txs)):
         for i in range(j):
-            causes = oracle_conflict_keys(txs[j], txs[i], cadd_aware, write_cadd_conflicts)
+            causes = oracle_conflict_keys(txs[j], txs[i], cadd_aware)
             if causes and causes <= target_keys:
                 prunable.add((j, i))
     rng = random.Random(seed)

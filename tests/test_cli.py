@@ -312,6 +312,36 @@ def test_transform_step_missing_field_exits_1(tmp_path, capsys):
     assert "'split_senders' needs a 'hot_sender' field" in capsys.readouterr().err
 
 
+#: (meta field, its malformed value, command, chain step) for a trace whose meta line carries that value.
+BAD_META = {
+    "key_tags_cadd_rewrite": ("key_tags", [1], "transform", {"transform": "cadd_rewrite", "target_keys": "bottleneck"}),
+    "key_tags_partition": (
+        "key_tags", [1], "analyze", {"transform": "partition_counters", "target_keys": "bottleneck", "length": 2}
+    ),
+    "transforms_not_array": ("transforms", 5, "transform", {"transform": "cadd_rewrite", "target_keys": "bottleneck"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_META))
+def test_malformed_meta_field_exits_1_and_names_it(case, tmp_path, capsys):
+    field, value, command, step = BAD_META[case]
+    trace = tmp_path / "w.trace"
+    run(["generate", "--pattern", "defi_fee", "--n", "8", "--traders", "8", "--seed", "6", "--out", str(trace)])
+    lines = trace.read_text().splitlines(keepends=True)
+    (at,) = [i for i, line in enumerate(lines) if line.startswith("# meta ")]
+    meta = json.loads(lines[at][len("# meta ") :])
+    meta[field] = value
+    lines[at] = "# meta " + json.dumps(meta) + "\n"
+    trace.write_text("".join(lines))
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps([step]))
+    flag = "--chain" if command == "transform" else "--transforms"
+    argv = [command, "--input", str(trace), flag, str(chain), "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert f"meta {field!r} must be a JSON" in capsys.readouterr().err
+
+
 def test_malformed_config_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"threads": [4],')
@@ -324,12 +354,14 @@ def test_malformed_config_exits_1(tmp_path, capsys):
 
 SPLIT_M_ABC = {"transform": "split_senders", "hot_sender": "s", "m": "abc", "sender_balance_key": "tok:bal:s"}
 PRUNE_P_HIGH = {"transform": "prune_edges", "target_keys": "bottleneck", "p": "high"}
+PRUNE_P_TRUE = {**PRUNE_P_HIGH, "p": True}  # Fraction(True) is 1
 
 #: (argv, JSON payload, text the error must contain). In argv, "{trace}" is a
 #: small trace, "{json}" a file holding the payload and "{rows}" a bound.json.
 BAD_INPUTS = {
     "chain_m": (["analyze", "--input", "{trace}", "--transforms", "{json}"], [SPLIT_M_ABC], "'m' must be an integer"),
     "chain_p": (["bound", "--input", "{trace}", "--transforms", "{json}"], [PRUNE_P_HIGH], "'p' must be a number"),
+    "chain_p_bool": (["bound", "--input", "{trace}", "--transforms", "{json}"], [PRUNE_P_TRUE], "'p' must be a number"),
     "gen_n": (["analyze", "--gen", "{json}"], {"pattern": "payments", "n": "x"}, "generator 'n' must be an integer"),
     "gen_param": (["simulate", "--gen", "{json}"], {"pattern": "payments", "n": 4, "params": {"to": 2}}, "param 'to'"),
     "threads_flag": (["analyze", "--input", "{trace}", "--threads", "a,b"], None, "--threads must be"),

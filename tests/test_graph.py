@@ -27,12 +27,14 @@ from txpar import (
     heaviest_from,
     schedule_graph,
 )
-from txpar.graph import CADD, READ, WRITE, _accesses, _kind_conflicts, edges_only_on, latest_conflict
+from txpar.graph import CADD, READ, WRITE, _abort_rule, _accesses, _kind_conflicts, edges_only_on, latest_conflict
 from txpar.workload import VALUE_DEPENDENT
 
 from corpus_util import build_corpus
 from oracles import (
     CADD_MODES,
+    _aborting_keys,
+    _written_in_window,
     oracle_conflict,
     oracle_critical_weight,
     oracle_edges,
@@ -83,14 +85,11 @@ def test_cadd_vs_read_conflicts_in_both_modes():
     assert conflicts(b, a, cadd_aware=True) is True
 
 
-def test_write_vs_cadd_conservative_default_and_relaxed_mode():
+def test_write_vs_cadd_conflicts_in_cadd_aware_mode():
     a = _tx(0, writes={K})
     b = _tx(1, cadds=[(K, 1)])
     assert conflicts(a, b, cadd_aware=True) is True
-    assert conflicts(a, b, cadd_aware=True, write_cadd_conflicts=False) is False
-    # relaxing never affects read involvement
-    c = _tx(2, reads={K}, cadds=[(K, 1)])
-    assert conflicts(a, c, cadd_aware=True, write_cadd_conflicts=False) is True
+    assert conflicts(b, a, cadd_aware=True) is True
 
 
 def test_conflicts_rejects_same_id():
@@ -173,14 +172,8 @@ def test_build_graph_matches_pairwise_oracle():
     rng = random.Random(20240)
     for trial in range(120):
         w = random_workload(rng, max_n=20)
-        for cadd_aware in (False, True):
-            assert build_graph(w, cadd_aware).edges == frozenset(oracle_edges(w, cadd_aware)), (
-                trial,
-                cadd_aware,
-            )
-        assert build_graph(w, True, write_cadd_conflicts=False).edges == frozenset(
-            oracle_edges(w, True, write_cadd_conflicts=False)
-        )
+        for cadd_aware in CADD_MODES:
+            assert build_graph(w, cadd_aware).edges == frozenset(oracle_edges(w, cadd_aware)), (trial, cadd_aware)
 
 
 def test_build_graph_matches_oracle_on_wider_instances():
@@ -304,10 +297,27 @@ _access_sets = st.builds(
 @given(_access_sets, _access_sets)
 def test_conflicts_matches_the_per_key_oracle(x, y):
     a, b = Transaction(id=0, sender="a", gas=1, access=x), Transaction(id=1, sender="b", gas=1, access=y)
-    for cadd_aware, wcc in CADD_MODES:
-        expected = oracle_conflict(a, b, cadd_aware, wcc)
-        assert conflicts(a, b, cadd_aware, write_cadd_conflicts=wcc) == expected, (cadd_aware, wcc)
-        assert conflicts(b, a, cadd_aware, write_cadd_conflicts=wcc) == expected, (cadd_aware, wcc)
+    for cadd_aware in CADD_MODES:
+        expected = oracle_conflict(a, b, cadd_aware)
+        assert conflicts(a, b, cadd_aware) == expected, cadd_aware
+        assert conflicts(b, a, cadd_aware) == expected, cadd_aware
+
+
+def _one_key_tx(i, mask):
+    """A tx touching only K, with the accesses of kind mask `mask`."""
+    return _tx(i, reads={K} if mask & READ else (), writes={K} if mask & WRITE else (), cadds=[(K, 1)] if mask & CADD else ())
+
+
+@pytest.mark.parametrize("cadd_aware", CADD_MODES)
+def test_kind_tables_match_the_oracles_on_every_pair_of_masks(cadd_aware):
+    conflict, abort = _kind_conflicts(cadd_aware), _abort_rule(cadd_aware)
+    for later in range(1, 8):
+        for earlier in range(1, 8):
+            a, b = _one_key_tx(0, earlier), _one_key_tx(1, later)
+            assert conflict[later][earlier] == oracle_conflict(b, a, cadd_aware), (later, earlier)
+            # b aborts on a commit of a inside its window (-1, 1)
+            aborts = _written_in_window(Workload(transactions=(a, b)), _aborting_keys(b, cadd_aware), -1, 1)
+            assert abort[later][earlier] == aborts, (later, earlier)
 
 
 def test_key_index_matches_the_access_sets():
@@ -363,17 +373,17 @@ def _max_predecessor(g):
 
 
 def _assert_schedule_graph_matches(w):
-    for cadd_aware, wcc in CADD_MODES:
-        full = build_graph(w, cadd_aware, write_cadd_conflicts=wcc)
-        compact, pairs = schedule_graph(w, cadd_aware, write_cadd_conflicts=wcc)
-        assert compact.edges <= full.edges, (cadd_aware, wcc)
-        assert _reachable(compact) == _reachable(full), (cadd_aware, wcc)
-        assert _max_predecessor(compact) == _max_predecessor(full), (cadd_aware, wcc)
-        assert latest_conflict(w, _kind_conflicts(cadd_aware, wcc)) == _max_predecessor(full), (cadd_aware, wcc)
-        assert critical_path(compact) == critical_path(full), (cadd_aware, wcc)
+    for cadd_aware in CADD_MODES:
+        full = build_graph(w, cadd_aware)
+        compact, pairs = schedule_graph(w, cadd_aware)
+        assert compact.edges <= full.edges, cadd_aware
+        assert _reachable(compact) == _reachable(full), cadd_aware
+        assert _max_predecessor(compact) == _max_predecessor(full), cadd_aware
+        assert latest_conflict(w, _kind_conflicts(cadd_aware)) == _max_predecessor(full), cadd_aware
+        assert critical_path(compact) == critical_path(full), cadd_aware
         for threads in (1, 2, 3, 8):
-            assert bound_schedule(compact, threads) == bound_schedule(full, threads), (cadd_aware, wcc, threads)
-        assert pairs == len(full.edges), (cadd_aware, wcc)
+            assert bound_schedule(compact, threads) == bound_schedule(full, threads), (cadd_aware, threads)
+        assert pairs == len(full.edges), cadd_aware
 
 
 weighted_workloads = st.lists(st.tuples(_access_sets, st.integers(1, 6)), min_size=1, max_size=16).map(
