@@ -31,16 +31,22 @@ class DependencyGraph:
     _dependents: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset((int(j), int(i)) for j, i in self.edges))
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if len(self.weights) != self.n:
-            raise ValidationError(f"expected {self.n} weights, got {len(self.weights)}")
+        # Exact ints only: a float, string or bool is refused, never coerced.
+        if type(self.edges) is not frozenset:
+            object.__setattr__(self, "edges", frozenset(self.edges))
+        if type(self.weights) is not tuple:
+            object.__setattr__(self, "weights", tuple(self.weights))
+        n = self.n
+        if type(n) is not int:
+            raise ValidationError(f"vertex count must be an integer, got {n!r}")
+        if len(self.weights) != n:
+            raise ValidationError(f"expected {n} weights, got {len(self.weights)}")
         for w in self.weights:
-            if w < 1:
-                raise ValidationError(f"vertex weights must be positive, got {w}")
+            if type(w) is not int or w < 1:
+                raise ValidationError(f"vertex weights must be positive integers, got {w!r}")
         for j, i in self.edges:
-            if not 0 <= i < j < self.n:
-                raise ValidationError(f"edge ({j},{i}) must point from a later id to an earlier id")
+            if type(j) is not int or type(i) is not int or not 0 <= i < j < n:
+                raise ValidationError(f"edge ({j!r},{i!r}) must point from a later integer id to an earlier one")
 
     @property
     def total_weight(self) -> int:
@@ -308,19 +314,9 @@ def graph_to_json_dict(g: DependencyGraph) -> dict:
     }
 
 
-def _json_int(value) -> int:
-    if type(value) is not int:  # a float, string or bool would be coerced silently
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
-
-
 def graph_from_json_dict(data: dict) -> DependencyGraph:
     try:
-        return DependencyGraph(
-            n=_json_int(data["n"]),
-            edges=frozenset((_json_int(j), _json_int(i)) for j, i in data["edges"]),
-            weights=tuple(_json_int(w) for w in data["weights"]),
-        )
+        return DependencyGraph(n=data["n"], edges=frozenset((j, i) for j, i in data["edges"]), weights=data["weights"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed graph JSON: {exc}") from None
 

@@ -139,34 +139,28 @@ class SvPolicy:
 
 
 class Timing:
-    """Virtual execution timing. The default is pure gas: an attempt takes
+    """Virtual execution timing. The engines call `draw` once per execution
+    attempt, at dispatch, for the attempt's duration (an integer >= 1) and
+    its completion tie-break key. The default is pure gas: an attempt takes
     exactly its transaction's gas, and completion ties break by tx id."""
 
-    def duration(self, tx_id: int, attempt: int, gas: int) -> int:
-        return gas
-
-    def tiebreak(self, tx_id: int, attempt: int):
-        return tx_id
+    def draw(self, tx_id: int, attempt: int, gas: int) -> tuple[int, object]:
+        return gas, tx_id
 
 
 class JitterTiming(Timing):
-    """Seeded per-attempt duration jitter within +/- `spread` of the gas
-    cost, with randomized completion tie-breaking. Simulates nodes whose
-    wall-clock speeds diverge from the gas estimate."""
+    """Seeded per-attempt timing noise: an attempt takes its gas times a
+    factor drawn uniformly from [0.5, 1.5), rounded, at least 1, and its
+    completion tie is a second draw. Simulates nodes whose wall-clock speeds
+    diverge from the gas estimate."""
 
-    def __init__(self, seed: int, spread: float = 0.5):
-        if not 0 <= spread < 1:
-            raise ValidationError(f"jitter spread must be in [0, 1), got {spread}")
+    def __init__(self, seed: int):
         self._random = random.Random(seed).random
-        # `duration` computes `Random.uniform(-spread, spread)` inline: same floats.
-        self._low = -spread
-        self._width = spread - self._low
 
-    def duration(self, tx_id: int, attempt: int, gas: int) -> int:
-        return max(1, round(gas * (1.0 + (self._low + self._width * self._random()))))
-
-    def tiebreak(self, tx_id: int, attempt: int):
-        return self._random()
+    def draw(self, tx_id: int, attempt: int, gas: int) -> tuple[int, float]:
+        r = self._random
+        # `Random.uniform(-0.5, 0.5)`'s expression, inline: the same floats.
+        return max(1, round(gas * (1.0 + (-0.5 + 1.0 * r())))), r()
 
 
 class FixedTiming(Timing):
@@ -175,9 +169,12 @@ class FixedTiming(Timing):
 
     def __init__(self, durations: Mapping[int, int]):
         self._durations = dict(durations)
+        for tx_id, duration in self._durations.items():
+            if type(duration) is not int or duration < 1:
+                raise ValidationError(f"tx {tx_id}: a fixed duration must be an integer >= 1, got {duration!r}")
 
-    def duration(self, tx_id: int, attempt: int, gas: int) -> int:
-        return self._durations.get(tx_id, gas)
+    def draw(self, tx_id: int, attempt: int, gas: int) -> tuple[int, int]:
+        return self._durations.get(tx_id, gas), tx_id
 
 
 def _finalize(
@@ -243,7 +240,7 @@ def _run_in_order(
     gas = [tx.gas for tx in workload]
     attempt_no = [0] * n
     heappush, heappop = heapq.heappush, heapq.heappop
-    duration_of, tiebreak = timing.duration, timing.tiebreak
+    draw = timing.draw
     new_attempt = tuple.__new__
     storage_version = policy.storage_version if policy is not None else None
 
@@ -294,10 +291,10 @@ def _run_in_order(
             if storage_version is None:
                 sv = next_commit - 1
             att = attempt_no[tx_id]
-            duration = duration_of(tx_id, att, gas[tx_id])
+            duration, tie = draw(tx_id, att, gas[tx_id])
             if duration < 1:
                 raise ValidationError(f"timing gave tx {tx_id} attempt {att} duration {duration}; it must be >= 1")
-            heappush(pool, (clock + duration, tiebreak(tx_id, att), tx_id, sv, clock))
+            heappush(pool, (clock + duration, tie, tx_id, sv, clock))
 
         # The next tx to commit is always admissible, so an empty pool is a stall.
         if not pool:
@@ -469,9 +466,10 @@ def determinism_probe(
     *,
     cadd_aware: bool = False,
 ) -> ProbeReport:
-    """Run both in-order schedulers `trials` times under randomized
-    completion tie-breaking and per-attempt duration jitter (`JitterTiming`'s
-    default spread), collecting the distinct outcome multisets of each."""
+    """Run both in-order schedulers `trials` times under `JitterTiming`
+    (per-attempt duration jitter and randomized completion ties), collecting
+    the distinct outcome multisets of each. Trial `t` seeds its timing with
+    `seed * 1_000_003 + t`, the same for both schedulers."""
     if trials < 2:
         raise ValidationError(f"trials must be >= 2, got {trials}")
     policy = policy if policy is not None else SvPolicy.minus_one()

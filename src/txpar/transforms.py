@@ -159,7 +159,7 @@ def partition_counters(workload: Workload, spec: PartitionSpec) -> Workload:
 
     extra_tags = {}
     for key in spec.target_keys:
-        tag = workload.key_tags.get(str(key))
+        tag = tags.get(str(key))
         if tag is not None:
             for j in range(spec.length):
                 extra_tags[str(sub_counter_key(key, j))] = tag
@@ -228,8 +228,7 @@ def cadd_rewrite(workload: Workload, target_keys: frozenset[StorageKey] | set[St
         writes = set(tx.access.writes)
         cadds = list(tx.access.cadds)
         for key in sorted(rmw):
-            tag = tags.get(str(key))
-            delta = tag if isinstance(tag, int) else 1
+            delta = tags.get(str(key), 1)
             reads.discard(key)
             writes.discard(key)
             cadds.append((key, delta))

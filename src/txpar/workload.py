@@ -162,10 +162,13 @@ class Workload:
 
     @property
     def key_tags(self) -> dict:
-        """Per-key rewrite tags: canonical key string -> delta or 'value-dependent'."""
+        """Per-key rewrite tags: canonical key string -> integer delta or 'value-dependent'."""
         tags = self.meta.get("key_tags", {})
         if type(tags) is not dict:
             raise ValidationError(f"meta 'key_tags' must be a JSON object, got {tags!r}")
+        for key, tag in tags.items():
+            if type(tag) is not int and tag != VALUE_DEPENDENT:
+                raise ValidationError(f"meta 'key_tags': key {key!r} has tag {tag!r}, not an integer or {VALUE_DEPENDENT!r}")
         return tags
 
     def serial_gas(self) -> int:

@@ -287,10 +287,10 @@ def oracle_run_in_order(
             tx_id = heapq.heappop(ready)
             att = attempt_no[tx_id]
             sv = policy.storage_version(tx_id, att) if policy is not None else next_commit - 1
-            duration = timing.duration(tx_id, att, workload[tx_id].gas)
+            duration, tie = timing.draw(tx_id, att, workload[tx_id].gas)
             if duration < 1:
                 raise ValidationError(f"timing gave tx {tx_id} attempt {att} duration {duration}")
-            heapq.heappush(pool, (clock + duration, timing.tiebreak(tx_id, att), tx_id, sv, clock))
+            heapq.heappush(pool, (clock + duration, tie, tx_id, sv, clock))
 
         if not pool and not commit_queue:
             raise InvariantViolation("scheduler stalled with uncommitted transactions")

@@ -312,24 +312,32 @@ def test_transform_step_missing_field_exits_1(tmp_path, capsys):
     assert "'split_senders' needs a 'hot_sender' field" in capsys.readouterr().err
 
 
-#: (meta field, its malformed value, command, chain step) for a trace whose meta line carries that value.
+CADD_REWRITE = {"transform": "cadd_rewrite", "target_keys": "bottleneck"}
+PARTITION = {"transform": "partition_counters", "target_keys": "bottleneck", "length": 2}
+#: The defi_fee trace's bottleneck key: its fee account.
+FEE_KEY = "dex38132760:feeBalance"
+
+#: (meta field, its malformed value, command, chain step, text the error must contain) for a trace whose meta
+#: line carries that value.
 BAD_META = {
-    "key_tags_cadd_rewrite": ("key_tags", [1], "transform", {"transform": "cadd_rewrite", "target_keys": "bottleneck"}),
-    "key_tags_partition": (
-        "key_tags", [1], "analyze", {"transform": "partition_counters", "target_keys": "bottleneck", "length": 2}
-    ),
-    "transforms_not_array": ("transforms", 5, "transform", {"transform": "cadd_rewrite", "target_keys": "bottleneck"}),
+    "key_tags_cadd_rewrite": ("key_tags", [1], "transform", CADD_REWRITE, "meta 'key_tags' must be a JSON"),
+    "key_tags_partition": ("key_tags", [1], "analyze", PARTITION, "meta 'key_tags' must be a JSON"),
+    "transforms_not_array": ("transforms", 5, "transform", CADD_REWRITE, "meta 'transforms' must be a JSON"),
 }
+for _name, _tag in {"bool": True, "float": 2.5, "string": "x", "list": [1], "null": None}.items():
+    BAD_META[f"key_tag_{_name}_cadd_rewrite"] = ("key_tags", {FEE_KEY: _tag}, "transform", CADD_REWRITE, repr(FEE_KEY))
+    BAD_META[f"key_tag_{_name}_partition"] = ("key_tags", {FEE_KEY: _tag}, "analyze", PARTITION, repr(FEE_KEY))
 
 
 @pytest.mark.parametrize("case", sorted(BAD_META))
 def test_malformed_meta_field_exits_1_and_names_it(case, tmp_path, capsys):
-    field, value, command, step = BAD_META[case]
+    field, value, command, step, message = BAD_META[case]
     trace = tmp_path / "w.trace"
     run(["generate", "--pattern", "defi_fee", "--n", "8", "--traders", "8", "--seed", "6", "--out", str(trace)])
     lines = trace.read_text().splitlines(keepends=True)
     (at,) = [i for i, line in enumerate(lines) if line.startswith("# meta ")]
     meta = json.loads(lines[at][len("# meta ") :])
+    assert FEE_KEY in meta["bottleneck_keys"]
     meta[field] = value
     lines[at] = "# meta " + json.dumps(meta) + "\n"
     trace.write_text("".join(lines))
@@ -339,7 +347,7 @@ def test_malformed_meta_field_exits_1_and_names_it(case, tmp_path, capsys):
     argv = [command, "--input", str(trace), flag, str(chain), "--out", str(tmp_path / "out")]
     capsys.readouterr()
     assert run(argv) == 1
-    assert f"meta {field!r} must be a JSON" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_malformed_config_exits_1(tmp_path, capsys):

@@ -129,6 +129,34 @@ def test_edge_orientation_validated():
         DependencyGraph(n=3, edges=frozenset({(0, 2)}), weights=(1, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "n, edges, weights",
+    [
+        (2, {(1.7, 0)}, (3, 1)),
+        (2, {(1, 0.0)}, (3, 1)),
+        (2, {("1", 0)}, (3, 1)),
+        (2, {(1, False)}, (3, 1)),
+        (2, {(1, 0)}, (3.9, 1)),
+        (2, {(1, 0)}, (3, True)),
+        (2, {(1, 0)}, ("3", 1)),
+        (2.0, {(1, 0)}, (3, 1)),
+        (True, set(), (3,)),
+    ],
+)
+def test_constructor_refuses_non_integer_ids_and_weights(n, edges, weights):
+    with pytest.raises(ValidationError):
+        DependencyGraph(n=n, edges=edges, weights=weights)
+
+
+def test_constructor_keeps_frozen_inputs_and_freezes_the_rest():
+    edges, weights = frozenset({(1, 0)}), (3, 1)
+    g = DependencyGraph(n=2, edges=edges, weights=weights)
+    assert g.edges is edges and g.weights is weights
+    g = DependencyGraph(n=2, edges={(1, 0)}, weights=[3, 1])
+    assert (g.edges, g.weights) == (edges, weights)
+    assert (type(g.edges), type(g.weights)) == (frozenset, tuple)
+
+
 def test_critical_path_no_edges_max_vertex():
     g = DependencyGraph(n=3, edges=frozenset(), weights=(5, 7, 3))
     report = critical_path(g)

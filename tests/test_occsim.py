@@ -217,13 +217,55 @@ def test_key_index_window_check_matches_naive_scan():
                     assert (latest[tx.id] > sv) == naive
 
 
+class _ConstantTiming(Timing):
+    """A user's timing that gives every attempt `duration`, valid or not."""
+
+    def __init__(self, duration):
+        self.duration = duration
+
+    def draw(self, tx_id, attempt, gas):
+        return self.duration, tx_id
+
+
 @pytest.mark.parametrize("duration", [0, -100])
 def test_engines_reject_non_positive_durations(duration):
     w = four_tx_example()
-    with pytest.raises(ValidationError):
-        run_occ_da(w, 2, timing=FixedTiming({0: duration}), with_digest=False)
-    with pytest.raises(ValidationError):
-        run_occ_det_commit(w, 2, timing=FixedTiming({3: duration}), with_digest=False)
+    with pytest.raises(ValidationError, match="duration"):
+        run_occ_da(w, 2, timing=_ConstantTiming(duration), with_digest=False)
+    with pytest.raises(ValidationError, match="duration"):
+        run_occ_det_commit(w, 2, timing=_ConstantTiming(duration), with_digest=False)
+
+
+@pytest.mark.parametrize("duration", [0, -100, 2.5, True, "3", None])
+def test_fixed_timing_rejects_a_duration_that_is_not_a_positive_integer(duration):
+    with pytest.raises(ValidationError, match="tx 3"):
+        FixedTiming({0: 2, 3: duration})
+
+
+class _CountingTiming(Timing):
+    """Pure-gas timing that counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def draw(self, tx_id, attempt, gas):
+        self.calls += 1
+        return gas, tx_id
+
+
+def test_engines_draw_the_timing_once_per_attempt():
+    w = gen_token_distribution(40, senders=1, seed=3)
+    retries = 0
+    for threads in (1, 4, 32):
+        for policy in (SvPolicy.minus_one(), SvPolicy.from_workload(w), None):
+            timing = _CountingTiming()
+            if policy is None:
+                result = run_occ_det_commit(w, threads, timing=timing, with_digest=False)
+            else:
+                result = run_occ_da(w, threads, policy, timing=timing, with_digest=False)
+            assert timing.calls == len(result.attempts), (policy and policy.variant, threads)
+            retries += len(result.attempts) - len(w)
+    assert retries > 0  # retried attempts draw too
 
 
 def test_in_order_engines_reuse_a_key_index_of_the_same_workload():
@@ -442,14 +484,13 @@ def test_probe_equals_the_closed_form_occ_da_outcomes():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7_000_021, 2**40 + 3])
-@pytest.mark.parametrize("spread", [0.0, 0.1, 0.5, 0.99])
-def test_jitter_draws_match_random_uniform(seed, spread):
-    timing = JitterTiming(seed, spread)
+def test_jitter_draws_match_random_uniform(seed):
+    timing = JitterTiming(seed)
     r = random.Random(seed)
     for step in range(200):
         gas = 1 + 997 * step
-        expected = (max(1, round(gas * (1.0 + r.uniform(-spread, spread)))), r.random())
-        assert (timing.duration(step, 0, gas), timing.tiebreak(step, 0)) == expected
+        expected = (max(1, round(gas * (1.0 + r.uniform(-0.5, 0.5)))), r.random())
+        assert timing.draw(step, 0, gas) == expected
 
 
 # ---------------------------------------------------------------------------
