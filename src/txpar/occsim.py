@@ -29,7 +29,9 @@ from typing import Mapping, NamedTuple
 
 from .errors import InvariantViolation, ValidationError
 from .graph import DependencyGraph, _kind_conflicts, latest_conflict, latest_writer
-from .storagevm import replay_final_state
+# `replay_final_state` is imported for bench/tracing.py, which wraps it here
+# by that name; `_finalize` calls it only through `_replay_digest`'s fallback.
+from .storagevm import _replay_digest, replay_final_state  # noqa: F401
 from .workload import StorageKey, Workload
 
 MODE_CLASSIC = "occ-classic"
@@ -203,7 +205,7 @@ def _finalize(
         digest=None,
     )
     if with_digest:
-        result = replace(result, digest=replay_final_state(workload, result).digest())
+        result = replace(result, digest=_replay_digest(workload, result))
     return result
 
 

@@ -14,6 +14,14 @@ replay plan (sorted reads and writes, commutative adds folded per key), and
 one loop executes the plan against a versioned store.
 The plan and the serial digest are memoized on the workload object, by
 identity. Tests compare the plan with the interpreter, state for state.
+
+A deterministic run that observed only serial versions need not be
+replayed. The plan's version floors give, per tx, the newest serial version
+among the keys it reads; an attempt whose storage version is at or above its
+floor saw what serial execution sees, so if every attempt passes, the run
+ends in the serial state. `replay_check` and the engines' digests take that
+proof and fall back to the full replay on the first attempt that fails it,
+so their answers are the replay's.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import ge
 from typing import TYPE_CHECKING
 
 from .errors import InvariantViolation, ValidationError
@@ -200,10 +209,13 @@ class _ReplayPlan:
     total delta) per key, without the keys the tx also writes, whose pending
     adds its stores erase. Key texts are not stored: formatting them per
     replay is cheap, and storing them would double the plan's memory.
-    `serial_digest` memoizes `run_serial`.
+    `serial_digest` memoizes `run_serial`, and `floors` memoizes
+    `_version_floors`: n ints, built on first use by `_replay_digest`. The
+    floors come from the plan, not from `graph`'s access index, so the proof
+    stays independent of the engines' abort table.
     """
 
-    __slots__ = ("txs", "serial_digest")
+    __slots__ = ("txs", "serial_digest", "floors")
 
     def __init__(self, workload: Workload):
         self.txs = []
@@ -222,6 +234,7 @@ class _ReplayPlan:
                 reads = tuple(sorted(access.reads))
             self.txs.append((tx.id, reads, writes, tuple(cadds.items())))
         self.serial_digest: str | None = None
+        self.floors: list[int] | None = None
 
 
 def _plan(workload: Workload) -> _ReplayPlan:
@@ -230,6 +243,26 @@ def _plan(workload: Workload) -> _ReplayPlan:
     if plan is None:
         plan = workload._memo["replay_plan"] = _ReplayPlan(workload)
     return plan
+
+
+def _version_floors(txs) -> list[int]:
+    """Per plan entry, the newest serial version among its read keys: the
+    highest lower id that writes or cadds one of them, or -1. Non-writers
+    keep no reads, so their floor is -1."""
+    last: dict[StorageKey, int] = {}
+    floors = []
+    for tx_id, reads, writes, cadds in txs:
+        floor = -1
+        for key in reads:
+            version = last.get(key, -1)
+            if version > floor:
+                floor = version
+        floors.append(floor)
+        for key in writes:
+            last[key] = tx_id
+        for key, _ in cadds:
+            last[key] = tx_id
+    return floors
 
 
 def _replay(schedule) -> StorageState:
@@ -286,6 +319,31 @@ def run_serial(workload: Workload) -> str:
     return plan.serial_digest
 
 
+def _deterministic_svs(workload: Workload, result: "OccRunResult") -> list[int] | None:
+    """Validate a run's attempts and return each tx's committed storage
+    version in id order, or None for a classic run, whose commit order is
+    validated instead."""
+    n = len(workload)
+    committed = [a for a in result.attempts if a.outcome == "committed"]
+    for attempt in result.attempts:
+        if not 0 <= attempt.tx_id < n:
+            raise ValidationError(f"attempt references unknown tx {attempt.tx_id}")
+
+    if result.mode == "occ-classic":
+        if sorted(result.committed_order) != list(range(n)):
+            raise ValidationError("classic run must commit every tx exactly once")
+        return None
+
+    by_id = {a.tx_id: a for a in committed}
+    if sorted(by_id) != list(range(n)) or len(committed) != n:
+        raise ValidationError("deterministic run must commit every tx exactly once")
+    svs = [by_id[tx_id].sv for tx_id in range(n)]
+    for tx_id, sv in enumerate(svs):
+        if not -1 <= sv < tx_id:
+            raise ValidationError(f"tx {tx_id}: storage version {sv} outside [-1, {tx_id - 1}]")
+    return svs
+
+
 def replay_final_state(workload: Workload, result: "OccRunResult") -> StorageState:
     """Re-execute the committed attempts of an OCC run.
 
@@ -295,29 +353,30 @@ def replay_final_state(workload: Workload, result: "OccRunResult") -> StorageSta
     its achieved commit order, which is the serialization its validation
     rule guarantees.
     """
-    n = len(workload)
-    committed = [a for a in result.attempts if a.outcome == "committed"]
-    for attempt in result.attempts:
-        if not 0 <= attempt.tx_id < n:
-            raise ValidationError(f"attempt references unknown tx {attempt.tx_id}")
-
+    svs = _deterministic_svs(workload, result)
     txs = _plan(workload).txs
-    if result.mode == "occ-classic":
-        if sorted(result.committed_order) != list(range(n)):
-            raise ValidationError("classic run must commit every tx exactly once")
+    if svs is None:
         return _replay((txs[tx_id], position - 1, position) for position, tx_id in enumerate(result.committed_order))
+    return _replay(zip(txs, svs, range(len(txs))))
 
-    by_id = {a.tx_id: a for a in committed}
-    if sorted(by_id) != list(range(n)) or len(committed) != n:
-        raise ValidationError("deterministic run must commit every tx exactly once")
-    svs = [by_id[tx_id].sv for tx_id in range(n)]
-    for tx_id, sv in enumerate(svs):
-        if not -1 <= sv < tx_id:
-            raise ValidationError(f"tx {tx_id}: storage version {sv} outside [-1, {tx_id - 1}]")
-    return _replay(zip(txs, svs, range(n)))
+
+def _replay_digest(workload: Workload, result: "OccRunResult") -> str:
+    """`replay_final_state(workload, result).digest()`, validated the same
+    way. A deterministic run whose every storage version is at or above its
+    tx's version floor observed only serial (value, version) pairs, so by
+    induction on the id it ends in the serial state and its digest is
+    `run_serial`'s. Any other run is replayed."""
+    if result.mode != "occ-classic":
+        svs = _deterministic_svs(workload, result)
+        plan = _plan(workload)
+        if plan.floors is None:
+            plan.floors = _version_floors(plan.txs)
+        if all(map(ge, svs, plan.floors)):
+            return run_serial(workload)
+    return replay_final_state(workload, result).digest()
 
 
 def replay_check(workload: Workload, result: "OccRunResult") -> bool:
     """True iff replaying the run's committed attempts reproduces the fully
     serial execution digest."""
-    return replay_final_state(workload, result).digest() == run_serial(workload)
+    return _replay_digest(workload, result) == run_serial(workload)

@@ -105,10 +105,10 @@ class Transaction:
     access: AccessSet = AccessSet()
 
     def __post_init__(self):
-        if self.id < 0:
-            raise ValidationError(f"transaction id must be >= 0, got {self.id}")
-        if self.gas < 1:
-            raise ValidationError(f"tx {self.id}: gas must be >= 1, got {self.gas}")
+        if type(self.id) is not int or self.id < 0:
+            raise ValidationError(f"transaction id must be an integer >= 0, got {self.id!r}")
+        if type(self.gas) is not int or self.gas < 1:
+            raise ValidationError(f"tx {self.id}: gas must be an integer >= 1, got {self.gas!r}")
 
 
 @dataclass(frozen=True)

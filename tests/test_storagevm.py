@@ -1,5 +1,6 @@
 """Versioned storage engine and serial-oracle tests."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -12,9 +13,11 @@ from txpar import (
     AccessSet,
     ExecAttempt,
     InvariantViolation,
+    JitterTiming,
     OccRunResult,
     StorageKey,
     StorageState,
+    SvPolicy,
     Transaction,
     TxVm,
     ValidationError,
@@ -393,3 +396,107 @@ def test_serial_digest_is_memoized_per_object(monkeypatch):
     # An equal but distinct object keeps its own memo and executes once.
     assert run_serial(w2) == expected
     assert len(executed) == 2 and executed[1] is w2
+
+    # The version floors follow the plan: once per object, and a `replace`
+    # copy, whose memo starts empty, builds its own.
+    built = []
+    floors = storagevm._version_floors
+    monkeypatch.setattr(storagevm, "_version_floors", lambda txs: built.append(txs) or floors(txs))
+    result = run_occ_da(w1, 4, with_digest=False)
+    assert replay_check(w1, result) and replay_check(w1, result)
+    assert built == [storagevm._plan(w1).txs]
+    w3 = dataclasses.replace(w1)
+    assert replay_check(w3, result)
+    assert len(built) == 2 and built[1] is storagevm._plan(w3).txs
+    assert storagevm._plan(w3).floors == storagevm._plan(w1).floors
+
+
+# ---------------------------------------------------------------------------
+# `_replay_digest`: the version-floor proof against the full replay
+# ---------------------------------------------------------------------------
+
+
+def _full_replay_digest(workload, svs):
+    """The digest of replaying every attempt, without the floor proof."""
+    return storagevm._replay(zip(storagevm._plan(workload).txs, svs, range(len(workload)))).digest()
+
+
+def _assert_floor_digest_matches_replay(workload, svs):
+    for mode in ("occ-da", "occ-det-commit"):
+        run = _committed_run(workload, mode, svs=svs)
+        assert storagevm._replay_digest(workload, run) == _full_replay_digest(workload, svs), (mode, svs)
+
+
+def test_floor_counts_cadd_versions_and_read_keys_the_tx_writes():
+    # tx0 cadds K; tx1 reads K and writes L; tx2 reads and writes L. A stale
+    # tx1 misses a cadd version, a stale tx2 a key it also writes.
+    w = Workload(
+        transactions=(
+            _tx(0, cadds=[(K, 3)]),
+            _tx(1, reads={K}, writes={L}),
+            _tx(2, reads={L}, writes={L}),
+        )
+    )
+    assert storagevm._version_floors(storagevm._plan(w).txs) == [-1, 0, 1]
+    for svs in ([-1, 0, 1], [-1, -1, 1], [-1, 0, 0], [-1, -1, -1]):
+        _assert_floor_digest_matches_replay(w, svs)
+    assert replay_check(w, _committed_run(w, "occ-da", svs=[-1, 0, 1]))
+    assert not replay_check(w, _committed_run(w, "occ-da", svs=[-1, -1, 1]))
+    assert not replay_check(w, _committed_run(w, "occ-da", svs=[-1, 0, 0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_replay_digest_matches_full_replay(data):
+    # Arbitrary storage versions, so most runs diverge from serial; keys land
+    # in one tx's cadds and a later tx's reads, and in a tx's reads and writes.
+    accesses = data.draw(st.lists(_accesses, max_size=12))
+    w = Workload(transactions=tuple(Transaction(i, "s", 1, a) for i, a in enumerate(accesses)))
+    svs = [data.draw(st.integers(-1, i - 1)) for i in range(len(w))]
+    _assert_floor_digest_matches_replay(w, svs)
+
+
+def _corpus_variants(count):
+    for w in build_corpus(count):
+        yield w
+        for key in w.meta.get("bottleneck_keys", []):
+            if w.key_tags.get(key) != VALUE_DEPENDENT:
+                yield cadd_rewrite(w, {StorageKey.parse(key)})
+
+
+def test_replay_digest_matches_full_replay_on_corpus_and_cadd_variants():
+    rng = random.Random(16)
+    for v in _corpus_variants(20):
+        n = len(v)
+        _assert_floor_digest_matches_replay(v, [rng.randint(-1, i - 1) for i in range(n)])
+        # Stale by one version on a random tx that reads: these mostly diverge.
+        _assert_floor_digest_matches_replay(v, [max(-1, i - 2) if rng.random() < 0.2 else i - 1 for i in range(n)])
+        for cadd_aware in (False, True):
+            for result in (run_occ_da(v, 8, cadd_aware=cadd_aware), run_occ_det_commit(v, 8, cadd_aware)):
+                svs = [a.sv for a in sorted(a for a in result.attempts if a.outcome == "committed")]
+                assert result.digest == _full_replay_digest(v, svs) == run_serial(v), result.mode
+
+
+def test_correct_deterministic_runs_never_replay(monkeypatch):
+    # A check that is too strict only falls back, and the fallback keeps every
+    # digest equal; so correct runs must take the proof, never the replay.
+    variants = list(_corpus_variants(20))
+    for v in variants:
+        run_serial(v)
+
+    def replay(workload, result):
+        raise AssertionError(f"{result.mode} run fell back to the full replay")
+
+    monkeypatch.setattr(storagevm, "replay_final_state", replay)
+    for index, v in enumerate(variants):
+        for cadd_aware in (False, True):
+            runs = [
+                run_occ_da(v, 8, SvPolicy.minus_one(), cadd_aware),
+                run_occ_da(v, 8, SvPolicy.from_workload(v, cadd_aware), cadd_aware),
+                run_occ_da(v, 3, SvPolicy.from_workload(v, cadd_aware), cadd_aware, timing=JitterTiming(index)),
+                run_occ_det_commit(v, 8, cadd_aware),
+                run_occ_det_commit(v, 3, cadd_aware, timing=JitterTiming(index)),
+            ]
+            for result in runs:
+                assert result.digest == run_serial(v), result.mode
+                assert replay_check(v, result), result.mode

@@ -341,3 +341,12 @@ def test_random_trace_order_without_ids_is_line_order():
     rng.shuffle(lines)
     w = parse_trace("\n".join(lines))
     assert [tx.sender for tx in w] == [l.split('"')[3] for l in lines]
+
+
+@pytest.mark.parametrize("field", ["id", "gas"])
+@pytest.mark.parametrize("value", [2.5, 1.0, True])
+def test_transaction_requires_exact_int_id_and_gas(field, value):
+    # A float or bool id or gas would run through the engines as time units.
+    fields = {"id": 1, "sender": "a", "gas": 5, field: value}
+    with pytest.raises(ValidationError, match=field):
+        Transaction(**fields)
