@@ -29,8 +29,8 @@ from typing import Mapping, NamedTuple
 
 from .errors import InvariantViolation, ValidationError
 from .graph import DependencyGraph, _kind_conflicts, latest_conflict, latest_writer
-# `replay_final_state` is imported for bench/tracing.py, which wraps it here
-# by that name; `_finalize` calls it only through `_replay_digest`'s fallback.
+# Nothing here calls `replay_final_state`: bench/tracing.py wraps it under
+# this module's name, and tests/test_bench_tracing.py requires that it resolves.
 from .storagevm import _replay_digest, replay_final_state  # noqa: F401
 from .workload import StorageKey, Workload
 

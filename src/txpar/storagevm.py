@@ -252,12 +252,7 @@ def _version_floors(txs) -> list[int]:
     last: dict[StorageKey, int] = {}
     floors = []
     for tx_id, reads, writes, cadds in txs:
-        floor = -1
-        for key in reads:
-            version = last.get(key, -1)
-            if version > floor:
-                floor = version
-        floors.append(floor)
+        floors.append(max([last.get(key, -1) for key in reads], default=-1))
         for key in writes:
             last[key] = tx_id
         for key, _ in cadds:
