@@ -2,7 +2,7 @@
 workloads — dependency-graph speedup bounds, optimistic schedulers at three
 determinism levels, and counter-conflict elimination rewrites."""
 
-from .bound import BatchAggregates, ScheduleResult, batch_speedups, bound_schedule, brute_force_makespan
+from .bound import ScheduleResult, bound_schedule, brute_force_makespan
 from .errors import (
     InvariantViolation,
     SizeLimitError,

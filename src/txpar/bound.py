@@ -1,6 +1,6 @@
 """Abort-free speedup bounds: a non-preemptive priority list scheduler over
-virtual gas time, an exact brute-force makespan oracle for small instances,
-and batch aggregation.
+virtual gas time and an exact brute-force makespan oracle for small
+instances.
 
 The list scheduler dispatches, whenever a thread is idle and ready
 transactions exist, the ready transaction heading the heaviest dependency
@@ -15,10 +15,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import SizeLimitError, ValidationError
-from .graph import DependencyGraph, heaviest_from, schedule_graph
-from .report import DEFAULT_SPEEDUP_EDGES, mean, overall_speedup, speedup_histogram
-from .workload import Workload
+from .errors import SizeLimitError, _check_int
+from .graph import DependencyGraph, heaviest_from
 
 
 @dataclass(frozen=True)
@@ -36,25 +34,13 @@ class ScheduleResult:
     threads: int
 
 
-@dataclass(frozen=True)
-class BatchAggregates:
-    mean_speedup: float
-    overall_speedup: float
-    min_speedup: float
-    max_speedup: float
-    total_serial: int
-    total_makespan: int
-    histogram: tuple[tuple[float, float, int], ...]
-
-
 def bound_schedule(g: DependencyGraph, threads: int) -> ScheduleResult:
     """Event-driven list scheduling in virtual gas time.
 
     Priorities are heaviest-chain weights; ties break toward the lowest tx
     id, thread choice toward the lowest thread index. Deterministic.
     """
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
+    _check_int("threads", threads, 1)
     n = g.n
     serial = g.total_weight
     if n == 0:
@@ -111,8 +97,7 @@ def brute_force_makespan(g: DependencyGraph, threads: int) -> int:
     """Exact minimal makespan over all dependency-respecting non-preemptive
     schedules, by memoized search over start/advance decisions at event
     times. Exponential; refuses instances beyond n=10 or 4 threads."""
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
+    _check_int("threads", threads, 1)
     if g.n > 10 or threads > 4:
         raise SizeLimitError(f"brute force limited to n <= 10 and threads <= 4 (got n={g.n}, threads={threads})")
     n = g.n
@@ -166,33 +151,3 @@ def brute_force_makespan(g: DependencyGraph, threads: int) -> int:
         return best
 
     return solve(0, ())
-
-
-def batch_speedups(
-    workloads: list[Workload],
-    threads: int,
-    cadd_aware: bool = False,
-) -> tuple[list[ScheduleResult], BatchAggregates]:
-    """Bound-schedule every workload, on its compact schedule graph, and
-    aggregate speedups.
-
-    Overall speedup weighs workloads by cost (total serial gas over total
-    makespan); mean speedup is the unweighted average of per-workload
-    ratios.
-    """
-    if not workloads:
-        raise ValidationError("batch_speedups needs at least one workload")
-    results = [bound_schedule(schedule_graph(w, cadd_aware)[0], threads) for w in workloads]
-    speedups = [r.speedup for r in results]
-    total_serial = sum(r.serial_cost for r in results)
-    total_makespan = sum(r.makespan for r in results)
-    aggregates = BatchAggregates(
-        mean_speedup=mean(speedups),
-        overall_speedup=overall_speedup(total_serial, total_makespan),
-        min_speedup=min(speedups),
-        max_speedup=max(speedups),
-        total_serial=total_serial,
-        total_makespan=total_makespan,
-        histogram=speedup_histogram(speedups, DEFAULT_SPEEDUP_EDGES),
-    )
-    return results, aggregates

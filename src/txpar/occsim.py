@@ -9,8 +9,8 @@ All engines run a single-threaded event loop over virtual gas time;
   highest committed id at that moment, so commit/abort outcomes still depend
   on timing.
 - deterministic aborts (da): every execution attempt gets its storage
-  version assigned up front by a pure function of (tx, attempt); outcomes
-  are invariant under any timing perturbation.
+  version assigned up front, the policy's for a first attempt and id-1 for
+  a retry; outcomes are invariant under any timing perturbation.
 
 A transaction with storage version sv may only observe commits with id <=
 sv. At its commit turn it aborts iff some tx in (sv, id) wrote a key it
@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple
 
-from .errors import InvariantViolation, ValidationError
+from .errors import InvariantViolation, ValidationError, _check_int
 from .graph import DependencyGraph, _kind_conflicts, latest_conflict, latest_writer
 # Nothing here calls `replay_final_state`: bench/tracing.py wraps it under
 # this module's name, and tests/test_bench_tracing.py requires that it resolves.
@@ -84,18 +84,34 @@ class OccRunResult:
 
 @dataclass(frozen=True)
 class SvPolicy:
-    """Pre-execution storage version assignment.
+    """Pre-execution storage version assignment: one table of first-attempt
+    versions, which depend only on static inputs, never on runtime timing.
 
-    The version for (tx, attempt) must depend only on static inputs, never
-    on runtime timing. Variants: `minus_one` starts every tx at the
-    pre-block state; `dep_graph` starts at the highest estimated dependency,
-    precomputed per tx in `first_sv`; `custom` reads a user table. All
-    variants fall back to id-1 for retries, which can never abort again.
+    `minus_one` has no table (`first_sv=None`) and starts every tx at the
+    pre-block state; `dep_graph` starts each tx at its highest estimated
+    dependency, `first_sv[id]`, from `from_workload` or `from_graph`. Every
+    retry runs at id-1, whose empty conflict window means it can never abort
+    again. The table is checked once, here: each entry is an exact int in
+    [-1, id-1].
     """
 
     variant: str
     first_sv: tuple[int, ...] | None = None
-    table: Mapping[tuple[int, int], int] | None = None
+
+    def __post_init__(self):
+        if self.variant == "minus_one":
+            if self.first_sv is not None:
+                raise ValidationError("a minus_one policy takes no first_sv table")
+            return
+        if self.variant != "dep_graph":
+            raise ValidationError(f"unknown sv policy variant {self.variant!r}")
+        if self.first_sv is None:
+            raise ValidationError("a dep_graph policy needs a first_sv table")
+        first_sv = tuple(self.first_sv)
+        for tx_id, sv in enumerate(first_sv):
+            if type(sv) is not int or not -1 <= sv < tx_id:
+                raise ValidationError(f"tx {tx_id}: a first storage version must be an int in [-1, {tx_id - 1}], got {sv!r}")
+        object.__setattr__(self, "first_sv", first_sv)
 
     @classmethod
     def minus_one(cls) -> "SvPolicy":
@@ -118,26 +134,12 @@ class SvPolicy:
         over the workload's access index (`graph.latest_conflict`)."""
         return cls(variant="dep_graph", first_sv=latest_conflict(workload, _kind_conflicts(cadd_aware)))
 
-    @classmethod
-    def custom(cls, table: Mapping[tuple[int, int], int]) -> "SvPolicy":
-        return cls(variant="custom", table=dict(table))
-
     def storage_version(self, tx_id: int, attempt: int) -> int:
-        if self.variant == "minus_one":
-            sv = -1 if attempt == 0 else tx_id - 1
-        elif self.variant == "dep_graph":
-            sv = self.first_sv[tx_id] if attempt == 0 else tx_id - 1
-        elif self.variant == "custom":
-            sv = self.table.get((tx_id, attempt), tx_id - 1)
-        else:
-            raise ValidationError(f"unknown sv policy variant {self.variant!r}")
-        if sv >= tx_id:
-            raise ValidationError(
-                f"policy assigned sv {sv} to tx {tx_id}: a tx cannot wait on its own or later commits"
-            )
-        if sv < -1:
-            raise ValidationError(f"policy assigned sv {sv} < -1 to tx {tx_id}")
-        return sv
+        """The version attempt `attempt` of tx `tx_id` reads at: the table's
+        entry (or -1) for the first attempt, id-1 for a retry."""
+        if attempt:
+            return tx_id - 1
+        return -1 if self.first_sv is None else self.first_sv[tx_id]
 
 
 class Timing:
@@ -219,17 +221,17 @@ def _run_in_order(
 ) -> OccRunResult:
     """Shared engine for the two in-order-commit modes.
 
-    With a policy, storage versions gate admission: a tx waits until its
-    assigned version has committed. Without one (det-commit), every tx is
-    ready immediately and snapshots the highest committed id at dispatch.
+    With a policy, a first attempt waits until its assigned storage version
+    has committed. Without one (det-commit), every first attempt is ready
+    immediately and snapshots the highest committed id at dispatch. In both
+    modes an aborted tx retries once, at id-1, which cannot abort again.
 
     Loop stages per iteration: admit ready txs into free pool slots, lowest
     id first; retire the pool's earliest completion; then drain in-order
     commits. An attempt costs O(log threads), for the pool; a tx parked
     until its storage version commits costs O(log n) more.
     """
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
+    _check_int("threads", threads, 1)
     n = len(workload)
     mode = MODE_DA if policy is not None else MODE_DET_COMMIT
     policy_name = policy.variant if policy is not None else "runtime"
@@ -240,7 +242,6 @@ def _run_in_order(
 
     latest = latest_writer(workload, cadd_aware)
     gas = [tx.gas for tx in workload]
-    attempt_no = [0] * n
     heappush, heappop = heapq.heappush, heapq.heappop
     draw = timing.draw
     new_attempt = tuple.__new__
@@ -248,21 +249,21 @@ def _run_in_order(
 
     # First attempts leave in id order from `cursor`. With a policy, one whose
     # storage version has not committed waits in `parked` as (sv, id) and
-    # moves to `released` as (id, sv) once it has: one policy call per
-    # attempt. A retry waits in `retry` as (id, sv); there is at most one,
-    # since only tx `next_commit` can abort and it cannot abort again before
-    # its retry runs. Dispatching the retry, then `released`, then the
-    # cursor is lowest-ready-id-first: the retry's id is the lowest
-    # uncommitted one and every released id is below the cursor.
+    # moves to `released` as (id, sv) once it has: one policy call per tx.
+    # A retry's id waits in `retry`; there is at most one, since only tx
+    # `next_commit` can abort and its retry cannot abort again. Dispatching
+    # the retry, then `released`, then the cursor is lowest-ready-id-first:
+    # the retry's id is the lowest uncommitted one and every released id is
+    # below the cursor.
     cursor = 0
     parked: list[tuple[int, int]] = []
     released: list[tuple[int, int]] = []
-    retry: tuple[int, int] | None = None
+    retry: int | None = None
 
-    pool: list[tuple[int, object, int, int, int]] = []  # (end, tie, id, sv, start)
+    pool: list[tuple[int, object, int, int, int, int]] = []  # (end, tie, id, sv, start, attempt)
     # Per id, its one completed attempt awaiting its commit turn: (sv, start,
-    # end). The extra None slot stops stage 3 at n.
-    finished: list[tuple[int, int, int] | None] = [None] * (n + 1)
+    # end, attempt). The extra None slot stops stage 3 at n.
+    finished: list[tuple[int, int, int, int] | None] = [None] * (n + 1)
     clock = 0
     next_commit = 0
     attempts: list[ExecAttempt] = []
@@ -275,50 +276,48 @@ def _run_in_order(
             sv, tx_id = heappop(parked)
             heappush(released, (tx_id, sv))
         while len(pool) < threads:
+            att = 0
             if retry is not None:
-                tx_id, sv = retry
+                tx_id, sv, att = retry, retry - 1, 1
                 retry = None
             elif released:
                 tx_id, sv = heappop(released)
             elif cursor < n:
                 tx_id = cursor
                 cursor += 1
-                if storage_version is not None:
+                if storage_version is None:
+                    sv = next_commit - 1
+                else:
                     sv = storage_version(tx_id, 0)
                     if sv >= next_commit:
                         heappush(parked, (sv, tx_id))
                         continue
             else:
                 break
-            if storage_version is None:
-                sv = next_commit - 1
-            att = attempt_no[tx_id]
             duration, tie = draw(tx_id, att, gas[tx_id])
             if duration < 1:
                 raise ValidationError(f"timing gave tx {tx_id} attempt {att} duration {duration}; it must be >= 1")
-            heappush(pool, (clock + duration, tie, tx_id, sv, clock))
+            heappush(pool, (clock + duration, tie, tx_id, sv, clock, att))
 
         # The next tx to commit is always admissible, so an empty pool is a stall.
         if not pool:
             raise InvariantViolation("scheduler stalled with uncommitted transactions")
 
         # Stage 2: retire exactly one completion, advancing the clock.
-        clock, _, tx_id, sv, start = heappop(pool)
-        finished[tx_id] = (sv, start, clock)
+        clock, _, tx_id, sv, start, att = heappop(pool)
+        finished[tx_id] = (sv, start, clock, att)
 
         # Stage 3: commit strictly in id order. An attempt aborts iff a tx in
         # its window (sv, id) writes or cadds a key it reads.
         while finished[next_commit] is not None:
             tx_id = next_commit
-            sv, start, end = finished[tx_id]
+            sv, start, end, att = finished[tx_id]
             finished[tx_id] = None
-            att = attempt_no[tx_id]
             if latest[tx_id] > sv:
                 attempts.append(new_attempt(ExecAttempt, (tx_id, att, sv, start, end, "aborted")))
-                attempt_no[tx_id] = att + 1
                 if retry is not None:
-                    raise InvariantViolation(f"tx {tx_id} aborted while the retry of tx {retry[0]} is pending")
-                retry = (tx_id, storage_version(tx_id, att + 1) if storage_version is not None else -1)
+                    raise InvariantViolation(f"tx {tx_id} aborted while the retry of tx {retry} is pending")
+                retry = tx_id
             else:
                 attempts.append(new_attempt(ExecAttempt, (tx_id, att, sv, start, end, "committed")))
                 committed_order.append(tx_id)
@@ -380,8 +379,7 @@ def run_occ_classic(
     commits at or before the attempt's start, found in O(log commits); for
     out-of-order commits it only approximates the observed snapshot.
     """
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
+    _check_int("threads", threads, 1)
     n = len(workload)
     if n == 0:
         return _finalize(workload, [], MODE_CLASSIC, threads, "fcfs", [], [], 0, with_digest)
@@ -472,8 +470,7 @@ def determinism_probe(
     (per-attempt duration jitter and randomized completion ties), collecting
     the distinct outcome multisets of each. Trial `t` seeds its timing with
     `seed * 1_000_003 + t`, the same for both schedulers."""
-    if trials < 2:
-        raise ValidationError(f"trials must be >= 2, got {trials}")
+    _check_int("trials", trials, 2)
     policy = policy if policy is not None else SvPolicy.minus_one()
     da_patterns: list = []
     dc_patterns: list = []

@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 
 from .errors import ValidationError
 
-#: Default speedup bucket edges (powers of two); the last bucket is
-#: open-ended. Shared by batch aggregates and the histogram subcommand.
+#: The histogram subcommand's default speedup bucket edges (powers of two);
+#: the last bucket is open-ended.
 DEFAULT_SPEEDUP_EDGES = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 import random
 
-from .errors import SoundnessError, ValidationError
+from .errors import SoundnessError, ValidationError, _check_int
 from .graph import DependencyGraph, edges_only_on
 from .workload import VALUE_DEPENDENT, AccessSet, StorageKey, Transaction, Workload
 
@@ -42,8 +42,7 @@ class PartitionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "target_keys", frozenset(self.target_keys))
-        if self.length < 2:
-            raise ValidationError(f"partition length must be >= 2, got {self.length}")
+        _check_int("partition length", self.length, 2)
         if not self.target_keys:
             raise ValidationError("partition target_keys must not be empty")
         if self.routing not in ("sender", "tx_id"):
@@ -74,8 +73,7 @@ def split_senders(
     """Reassign a hot sender's transactions round-robin across m derived
     senders, rewriting its balance key to the matching derived key. m=1 is
     the identity."""
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
+    _check_int("m", m, 1)
     if not any(tx.sender == hot_sender for tx in workload):
         raise ValidationError(f"sender {hot_sender!r} does not appear in the workload")
     if m == 1:
@@ -190,6 +188,8 @@ def prune_edges_probabilistic(
     Fraction. Deterministic for a fixed seed: candidate edges are visited
     in sorted order and one uniform draw decides each.
     """
+    if type(removal_probability) is bool:  # Fraction(True) is 1
+        raise ValidationError(f"removal probability must be a number, got {removal_probability!r}")
     p = float(Fraction(removal_probability)) if not isinstance(removal_probability, float) else removal_probability
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"removal probability must be in [0, 1], got {removal_probability}")

@@ -8,14 +8,11 @@ from txpar import (
     DependencyGraph,
     SizeLimitError,
     ValidationError,
-    batch_speedups,
     bound_schedule,
     brute_force_makespan,
     build_graph,
     critical_path,
     gen_mixed,
-    gen_payments,
-    gen_token_distribution,
 )
 
 from txpar.report import speedup_histogram
@@ -137,32 +134,6 @@ def test_makespan_never_below_critical_or_work_bound():
         result = bound_schedule(g, threads)
         assert result.makespan >= critical_path(g).critical_weight
         assert result.serial_cost <= threads * result.makespan
-
-
-def test_batch_speedups_single_workload():
-    w = gen_payments(8, seed=0)
-    results, agg = batch_speedups([w], 4)
-    assert agg.overall_speedup == results[0].speedup
-    assert agg.mean_speedup == results[0].speedup
-
-
-def test_batch_speedups_aggregate_arithmetic():
-    # serial 100 at makespan 10 and serial 100 at makespan 100:
-    # mean (10+1)/2 = 5.5, overall 200/110.
-    w_parallel = gen_payments(10, seed=1, gas=10)  # independent: makespan 10 on 10 threads
-    w_serial = gen_token_distribution(10, senders=1, seed=1, gas=10)  # chain: makespan 100
-    results, agg = batch_speedups([w_parallel, w_serial], 10)
-    assert [r.serial_cost for r in results] == [100, 100]
-    assert [r.makespan for r in results] == [10, 100]
-    assert agg.mean_speedup == pytest.approx(5.5)
-    assert agg.overall_speedup == pytest.approx(200 / 110)
-    assert agg.min_speedup == 1.0 and agg.max_speedup == 10.0
-    assert sum(count for _, _, count in agg.histogram) == 2
-
-
-def test_batch_speedups_rejects_empty():
-    with pytest.raises(ValidationError):
-        batch_speedups([], 2)
 
 
 @pytest.mark.parametrize("edges", [(float("nan"), 1.0), (0.0, float("inf")), (float("-inf"), 0.0)])

@@ -18,6 +18,8 @@ from txpar import (
     Transaction,
     ValidationError,
     Workload,
+    bound_schedule,
+    brute_force_makespan,
     build_graph,
     cadd_rewrite,
     determinism_probe,
@@ -171,16 +173,21 @@ def test_occ_da_wasted_gas_accounting():
         assert committed_gas == w.serial_gas()
 
 
-def test_custom_policy_validation_and_extra_attempts():
-    w = chain_workload(3)
+@pytest.mark.parametrize(
+    "variant, table",
+    [
+        ("dep_graph", (-1, 1, 0)),  # sv >= id
+        ("dep_graph", (-1, 0, -2)),  # sv < -1
+        ("dep_graph", (-1, 0.0, 1)),  # a float
+        ("dep_graph", (-1, False, 1)),  # a bool
+        ("dep_graph", None),  # no table
+        ("minus_one", (-1, -1, -1)),  # a table under minus_one
+        ("custom", (-1, -1, -1)),  # an unknown variant
+    ],
+)
+def test_policy_table_is_checked_at_construction(variant, table):
     with pytest.raises(ValidationError):
-        run_occ_da(w, 2, SvPolicy.custom({(1, 0): 1}), with_digest=False)  # sv >= id
-    # A custom policy may force several aborts; retries beyond the table
-    # fall back to id-1 and must commit.
-    result = run_occ_da(w, 2, SvPolicy.custom({(2, 0): -1, (2, 1): 0}), with_digest=False)
-    tx2 = sorted((a for a in result.attempts if a.tx_id == 2), key=lambda a: a.attempt)
-    assert [a.outcome for a in tx2] == ["aborted", "aborted", "committed"]
-    assert [a.sv for a in tx2] == [-1, 0, 1]
+        SvPolicy(variant, table)
 
 
 def test_workload_and_graph_built_policies_agree():
@@ -296,7 +303,7 @@ def test_occ_da_parked_tx_lets_a_later_ready_tx_take_its_slot():
     # tx1 waits for tx0's commit, so tx2 (sv -1) takes the second slot at
     # clock 0, and tx1 starts only when tx0 commits at clock 10.
     w = Workload(transactions=(_tx(0, 10, writes={K}), _tx(1, 5, reads={K}), _tx(2, 7)))
-    policy = SvPolicy.custom({(1, 0): 0, (2, 0): -1})
+    policy = SvPolicy("dep_graph", (-1, 0, -1))
     result = run_occ_da(w, 2, policy, with_digest=False)
     assert result.attempts == (
         (0, 0, -1, 0, 10, "committed"),
@@ -444,9 +451,9 @@ def _timings(w, seed):
 
 def _assert_in_order_matches_oracle(w, seed, thread_counts=(1, 4, 32)):
     rng = random.Random(seed)
-    custom = SvPolicy.custom({(tx.id, k): rng.randint(-1, tx.id - 1) for tx in w for k in range(4) if rng.random() < 0.5})
+    random_policy = SvPolicy("dep_graph", tuple(rng.randint(-1, tx.id - 1) for tx in w))
     for cadd_aware in (False, True):
-        policies = (SvPolicy.minus_one(), SvPolicy.from_workload(w, cadd_aware), custom, None)
+        policies = (SvPolicy.minus_one(), SvPolicy.from_workload(w, cadd_aware), random_policy, None)
         for policy in policies:
             for timing in _timings(w, seed):
                 for threads in thread_counts:
@@ -521,6 +528,23 @@ def test_probe_edge_free_identical_everywhere():
 def test_probe_requires_two_trials():
     with pytest.raises(ValidationError):
         determinism_probe(gen_payments(2, seed=0), 2, trials=1)
+
+
+_COUNT_ENTRY_POINTS = {
+    "run_occ_da": lambda bad: run_occ_da(gen_payments(12), bad, with_digest=False),
+    "run_occ_det_commit": lambda bad: run_occ_det_commit(gen_payments(12), bad, with_digest=False),
+    "run_occ_classic": lambda bad: run_occ_classic(gen_payments(12), bad, with_digest=False),
+    "bound_schedule": lambda bad: bound_schedule(build_graph(gen_payments(4)), bad),
+    "brute_force_makespan": lambda bad: brute_force_makespan(build_graph(gen_payments(4)), bad),
+    "determinism_probe trials": lambda bad: determinism_probe(gen_payments(4), 2, trials=bad),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "2"])
+@pytest.mark.parametrize("entry", sorted(_COUNT_ENTRY_POINTS))
+def test_thread_and_trial_counts_must_be_exact_ints(entry, bad):
+    with pytest.raises(ValidationError):
+        _COUNT_ENTRY_POINTS[entry](bad)
 
 
 def test_probe_makespan_spread_reported():

@@ -62,6 +62,13 @@ def test_split_senders_identity_when_m_is_one():
     assert split_senders(w, w[0].sender, 1, _sender_balance_key(w)) is w
 
 
+@pytest.mark.parametrize("m", [2.5, True, "2"])
+def test_split_senders_needs_an_exact_int_m(m):
+    w = gen_token_distribution(4, senders=1, seed=0)
+    with pytest.raises(ValidationError):
+        split_senders(w, w[0].sender, m, _sender_balance_key(w))
+
+
 def test_split_senders_missing_sender_rejected():
     w = gen_token_distribution(4, senders=1, seed=0)
     with pytest.raises(ValidationError):
@@ -216,6 +223,9 @@ def test_partition_spec_validation():
         PartitionSpec(target_keys=frozenset(), length=2)
     with pytest.raises(ValidationError):
         PartitionSpec(target_keys=frozenset({key}), length=2, routing="phase-of-moon")
+    for length in (2.5, True, "2"):
+        with pytest.raises(ValidationError):
+            PartitionSpec(target_keys=frozenset({key}), length=length)
 
 
 def test_partition_deterministic():
@@ -288,6 +298,9 @@ def test_prune_deterministic_and_validated():
     assert prune_edges_probabilistic(g, w, {hot}, 0.5, seed=8).edges != a.edges
     with pytest.raises(ValidationError):
         prune_edges_probabilistic(g, w, {hot}, 1.5, seed=0)
+    for flag in (True, False):  # Fraction(True) is 1
+        with pytest.raises(ValidationError):
+            prune_edges_probabilistic(g, w, {hot}, flag, seed=0)
 
 
 def test_prune_without_attribution_keeps_edges():
