@@ -25,6 +25,8 @@ import random
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import compress
+from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .errors import InvariantViolation, ValidationError, _check_int
@@ -37,6 +39,12 @@ from .workload import StorageKey, Workload
 MODE_CLASSIC = "occ-classic"
 MODE_DET_COMMIT = "occ-det-commit"
 MODE_DA = "occ-da"
+
+# Field pickers over `ExecAttempt` tuples, so the outcome patterns are built
+# by C-level `map` instead of attribute reads per attempt.
+_OUTCOME = itemgetter(5)
+_TX_ATTEMPT_SV_OUTCOME = itemgetter(0, 1, 2, 5)
+_TX_ATTEMPT_OUTCOME = itemgetter(0, 1, 5)
 
 
 class ExecAttempt(NamedTuple):
@@ -67,19 +75,19 @@ class OccRunResult:
     digest: str | None
 
     def aborted(self) -> tuple[ExecAttempt, ...]:
-        return tuple(a for a in self.attempts if a.outcome == "aborted")
+        return tuple(compress(self.attempts, map("aborted".__eq__, map(_OUTCOME, self.attempts))))
 
     def outcome_multiset(self) -> tuple[tuple[int, int, int, str], ...]:
         """Sorted (tx, attempt, sv, outcome) tuples; the determinism invariant
         is stated over this multiset."""
-        return tuple(sorted((a.tx_id, a.attempt, a.sv, a.outcome) for a in self.attempts))
+        return tuple(sorted(map(_TX_ATTEMPT_SV_OUTCOME, self.attempts)))
 
     def abort_pattern(self) -> tuple[tuple[int, int, str], ...]:
         """Sorted (tx, attempt, outcome) tuples: the observable commit/abort
         decisions, without storage versions. Used to compare schedulers whose
         sv assignment bases differ (det-commit assigns svs at runtime by
         design, so only its decisions are expected to be stable)."""
-        return tuple(sorted((a.tx_id, a.attempt, a.outcome) for a in self.attempts))
+        return tuple(sorted(map(_TX_ATTEMPT_OUTCOME, self.attempts)))
 
 
 @dataclass(frozen=True)
@@ -156,15 +164,21 @@ class JitterTiming(Timing):
     """Seeded per-attempt timing noise: an attempt takes its gas times a
     factor drawn uniformly from [0.5, 1.5), rounded, at least 1, and its
     completion tie is a second draw. Simulates nodes whose wall-clock speeds
-    diverge from the gas estimate."""
+    diverge from the gas estimate.
+
+    The factor is `0.5 + u` for a draw `u` of `random()`, the same float as
+    `1.0 + Random.uniform(-0.5, 0.5)` from the same state: `uniform` gives
+    `-0.5 + 1.0 * u`, which is `u - 0.5` exactly (`u` is a multiple of 2**-53
+    in [0, 1)), so both sides round the one real number `0.5 + u` once. The
+    product with gas >= 1 is at least 0.5, so `round(...) or 1` is
+    `max(1, round(...))`."""
 
     def __init__(self, seed: int):
         self._random = random.Random(seed).random
 
     def draw(self, tx_id: int, attempt: int, gas: int) -> tuple[int, float]:
         r = self._random
-        # `Random.uniform(-0.5, 0.5)`'s expression, inline: the same floats.
-        return max(1, round(gas * (1.0 + (-0.5 + 1.0 * r())))), r()
+        return round(gas * (0.5 + r())) or 1, r()
 
 
 class FixedTiming(Timing):
@@ -188,12 +202,12 @@ def _finalize(
     threads: int,
     policy_name: str,
     attempts: list[ExecAttempt],
-    committed_order: list[int],
+    committed_order: list[int] | range,
     makespan: int,
     with_digest: bool,
 ) -> OccRunResult:
     serial = sum(gas)
-    wasted = sum([gas[a.tx_id] for a in attempts if a.outcome == "aborted"])
+    wasted = sum([gas[a[0]] for a in attempts if a[5] == "aborted"])
     result = OccRunResult(
         mode=mode,
         threads=threads,
@@ -261,13 +275,13 @@ def _run_in_order(
     retry: int | None = None
 
     pool: list[tuple[int, object, int, int, int, int]] = []  # (end, tie, id, sv, start, attempt)
+    free = threads  # threads - len(pool)
     # Per id, its one completed attempt awaiting its commit turn: (sv, start,
     # end, attempt). The extra None slot stops stage 3 at n.
     finished: list[tuple[int, int, int, int] | None] = [None] * (n + 1)
     clock = 0
     next_commit = 0
     attempts: list[ExecAttempt] = []
-    committed_order: list[int] = []
 
     while next_commit < n:
         # Stage 1: admission. Parked txs whose storage version has committed
@@ -275,7 +289,7 @@ def _run_in_order(
         while parked and parked[0][0] < next_commit:
             sv, tx_id = heappop(parked)
             heappush(released, (tx_id, sv))
-        while len(pool) < threads:
+        while free:
             att = 0
             if retry is not None:
                 tx_id, sv, att = retry, retry - 1, 1
@@ -298,6 +312,7 @@ def _run_in_order(
             if duration < 1:
                 raise ValidationError(f"timing gave tx {tx_id} attempt {att} duration {duration}; it must be >= 1")
             heappush(pool, (clock + duration, tie, tx_id, sv, clock, att))
+            free -= 1
 
         # The next tx to commit is always admissible, so an empty pool is a stall.
         if not pool:
@@ -305,6 +320,7 @@ def _run_in_order(
 
         # Stage 2: retire exactly one completion, advancing the clock.
         clock, _, tx_id, sv, start, att = heappop(pool)
+        free += 1
         finished[tx_id] = (sv, start, clock, att)
 
         # Stage 3: commit strictly in id order. An attempt aborts iff a tx in
@@ -320,10 +336,10 @@ def _run_in_order(
                 retry = tx_id
             else:
                 attempts.append(new_attempt(ExecAttempt, (tx_id, att, sv, start, end, "committed")))
-                committed_order.append(tx_id)
                 next_commit += 1
 
-    return _finalize(workload, gas, mode, threads, policy_name, attempts, committed_order, clock, with_digest)
+    # Commits are strictly in id order, so the committed order is the block.
+    return _finalize(workload, gas, mode, threads, policy_name, attempts, range(n), clock, with_digest)
 
 
 def run_occ_da(

@@ -184,13 +184,17 @@ def prune_edges_probabilistic(
     in either mode a write-vs-cadd overlap on another key keeps the edge.
 
     Models the expected effect of partitioning the targets without
-    rewriting the workload. Accepts the probability as a float, int, or
-    Fraction. Deterministic for a fixed seed: candidate edges are visited
-    in sorted order and one uniform draw decides each.
+    rewriting the workload. Accepts the probability as a float, int,
+    Fraction or fraction string such as "1/2". Deterministic for a fixed
+    seed: candidate edges are visited in sorted order and one uniform draw
+    decides each.
     """
-    if type(removal_probability) is bool:  # Fraction(True) is 1
+    try:
+        p = float(Fraction(removal_probability)) if not isinstance(removal_probability, float) else removal_probability
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        p = None
+    if p is None or type(removal_probability) is bool:  # Fraction(True) is 1
         raise ValidationError(f"removal probability must be a number, got {removal_probability!r}")
-    p = float(Fraction(removal_probability)) if not isinstance(removal_probability, float) else removal_probability
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"removal probability must be in [0, 1], got {removal_probability}")
     if g.weights != tuple(tx.gas for tx in workload):

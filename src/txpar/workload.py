@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import TraceParseError, ValidationError
+from .errors import TraceParseError, ValidationError, _check_int
 
 TRACE_HEADER = "# txpar-trace v1"
 _META_PREFIX = "# meta "
@@ -373,14 +373,9 @@ def _resolve_gas(gas, pattern: str, rng: random.Random) -> int:
     return rng.randint(int(lo), int(hi))
 
 
-def _check_count(name: str, value: int) -> None:
-    if value < 1:
-        raise ValidationError(f"{name} must be >= 1, got {value}")
-
-
 def gen_payments(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Workload:
     """n independent value transfers: every tx touches its own pair of balance keys."""
-    _check_count("n", n)
+    _check_int("n", n, 1)
     ns = _namespace("payments", seed, _instance)
     contract = f"native{ns}"
     rng = random.Random(seed + 0x9E3779B9 * (_instance + 1))
@@ -420,8 +415,8 @@ def gen_token_distribution(
     read-modify-write one shared supply key. Senders are assigned
     round-robin.
     """
-    _check_count("n", n)
-    _check_count("senders", senders)
+    _check_int("n", n, 1)
+    _check_int("senders", senders, 1)
     ns = _namespace("token_distribution", seed, _instance)
     contract = f"tok{ns}"
     rng = random.Random(seed + 0x9E3779B9 * (_instance + 1))
@@ -471,8 +466,8 @@ def gen_defi_fee(n: int, traders: int = 1, seed: int = 0, *, gas=None, _instance
     Each tx read-modify-writes the fee key plus two keys owned by its
     trader (assigned round-robin).
     """
-    _check_count("n", n)
-    _check_count("traders", traders)
+    _check_int("n", n, 1)
+    _check_int("traders", traders, 1)
     ns = _namespace("defi_fee", seed, _instance)
     contract = f"dex{ns}"
     rng = random.Random(seed + 0x9E3779B9 * (_instance + 1))
@@ -510,7 +505,7 @@ def gen_nft_mint(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Work
     writes a distinct element key. The new element's location is derived
     from the length read, so the length key is tagged value-dependent and
     can never be turned into a commutative add."""
-    _check_count("n", n)
+    _check_int("n", n, 1)
     ns = _namespace("nft_mint", seed, _instance)
     contract = f"nft{ns}"
     rng = random.Random(seed + 0x9E3779B9 * (_instance + 1))
@@ -557,7 +552,7 @@ def gen_mixed(spec: list[tuple[str, dict, float]], n: int, seed: int = 0) -> Wor
     """
     if not spec:
         raise ValidationError("mixed spec must not be empty")
-    _check_count("n", n)
+    _check_int("n", n, 1)
     for pattern, _, weight in spec:
         if pattern not in GENERATORS:
             raise ValidationError(f"unknown pattern {pattern!r}")

@@ -1,6 +1,10 @@
 """CLI behavior: subcommands, output determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,16 @@ from txpar.cli import main
 
 def run(argv):
     return main(argv)
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "txpar", "--help"], env=env, capture_output=True, text=True, timeout=60, check=False
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: txpar")
 
 
 def test_generate_single_trace(tmp_path):

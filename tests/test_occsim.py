@@ -500,6 +500,37 @@ def test_jitter_draws_match_random_uniform(seed):
         assert timing.draw(step, 0, gas) == expected
 
 
+def test_jitter_duration_floor_is_one():
+    # Gas 1 at the lowest factor, 0.5, rounds half to even to 0.
+    timing = JitterTiming(0)
+    timing._random = lambda: 0.0
+    assert timing.draw(0, 0, 1) == (1, 0.0)
+
+
+def _patterns_by_attribute(result):
+    attempts = result.attempts
+    return (
+        tuple(sorted((a.tx_id, a.attempt, a.sv, a.outcome) for a in attempts)),
+        tuple(sorted((a.tx_id, a.attempt, a.outcome) for a in attempts)),
+        tuple(a for a in attempts if a.outcome == "aborted"),
+    )
+
+
+def test_outcome_patterns_match_their_attribute_definitions():
+    unsorted_classic_runs = aborting_runs = 0
+    for index, w in enumerate(build_corpus(12)):
+        threads = (2, 8, 32)[index % 3]
+        runs = [run_occ_classic(w, threads, seed, with_digest=False) for seed in (0, 1)]
+        unsorted_classic_runs += sum(list(r.attempts) != sorted(r.attempts) for r in runs)
+        for trial in range(3):
+            runs.append(run_occ_da(w, threads, timing=JitterTiming(trial), with_digest=False))
+            runs.append(run_occ_det_commit(w, threads, timing=JitterTiming(trial), with_digest=False))
+        for r in runs:
+            assert (r.outcome_multiset(), r.abort_pattern(), r.aborted()) == _patterns_by_attribute(r), (index, r.mode)
+            aborting_runs += bool(r.aborted())
+    assert unsorted_classic_runs and aborting_runs
+
+
 # ---------------------------------------------------------------------------
 # determinism probe
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Conflict-elimination transform tests."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -301,6 +302,14 @@ def test_prune_deterministic_and_validated():
     for flag in (True, False):  # Fraction(True) is 1
         with pytest.raises(ValidationError):
             prune_edges_probabilistic(g, w, {hot}, flag, seed=0)
+    assert prune_edges_probabilistic(g, w, {hot}, "1/2", seed=7) == a
+
+
+@pytest.mark.parametrize("p", ["x", None, [0.5], "1/0"])
+def test_prune_names_a_malformed_probability(p):
+    w, hot = _hot_key_clique(4)
+    with pytest.raises(ValidationError, match=f"removal probability must be a number, got {re.escape(repr(p))}$"):
+        prune_edges_probabilistic(build_graph(w), w, {hot}, p, seed=0)
 
 
 def test_prune_without_attribution_keeps_edges():

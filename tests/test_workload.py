@@ -294,6 +294,20 @@ def test_generator_validation():
         gen_defi_fee(5, traders=-1)
 
 
+@pytest.mark.parametrize("value", [2.5, 1.0, True, "3"])
+def test_generator_counts_must_be_exact_ints(value):
+    # `range(2.5)` raised a bare TypeError, and True made a 1-tx block.
+    for make, name in (
+        (gen_payments, "n"),
+        (gen_nft_mint, "n"),
+        (lambda v: gen_mixed([("payments", {}, 1)], v), "n"),
+        (lambda v: gen_token_distribution(5, senders=v), "senders"),
+        (lambda v: gen_defi_fee(5, traders=v), "traders"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+            make(value)
+
+
 def test_workload_rejects_non_contiguous_ids():
     tx = Transaction(id=1, sender="a", gas=5)
     with pytest.raises(ValidationError):
