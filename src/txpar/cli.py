@@ -9,7 +9,6 @@ All outputs are byte-deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
-import collections
 import functools
 import inspect
 import json
@@ -160,7 +159,8 @@ def _generator_params(pattern, params) -> dict:
     return params
 
 
-def _generator_workloads(spec) -> list[tuple[str, Workload]]:
+def _generator_workloads(spec):
+    """Check a generator spec; return an iterator over its (label, workload) blocks, each generated in its turn."""
     pattern = _OBJECT("generator spec", spec).get("pattern")  # _generator_params checks it
     n = _INT("generator 'n'", spec.get("n", 0))
     count = _POSITIVE("generator 'count'", spec.get("count", 1))
@@ -172,10 +172,11 @@ def _generator_workloads(spec) -> list[tuple[str, Workload]]:
     else:
         params = _generator_params(pattern, spec.get("params"))
         generate = functools.partial(GENERATORS[pattern], n, **params)
-    return [(f"{pattern}-s{seed}-{i:04d}", generate(seed=seed + i)) for i in range(count)]
+    return ((f"{pattern}-s{seed}-{i:04d}", generate(seed=seed + i)) for i in range(count))
 
 
-def _resolve_workloads(args) -> list[tuple[str, Workload]]:
+def _resolve_workloads(args):
+    """Check where the inputs come from; return an iterator over their (label, workload) blocks, each read in turn."""
     inputs = args.input
     if args.gen:
         spec = _parse_json(args.gen, "--gen") if args.gen.lstrip().startswith("{") else _load_json_file(args.gen)
@@ -188,7 +189,7 @@ def _resolve_workloads(args) -> list[tuple[str, Workload]]:
         inputs = _PATHS("config input 'trace'/'traces'", [] if traces is None else traces)
     if not inputs:
         raise ValidationError("no input: pass --input TRACE..., --gen SPEC, or a config with an 'input' field")
-    return [(Path(path).stem, _load_trace(path)) for path in inputs]
+    return ((Path(path).stem, _load_trace(path)) for path in inputs)
 
 
 def _key_set(raw, workload: Workload) -> frozenset[StorageKey]:
@@ -262,14 +263,14 @@ def _graph(workload: Workload, args) -> tuple[DependencyGraph, int]:
 
 
 def _blocks(args, uses_graph: bool = True):
-    """Yield (label, workload) per input, the workload rewritten by the chain's workload steps. A block is released
-    once the caller moves on, so the tables its workload memoizes do not pile up over the inputs."""
+    """Yield (label, workload) per input, the workload rewritten by the chain's workload steps. Each block is read
+    when its turn comes, and the caller drops its block before it asks for the next one, so one block, with the
+    tables its workload derives, is held at a time."""
     if args.prunes and not uses_graph:
         raise ValidationError("prune_edges prunes graphs; only analyze, bound and simulate --policy dep_graph use one")
-    blocks = collections.deque(_resolve_workloads(args))
-    while blocks:
-        label, workload = blocks.popleft()
+    for label, workload in _resolve_workloads(args):
         yield label, _rewrite(workload, args.rewrites)
+        del workload
 
 
 def _write_table(args, name: str, rows: list, header: list[str], flat: list) -> None:
@@ -299,7 +300,7 @@ def cmd_generate(args) -> int:
     else:
         params = {name: getattr(args, name) for name in _GENERATOR_PARAMS}  # a flag per param
         spec["params"] = {name: value for name, value in params.items() if value is not None and value is not False}
-    workloads = _generator_workloads(spec)
+    workloads = list(_generator_workloads(spec))
     if len(workloads) == 1:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_bytes(emit_trace(workloads[0][1]))
@@ -334,6 +335,7 @@ def cmd_analyze(args) -> int:
                 "bounds": bounds,
             }
         )
+        del workload  # before the next block is read
     header = ["workload", "n", "serial", "critical_weight", "threads", "makespan", "speedup"]
     _write_table(args, "analyze", rows, header, flat)
     print(f"analyzed {len(rows)} workload(s) -> {args.out}")
@@ -356,6 +358,7 @@ def cmd_bound(args) -> int:
             if args.timeline:
                 row["timeline"] = [list(map(list, lane)) for lane in result.per_thread]
             rows.append(row)
+        del workload  # before the next block is read
     header = ["workload", "threads", "makespan", "serial", "speedup"]
     _write_table(args, "bound", rows, header, [[row[name] for name in header] for row in rows])
     print(f"bounded {len(rows)} run(s) -> {args.out}")
@@ -402,6 +405,7 @@ def cmd_simulate(args) -> int:
             if args.events:
                 for a in result.attempts:
                     events.append((label, result.mode, t, a.tx_id, a.attempt, a.sv, a.start, a.end, a.outcome))
+        del workload  # before the next block is read
     report.write_json(args.out / "runs.json", rows)
     agg_rows = []
     for t in args.threads:
@@ -450,6 +454,7 @@ def cmd_probe(args) -> int:
             row = {"workload": label, **vars(probe)}
             del row["da_patterns"], row["det_commit_patterns"]  # the raw patterns stay out of probe.json
             rows.append(row)
+        del workload  # before the next block is read
     violations = sum(not row["da_deterministic"] for row in rows)
     report.write_json(args.out / "probe.json", {"runs": rows, "da_violations": violations})
     print(f"probed {len(rows)} run(s) -> {args.out}; deterministic-abort violations: {violations}")
@@ -498,7 +503,6 @@ def _add_input_flags(sub):
     sub.add_argument("--config", help="experiment config JSON")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--format", choices=FORMATS, default=None)
     sub.add_argument("--cadd-aware", dest="cadd_aware", action="store_const", const=True, default=None)
     sub.add_argument("--transforms", help="transform chain JSON file")
     sub.add_argument("--threads", default=None, help="comma-separated thread counts")
@@ -523,10 +527,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = subs.add_parser("analyze", help="dependency graph, critical path, speedup bounds")
     _add_input_flags(analyze)
+    analyze.add_argument("--format", choices=FORMATS, default=None)
     analyze.set_defaults(func=cmd_analyze)
 
     bound = subs.add_parser("bound", help="abort-free schedule per workload and thread count")
     _add_input_flags(bound)
+    bound.add_argument("--format", choices=FORMATS, default=None)
     bound.add_argument("--timeline", action="store_true", help="include per-thread timelines in JSON")
     bound.set_defaults(func=cmd_bound)
 

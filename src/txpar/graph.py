@@ -107,27 +107,28 @@ def conflicts(a: Transaction, b: Transaction, cadd_aware: bool = False) -> bool:
 
 def _accesses(workload: Workload) -> dict[StorageKey, list[tuple[int, int]]]:
     """Each key, to (id, kind mask) of every tx touching it, by id: the one
-    per-key access index. Built in one pass in id order on first use and kept
-    in the workload's memo, so both graphs and `latest_conflict` share it. A
-    key a tx reads and writes takes one lookup; only a cadd key can meet an
-    entry of the same tx."""
-    touched = workload._memo.get("accesses")
-    if touched is None:
-        touched = workload._memo["accesses"] = {}
-        for tx in workload:
-            i, access = tx.id, tx.access
-            reads, writes = access.reads, access.writes
-            for key in reads:
-                touched.setdefault(key, []).append((i, READ | WRITE) if key in writes else (i, READ))
-            for key in writes:
-                if key not in reads:
-                    touched.setdefault(key, []).append((i, WRITE))
-            for key, _ in access.cadds:  # (key, delta) pairs; one key may repeat
-                by_id = touched.setdefault(key, [])
-                if by_id and by_id[-1][0] == i:  # this tx touches the key in another way too
-                    by_id[-1] = (i, by_id[-1][1] | CADD)
-                else:
-                    by_id.append((i, CADD))
+    per-key access index, kept by `Workload.derived` so that both graphs and
+    `latest_conflict` share it."""
+    return workload.derived("accesses", _index_accesses)
+
+
+def _index_accesses(workload: Workload) -> dict[StorageKey, list[tuple[int, int]]]:
+    # One pass in id order. A key a tx reads and writes takes one lookup; only a cadd key meets an entry of its own tx.
+    touched: dict[StorageKey, list[tuple[int, int]]] = {}
+    for tx in workload:
+        i, access = tx.id, tx.access
+        reads, writes = access.reads, access.writes
+        for key in reads:
+            touched.setdefault(key, []).append((i, READ | WRITE) if key in writes else (i, READ))
+        for key in writes:
+            if key not in reads:
+                touched.setdefault(key, []).append((i, WRITE))
+        for key, _ in access.cadds:  # (key, delta) pairs; one key may repeat
+            by_id = touched.setdefault(key, [])
+            if by_id and by_id[-1][0] == i:  # this tx touches the key in another way too
+                by_id[-1] = (i, by_id[-1][1] | CADD)
+            else:
+                by_id.append((i, CADD))
     return touched
 
 
@@ -135,26 +136,24 @@ def latest_conflict(workload: Workload, rule: tuple[tuple[bool, ...], ...]) -> t
     """Per tx, the highest earlier id on a shared key whose kind mask
     `rule[its kind][that kind]` pairs with its own, or -1. One pass over the
     access index: each key keeps the latest id of each kind mask seen so far,
-    and keys with one access are skipped. Kept in the workload's memo under
-    the rule's identity, so every engine run on the workload reuses it."""
-    memo_key = ("latest_conflict", id(rule))
-    hit = workload._memo.get(memo_key)
-    if hit is not None and hit[0] is rule:  # holding the rule keeps its id from being reused
-        return hit[1]
-    latest = [-1] * len(workload)
-    for accesses in _accesses(workload).values():
-        if len(accesses) < 2:
-            continue
-        last: dict[int, int] = {}  # kind mask -> the latest id with it so far
-        for j, kind in accesses:
-            row = rule[kind]
-            for b, i in last.items():
-                if row[b] and i > latest[j]:
-                    latest[j] = i
-            last[kind] = j
-    table = tuple(latest)
-    workload._memo[memo_key] = (rule, table)
-    return table
+    and keys with one access are skipped. Kept by `Workload.derived` under
+    the rule's value, so every engine run on the workload reuses it."""
+
+    def build(workload: Workload) -> tuple[int, ...]:
+        latest = [-1] * len(workload)
+        for accesses in _accesses(workload).values():
+            if len(accesses) < 2:
+                continue
+            last: dict[int, int] = {}  # kind mask -> the latest id with it so far
+            for j, kind in accesses:
+                row = rule[kind]
+                for b, i in last.items():
+                    if row[b] and i > latest[j]:
+                        latest[j] = i
+                last[kind] = j
+        return tuple(latest)
+
+    return workload.derived(("latest_conflict", rule), build)
 
 
 @cache

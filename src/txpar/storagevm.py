@@ -12,11 +12,12 @@ serial executor and the replay of OCC runs take a fast path with the same
 semantics: each workload object compiles its transactions once into a
 replay plan (sorted reads and writes, commutative adds folded per key), and
 one loop executes the plan against a versioned store.
-The plan and the serial digest are memoized on the workload object, by
-identity. Tests compare the plan with the interpreter, state for state.
+The plan, the serial digest and the version floors are three tables kept by
+`Workload.derived`, so each is built once per workload object and freed
+with it. Tests compare the plan with the interpreter, state for state.
 
 A deterministic run that observed only serial versions need not be
-replayed. The plan's version floors give, per tx, the newest serial version
+replayed. The version floors give, per tx, the newest serial version
 among the keys it reads; an attempt whose storage version is at or above its
 floor saw what serial execution sees, so if every attempt passes, the run
 ends in the serial state. `replay_check` and the engines' digests take that
@@ -199,59 +200,48 @@ def commit(effect: TxEffect, as_version: int, state: StorageState) -> StorageSta
     return state
 
 
-class _ReplayPlan:
-    """A workload's storage program, compiled once from its access sets.
+def _plan(workload: Workload) -> list[tuple]:
+    """The workload's replay plan: its storage program, compiled once from
+    its access sets and kept by `Workload.derived`.
 
-    `txs` holds, per tx in id order, what `exec_abstract` + `commit` do with
-    it: (id, reads, writes, cadds). Reads and writes are key tuples in
-    sorted order; reads are kept only when the tx writes, because its read
-    log feeds nothing but its write values. Cadds are folded to one (key,
-    total delta) per key, without the keys the tx also writes, whose pending
-    adds its stores erase. Key texts are not stored: formatting them per
-    replay is cheap, and storing them would double the plan's memory.
-    `serial_digest` memoizes `run_serial`, and `floors` memoizes
-    `_version_floors`: n ints, built on first use by `_replay_digest`. The
-    floors come from the plan, not from `graph`'s access index, so the proof
-    stays independent of the engines' abort table.
+    Per tx in id order, what `exec_abstract` + `commit` do with it: (id,
+    reads, writes, cadds). Reads and writes are key tuples in sorted order;
+    reads are kept only when the tx writes, because its read log feeds
+    nothing but its write values. Cadds are folded to one (key, total delta)
+    per key, without the keys the tx also writes, whose pending adds its
+    stores erase. Key texts are not stored: formatting them per replay is
+    cheap, and storing them would double the plan's memory.
     """
-
-    __slots__ = ("txs", "serial_digest", "floors")
-
-    def __init__(self, workload: Workload):
-        self.txs = []
-        for tx in workload:
-            access = tx.access
-            writes = tuple(sorted(access.writes))
-            cadds: dict[StorageKey, int] = {}
-            for key, delta in access.cadds:
-                if key not in access.writes:
-                    cadds[key] = cadds.get(key, 0) + delta
-            if not writes:
-                reads = ()
-            elif access.reads == access.writes:  # a read-modify-write shares one tuple
-                reads = writes
-            else:
-                reads = tuple(sorted(access.reads))
-            self.txs.append((tx.id, reads, writes, tuple(cadds.items())))
-        self.serial_digest: str | None = None
-        self.floors: list[int] | None = None
+    return workload.derived("replay_plan", _compile_plan)
 
 
-def _plan(workload: Workload) -> _ReplayPlan:
-    """The workload's replay plan, built on first use and kept on the object."""
-    plan = workload._memo.get("replay_plan")
-    if plan is None:
-        plan = workload._memo["replay_plan"] = _ReplayPlan(workload)
+def _compile_plan(workload: Workload) -> list[tuple]:
+    plan = []
+    for tx in workload:
+        access = tx.access
+        writes = tuple(sorted(access.writes))
+        cadds: dict[StorageKey, int] = {}
+        for key, delta in access.cadds:
+            if key not in access.writes:
+                cadds[key] = cadds.get(key, 0) + delta
+        if not writes:
+            reads = ()
+        elif access.reads == access.writes:  # a read-modify-write shares one tuple
+            reads = writes
+        else:
+            reads = tuple(sorted(access.reads))
+        plan.append((tx.id, reads, writes, tuple(cadds.items())))
     return plan
 
 
-def _version_floors(txs) -> list[int]:
-    """Per plan entry, the newest serial version among its read keys: the
-    highest lower id that writes or cadds one of them, or -1. Non-writers
-    keep no reads, so their floor is -1."""
+def _version_floors(workload: Workload) -> list[int]:
+    """Per tx, the newest serial version among its read keys: the highest
+    lower id that writes or cadds one of them, or -1. Taken from the plan,
+    not from `graph`'s access index, so the proof stays independent of the
+    engines' abort table. Non-writers keep no reads, so their floor is -1."""
     last: dict[StorageKey, int] = {}
     floors = []
-    for tx_id, reads, writes, cadds in txs:
+    for tx_id, reads, writes, cadds in _plan(workload):
         floors.append(max([last.get(key, -1) for key in reads], default=-1))
         for key in writes:
             last[key] = tx_id
@@ -303,15 +293,12 @@ def _replay(schedule) -> StorageState:
 
 def serial_final_state(workload: Workload) -> StorageState:
     """Ground-truth serial executor: tx i reads snapshot i-1 and commits at i."""
-    return _replay((entry, entry[0] - 1, entry[0]) for entry in _plan(workload).txs)
+    return _replay((entry, entry[0] - 1, entry[0]) for entry in _plan(workload))
 
 
 def run_serial(workload: Workload) -> str:
     """Digest of `serial_final_state`, computed once per workload object."""
-    plan = _plan(workload)
-    if plan.serial_digest is None:
-        plan.serial_digest = serial_final_state(workload).digest()
-    return plan.serial_digest
+    return workload.derived("serial_digest", lambda w: serial_final_state(w).digest())
 
 
 def _deterministic_svs(workload: Workload, result: "OccRunResult") -> list[int] | None:
@@ -349,7 +336,7 @@ def replay_final_state(workload: Workload, result: "OccRunResult") -> StorageSta
     rule guarantees.
     """
     svs = _deterministic_svs(workload, result)
-    txs = _plan(workload).txs
+    txs = _plan(workload)
     if svs is None:
         return _replay((txs[tx_id], position - 1, position) for position, tx_id in enumerate(result.committed_order))
     return _replay(zip(txs, svs, range(len(txs))))
@@ -363,10 +350,7 @@ def _replay_digest(workload: Workload, result: "OccRunResult") -> str:
     `run_serial`'s. Any other run is replayed."""
     if result.mode != "occ-classic":
         svs = _deterministic_svs(workload, result)
-        plan = _plan(workload)
-        if plan.floors is None:
-            plan.floors = _version_floors(plan.txs)
-        if all(map(ge, svs, plan.floors)):
+        if all(map(ge, svs, workload.derived("version_floors", _version_floors))):
             return run_serial(workload)
     return replay_final_state(workload, result).digest()
 

@@ -14,7 +14,7 @@ import random
 
 from .errors import SoundnessError, ValidationError, _check_int
 from .graph import DependencyGraph, edges_only_on
-from .workload import VALUE_DEPENDENT, AccessSet, StorageKey, Transaction, Workload
+from .workload import VALUE_DEPENDENT, AccessSet, StorageKey, Transaction, Workload, _malformed_key
 
 
 def route_hash(attribute: str) -> int:
@@ -31,6 +31,18 @@ def sub_counter_key(key: StorageKey, index: int) -> StorageKey:
     return StorageKey(key.contract, f"{key.slot}#{index}")
 
 
+def _target_keys(name: str, keys) -> frozenset[StorageKey]:
+    """`keys` as a frozenset, refusing a lone key or string and any entry that is not a StorageKey: a string
+    would match no key, so the transform would silently do nothing."""
+    if type(keys) in (str, StorageKey):
+        raise ValidationError(f"{name} must be a collection of StorageKeys, got {keys!r}")
+    keys = frozenset(keys)
+    for key in keys:
+        if _malformed_key(key):
+            raise ValidationError(f"{name} must hold StorageKeys, got {key!r}")
+    return keys
+
+
 @dataclass(frozen=True)
 class PartitionSpec:
     """How to split counters: which keys, how many sub-counters, and which
@@ -41,7 +53,7 @@ class PartitionSpec:
     routing: str = "sender"  # "sender" | "tx_id"
 
     def __post_init__(self):
-        object.__setattr__(self, "target_keys", frozenset(self.target_keys))
+        object.__setattr__(self, "target_keys", _target_keys("partition target_keys", self.target_keys))
         _check_int("partition length", self.length, 2)
         if not self.target_keys:
             raise ValidationError("partition target_keys must not be empty")
@@ -74,6 +86,8 @@ def split_senders(
     senders, rewriting its balance key to the matching derived key. m=1 is
     the identity."""
     _check_int("m", m, 1)
+    if _malformed_key(sender_balance_key):
+        raise ValidationError(f"sender_balance_key must be a StorageKey, got {sender_balance_key!r}")
     if not any(tx.sender == hot_sender for tx in workload):
         raise ValidationError(f"sender {hot_sender!r} does not appear in the workload")
     if m == 1:
@@ -199,7 +213,7 @@ def prune_edges_probabilistic(
         raise ValidationError(f"removal probability must be in [0, 1], got {removal_probability}")
     if g.weights != tuple(tx.gas for tx in workload):
         raise ValidationError(f"the graph's {g.n} vertex weights are not the gas of the workload's {len(workload)} txs")
-    prunable = edges_only_on(workload, target_keys, cadd_aware)
+    prunable = edges_only_on(workload, _target_keys("target_keys", target_keys), cadd_aware)
     rng = random.Random(seed)
     removed = [edge for edge in sorted(g.edges & prunable) if rng.random() < p]
     return DependencyGraph(n=g.n, edges=g.edges.difference(removed), weights=g.weights)
@@ -215,7 +229,7 @@ def cadd_rewrite(workload: Workload, target_keys: frozenset[StorageKey] | set[St
     per-transaction delta comes from the key's tag (default +1 when
     untagged). Keys that are read without being written are untouched.
     """
-    target_keys = frozenset(target_keys)
+    target_keys = _target_keys("target_keys", target_keys)
     tags = workload.key_tags
     for key in sorted(target_keys):
         if tags.get(str(key)) == VALUE_DEPENDENT:

@@ -8,7 +8,9 @@ All types are immutable after construction; operations are pure.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
+import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple
@@ -54,12 +56,28 @@ class StorageKey(NamedTuple):
         return cls(contract, slot)
 
 
-def _malformed_key(key: StorageKey) -> bool:
-    return not key.contract or ":" in key.contract or not key.slot
+def _malformed_key(key) -> bool:
+    """Whether `key` is not a StorageKey of two strings whose text form
+    parses back to it."""
+    return (
+        type(key) is not StorageKey
+        or type(key.contract) is not str
+        or type(key.slot) is not str
+        or not key.contract
+        or ":" in key.contract
+        or not key.slot
+    )
 
 
 def _canon_cadds(cadds: Iterable[tuple[StorageKey, int]]) -> tuple[tuple[StorageKey, int], ...]:
-    return tuple(sorted((key, int(delta)) for key, delta in cadds))
+    pairs = tuple(cadds)
+    for pair in pairs:
+        if type(pair) not in (tuple, list) or len(pair) != 2 or type(pair[1]) is not int:
+            raise ValidationError(f"cadds must be (key, integer delta) pairs, got {pair!r}")
+    try:
+        return tuple(sorted(map(tuple, pairs)))
+    except TypeError:  # keys that do not compare; `Workload` names any other malformed key
+        raise ValidationError(f"cadd keys must be StorageKeys of two strings, got {pairs!r}") from None
 
 
 @dataclass(frozen=True)
@@ -109,6 +127,10 @@ class Transaction:
             raise ValidationError(f"transaction id must be an integer >= 0, got {self.id!r}")
         if type(self.gas) is not int or self.gas < 1:
             raise ValidationError(f"tx {self.id}: gas must be an integer >= 1, got {self.gas!r}")
+        if type(self.sender) is not str or not self.sender:
+            raise ValidationError(f"tx {self.id}: sender must be a non-empty string, got {self.sender!r}")
+        if type(self.access) is not AccessSet:
+            raise ValidationError(f"tx {self.id}: access must be an AccessSet, got {self.access!r}")
 
 
 @dataclass(frozen=True)
@@ -117,12 +139,16 @@ class Workload:
 
     `meta` is a free-form JSON-able label map (generator name, seed, key
     tags); it is excluded from equality so parse(emit(w)) == w holds
-    regardless of provenance labels. `_memo` holds tables derived from this
-    object's transactions: the per-key access index (`graph._accesses`), one
-    `graph.latest_conflict` table per kind rule (the engines' `latest_writer`
-    per cadd mode and the `dep_graph` policy's first versions) and the
-    storage VM's replay plan. It is per object, excluded from equality, and
-    starts empty in every copy `replace` makes.
+    regardless of provenance labels. Transactions, senders, keys and cadd
+    deltas are checked for their exact types, so a workload that constructs
+    round-trips through the trace format when its `meta` is JSON-able.
+
+    `derived` owns the tables built from the transactions: the per-key
+    access index (`graph._accesses`), one `graph.latest_conflict` table per
+    kind rule, and the storage VM's replay plan, serial digest and version
+    floors. It keeps each, built on first use, in `_memo`, which nothing
+    else touches: per object, excluded from equality, empty in every copy
+    `replace` makes, and freed with the object.
     """
 
     transactions: tuple[Transaction, ...] = ()
@@ -132,17 +158,20 @@ class Workload:
     def __post_init__(self):
         txs = tuple(self.transactions)
         object.__setattr__(self, "transactions", txs)
-        keys: set[StorageKey] = set()
-        for tx in txs:
-            access = tx.access
-            keys.update(access.reads)
-            keys.update(access.writes)
-            if access.cadds:
-                keys.update([key for key, _ in access.cadds])
-        if [tx.id for tx in txs] == list(range(len(txs))) and not any(map(_malformed_key, keys)):
-            return
+        if set(map(type, txs)) <= {Transaction}:
+            keys: set[StorageKey] = set()
+            for tx in txs:
+                access = tx.access
+                keys.update(access.reads)
+                keys.update(access.writes)
+                if access.cadds:
+                    keys.update([key for key, _ in access.cadds])
+            if [tx.id for tx in txs] == list(range(len(txs))) and not any(map(_malformed_key, keys)):
+                return
         # Something is wrong: find the first offending tx, in order, for the message.
         for pos, tx in enumerate(txs):
+            if type(tx) is not Transaction:
+                raise ValidationError(f"position {pos} holds {tx!r}, not a Transaction")
             if tx.id != pos:
                 raise ValidationError(
                     f"transaction ids must be contiguous from 0; position {pos} holds id {tx.id}"
@@ -150,6 +179,13 @@ class Workload:
             for key in tx.access.touched():
                 if _malformed_key(key):
                     raise ValidationError(f"tx {tx.id}: malformed storage key {key!r}")
+
+    def derived(self, name, build):
+        """`build(self)`, built on the first call with this hashable `name` and kept with the object."""
+        memo = self._memo
+        if name not in memo:
+            memo[name] = build(self)
+        return memo[name]
 
     def __len__(self) -> int:
         return len(self.transactions)
@@ -364,13 +400,18 @@ def _namespace(pattern: str, seed: int, instance: int) -> str:
     return digest.hexdigest()
 
 
-def _resolve_gas(gas, pattern: str, rng: random.Random) -> int:
+def _gas_draw(gas, pattern: str, rng: random.Random):
+    """A generator's gas param, checked once, as a function that gives each
+    tx's gas in turn: None for the pattern's default, an int, or a (low,
+    high) pair of ints drawn from uniformly by `rng`."""
     if gas is None:
-        return DEFAULT_GAS[pattern]
-    if isinstance(gas, int):
-        return gas
-    lo, hi = gas
-    return rng.randint(int(lo), int(hi))
+        gas = DEFAULT_GAS[pattern]
+    if type(gas) is int:
+        return lambda: gas
+    if type(gas) in (tuple, list) and list(map(type, gas)) == [int, int] and gas[0] <= gas[1]:
+        low, high = gas
+        return lambda: rng.randint(low, high)
+    raise ValidationError(f"gas must be an integer or a (low, high) pair of integers, got {gas!r}")
 
 
 def gen_payments(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Workload:
@@ -378,7 +419,7 @@ def gen_payments(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Work
     _check_int("n", n, 1)
     ns = _namespace("payments", seed, _instance)
     contract = f"native{ns}"
-    rng = random.Random(seed + 0x9E3779B9 * (_instance + 1))
+    draw_gas = _gas_draw(gas, "payments", random.Random(seed + 0x9E3779B9 * (_instance + 1)))
     txs = []
     tags: dict[str, int] = {}
     for i in range(n):
@@ -391,7 +432,7 @@ def gen_payments(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Work
             Transaction(
                 id=i,
                 sender=sender,
-                gas=_resolve_gas(gas, "payments", rng),
+                gas=draw_gas(),
                 access=AccessSet(reads=frozenset({src, dst}), writes=frozenset({src, dst})),
             )
         )
@@ -417,9 +458,11 @@ def gen_token_distribution(
     """
     _check_int("n", n, 1)
     _check_int("senders", senders, 1)
+    if type(track_total_supply) is not bool:
+        raise ValidationError(f"track_total_supply must be true or false, got {track_total_supply!r}")
     ns = _namespace("token_distribution", seed, _instance)
     contract = f"tok{ns}"
-    rng = random.Random(seed + 0x9E3779B9 * (_instance + 1))
+    draw_gas = _gas_draw(gas, "token_distribution", random.Random(seed + 0x9E3779B9 * (_instance + 1)))
     supply = StorageKey(contract, "totalSupply")
     tags: dict[str, int] = {}
     bottleneck = []
@@ -444,7 +487,7 @@ def gen_token_distribution(
             Transaction(
                 id=i,
                 sender=f"s{ns}-{j}",
-                gas=_resolve_gas(gas, "token_distribution", rng),
+                gas=draw_gas(),
                 access=AccessSet(reads=frozenset(keys), writes=frozenset(keys)),
             )
         )
@@ -470,7 +513,7 @@ def gen_defi_fee(n: int, traders: int = 1, seed: int = 0, *, gas=None, _instance
     _check_int("traders", traders, 1)
     ns = _namespace("defi_fee", seed, _instance)
     contract = f"dex{ns}"
-    rng = random.Random(seed + 0x9E3779B9 * (_instance + 1))
+    draw_gas = _gas_draw(gas, "defi_fee", random.Random(seed + 0x9E3779B9 * (_instance + 1)))
     fee = StorageKey(contract, "feeBalance")
     tags: dict[str, int] = {str(fee): 1}
     txs = []
@@ -485,7 +528,7 @@ def gen_defi_fee(n: int, traders: int = 1, seed: int = 0, *, gas=None, _instance
             Transaction(
                 id=i,
                 sender=f"t{ns}-{j}",
-                gas=_resolve_gas(gas, "defi_fee", rng),
+                gas=draw_gas(),
                 access=AccessSet(reads=keys, writes=keys),
             )
         )
@@ -508,7 +551,7 @@ def gen_nft_mint(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Work
     _check_int("n", n, 1)
     ns = _namespace("nft_mint", seed, _instance)
     contract = f"nft{ns}"
-    rng = random.Random(seed + 0x9E3779B9 * (_instance + 1))
+    draw_gas = _gas_draw(gas, "nft_mint", random.Random(seed + 0x9E3779B9 * (_instance + 1)))
     length = StorageKey(contract, "items.length")
     txs = []
     for i in range(n):
@@ -517,7 +560,7 @@ def gen_nft_mint(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Work
             Transaction(
                 id=i,
                 sender=f"u{ns}-{i}",
-                gas=_resolve_gas(gas, "nft_mint", rng),
+                gas=draw_gas(),
                 access=AccessSet(
                     reads=frozenset({length}),
                     writes=frozenset({length, element}),
@@ -553,13 +596,23 @@ def gen_mixed(spec: list[tuple[str, dict, float]], n: int, seed: int = 0) -> Wor
     if not spec:
         raise ValidationError("mixed spec must not be empty")
     _check_int("n", n, 1)
-    for pattern, _, weight in spec:
-        if pattern not in GENERATORS:
+    for entry in spec:
+        if type(entry) not in (tuple, list) or len(entry) != 3:
+            raise ValidationError(f"mixed spec entries must be (pattern, params, weight) triples, got {entry!r}")
+        pattern, params, weight = entry
+        if type(pattern) is not str or pattern not in GENERATORS:
             raise ValidationError(f"unknown pattern {pattern!r}")
-        if weight <= 0:
-            raise ValidationError(f"pattern {pattern!r}: weight must be positive, got {weight}")
+        if params is not None and type(params) is not dict:
+            raise ValidationError(f"pattern {pattern!r}: params must be a dict, got {params!r}")
+        for name in params or {}:
+            if name in ("n", "seed", "_instance") or name not in inspect.signature(GENERATORS[pattern]).parameters:
+                raise ValidationError(f"pattern {pattern!r} takes no param {name!r}")
+        if type(weight) not in (int, float) or not 0 < weight < math.inf:
+            raise ValidationError(f"pattern {pattern!r}: weight must be positive and finite, got {weight!r}")
 
     total = sum(weight for _, _, weight in spec)
+    if not math.isfinite(n * total):  # then no count below overflows
+        raise ValidationError(f"mixed spec: {n} txs times the weights' sum {total} is not finite")
     raw = [n * weight / total for _, _, weight in spec]
     counts = [int(x) for x in raw]
     remainders = sorted(range(len(spec)), key=lambda idx: (-(raw[idx] - counts[idx]), idx))
@@ -574,10 +627,7 @@ def gen_mixed(spec: list[tuple[str, dict, float]], n: int, seed: int = 0) -> Wor
     for idx, (pattern, params, _) in enumerate(spec):
         if counts[idx] == 0:
             continue
-        params = dict(params or {})
-        if isinstance(params.get("gas"), list):
-            params["gas"] = tuple(params["gas"])
-        sub = GENERATORS[pattern](counts[idx], seed=instance_seeds[idx], _instance=idx, **params)
+        sub = GENERATORS[pattern](counts[idx], seed=instance_seeds[idx], _instance=idx, **(params or {}))
         merged_tags.update(sub.key_tags)
         bottleneck.extend(sub.meta.get("bottleneck_keys", []))
         combined.extend(sub.transactions)

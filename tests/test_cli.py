@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from txpar import SvPolicy, StorageKey, build_graph, parse_trace, prune_edges_probabilistic, run_occ_da
+from txpar import cli
 from txpar.cli import main
 
 
@@ -396,6 +398,8 @@ BAD_INPUTS = {
     "config_format": (["analyze", "--input", "{trace}", "--config", "{json}"], {"format": "x"}, "config 'format'"),
     "config_policy": (["simulate", "--input", "{trace}", "--config", "{json}"], {"policy": "bogus"}, "config 'policy'"),
     "config_cadd_aware": (["probe", "--input", "{trace}", "--config", "{json}"], {"cadd_aware": "no"}, "'cadd_aware'"),
+    "simulate_format": (["simulate", "--input", "{trace}", "--format", "csv"], None, "unrecognized arguments: --format csv"),
+    "probe_format": (["probe", "--input", "{trace}", "--format", "csv"], None, "unrecognized arguments: --format csv"),
 }
 
 
@@ -448,3 +452,35 @@ def test_prune_steps_need_a_command_that_uses_a_graph(argv, tmp_path, capsys):
     assert run(argv + ["--input", str(trace), "--transforms", str(chain), "--out", str(tmp_path / "o")]) == 1
     assert "prune_edges" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--threads", "2,8", "--format", "both"],
+        ["bound", "--threads", "2", "--transforms", "{chain}"],
+        ["simulate", "--mode", "occ-da", "--policy", "dep_graph", "--threads", "2,4", "--events"],
+        ["simulate", "--mode", "occ-classic", "--threads", "2", "--transforms", "{chain}"],
+        ["probe", "--threads", "2", "--trials", "2"],
+    ],
+)
+def test_a_run_over_several_inputs_holds_one_parsed_block_at_a_time(argv, tmp_path, monkeypatch):
+    traces = []
+    for seed in range(3):
+        traces.append(str(tmp_path / f"fee{seed}.trace"))
+        run(["generate", "--pattern", "defi_fee", "--n", "12", "--traders", "3", "--seed", str(seed), "--out", traces[-1]])
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps([{"transform": "cadd_rewrite", "target_keys": "bottleneck"}]))
+    parsed = []
+    load_trace = cli._load_trace
+
+    def load_one(path):
+        assert not [ref for ref in parsed if ref() is not None], "an earlier block is still held"
+        workload = load_trace(path)
+        parsed.append(weakref.ref(workload))
+        return workload
+
+    monkeypatch.setattr(cli, "_load_trace", load_one)
+    argv = [str(chain) if arg == "{chain}" else arg for arg in argv]
+    assert run([*argv, "--input", *traces, "--out", str(tmp_path / "out")]) == 0
+    assert len(parsed) == 3

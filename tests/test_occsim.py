@@ -34,7 +34,7 @@ from txpar import (
 
 from corpus_util import build_corpus
 from oracles import oracle_occ_classic, oracle_occ_da_outcomes, oracle_run_in_order, random_workload
-from txpar.graph import _abort_rule, latest_writer
+from txpar.graph import _abort_rule, latest_conflict, latest_writer
 from txpar.workload import VALUE_DEPENDENT
 
 K = StorageKey("c", "K")
@@ -215,8 +215,8 @@ def test_key_index_window_check_matches_naive_scan():
         w = random_workload(rng, max_n=20)
         for cadd_aware in (False, True):
             latest = latest_writer(w, cadd_aware)
-            rule = _abort_rule(cadd_aware)
-            assert latest_writer(w, cadd_aware) is latest is w._memo[("latest_conflict", id(rule))][1]
+            equal_rule = tuple(tuple(list(row)) for row in _abort_rule(cadd_aware))  # equal, not the same object
+            assert latest_writer(w, cadd_aware) is latest is latest_conflict(w, equal_rule)
             for tx in w:
                 keys = tx.access.reads if cadd_aware else tx.access.reads | tx.access.cadd_keys
                 for sv in range(-1, tx.id):

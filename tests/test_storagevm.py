@@ -401,14 +401,20 @@ def test_serial_digest_is_memoized_per_object(monkeypatch):
     # copy, whose memo starts empty, builds its own.
     built = []
     floors = storagevm._version_floors
-    monkeypatch.setattr(storagevm, "_version_floors", lambda txs: built.append(txs) or floors(txs))
+    monkeypatch.setattr(storagevm, "_version_floors", lambda w: built.append(w) or floors(w))
     result = run_occ_da(w1, 4, with_digest=False)
     assert replay_check(w1, result) and replay_check(w1, result)
-    assert built == [storagevm._plan(w1).txs]
+    assert len(built) == 1 and built[0] is w1
     w3 = dataclasses.replace(w1)
     assert replay_check(w3, result)
-    assert len(built) == 2 and built[1] is storagevm._plan(w3).txs
-    assert storagevm._plan(w3).floors == storagevm._plan(w1).floors
+    assert len(built) == 2 and built[1] is w3
+    assert _kept(w3, "version_floors") == _kept(w1, "version_floors")
+    assert _kept(w3, "replay_plan") is storagevm._plan(w3) is not storagevm._plan(w1)
+
+
+def _kept(workload, name):
+    """The table `name` that `workload` has already derived; fails if it was never built."""
+    return workload.derived(name, lambda w: pytest.fail(f"{name} was never built"))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +424,7 @@ def test_serial_digest_is_memoized_per_object(monkeypatch):
 
 def _full_replay_digest(workload, svs):
     """The digest of replaying every attempt, without the floor proof."""
-    return storagevm._replay(zip(storagevm._plan(workload).txs, svs, range(len(workload)))).digest()
+    return storagevm._replay(zip(storagevm._plan(workload), svs, range(len(workload)))).digest()
 
 
 def _assert_floor_digest_matches_replay(workload, svs):
@@ -437,7 +443,7 @@ def test_floor_counts_cadd_versions_and_read_keys_the_tx_writes():
             _tx(2, reads={L}, writes={L}),
         )
     )
-    assert storagevm._version_floors(storagevm._plan(w).txs) == [-1, 0, 1]
+    assert storagevm._version_floors(w) == [-1, 0, 1]
     for svs in ([-1, 0, 1], [-1, -1, 1], [-1, 0, 0], [-1, -1, -1]):
         _assert_floor_digest_matches_replay(w, svs)
     assert replay_check(w, _committed_run(w, "occ-da", svs=[-1, 0, 1]))

@@ -442,3 +442,47 @@ def test_rewrite_then_partition_compose():
     assert build_graph(out, cadd_aware=True).edges == frozenset()
     total = sum(serial_final_state(out).latest(sub_counter_key(fee, j)) for j in range(2))
     assert total == 10
+
+
+# ---------------------------------------------------------------------------
+# Target keys are StorageKeys: a string would match no key, so a transform
+# given one would do nothing, or fail with an AttributeError
+# ---------------------------------------------------------------------------
+
+_NOT_KEYS = ["dexfee:feeBalance", ("c", "t"), StorageKey("c", 1)]
+
+
+@pytest.mark.parametrize("bad", _NOT_KEYS)
+def test_cadd_rewrite_refuses_a_target_that_is_not_a_storage_key(bad):
+    w = gen_defi_fee(6, traders=3, seed=0)
+    assert cadd_rewrite(w, {_fee_key(w)}) != w
+    with pytest.raises(ValidationError, match=f"target_keys must hold StorageKeys, got {re.escape(repr(bad))}$"):
+        cadd_rewrite(w, {_fee_key(w), bad})
+    with pytest.raises(ValidationError, match="target_keys must be a collection of StorageKeys"):
+        cadd_rewrite(w, str(_fee_key(w)))
+
+
+@pytest.mark.parametrize("bad", _NOT_KEYS)
+def test_prune_refuses_a_target_that_is_not_a_storage_key(bad):
+    w = gen_defi_fee(6, traders=3, seed=0)
+    g = build_graph(w)
+    assert len(prune_edges_probabilistic(g, w, {_fee_key(w)}, 1).edges) < len(g.edges)
+    with pytest.raises(ValidationError, match=f"target_keys must hold StorageKeys, got {re.escape(repr(bad))}$"):
+        prune_edges_probabilistic(g, w, {bad}, 1)
+    with pytest.raises(ValidationError, match="target_keys must be a collection of StorageKeys"):
+        prune_edges_probabilistic(g, w, _fee_key(w), 1)
+
+
+@pytest.mark.parametrize("bad", _NOT_KEYS)
+def test_partition_spec_refuses_a_target_that_is_not_a_storage_key(bad):
+    with pytest.raises(ValidationError, match=f"partition target_keys must hold StorageKeys, got {re.escape(repr(bad))}$"):
+        PartitionSpec(frozenset({StorageKey("c", "s"), bad}), 2)
+    with pytest.raises(ValidationError, match="partition target_keys must be a collection of StorageKeys"):
+        PartitionSpec("c:s", 2)
+
+
+@pytest.mark.parametrize("bad", _NOT_KEYS)
+def test_split_senders_refuses_a_balance_key_that_is_not_a_storage_key(bad):
+    w = gen_token_distribution(4, senders=1, seed=0)
+    with pytest.raises(ValidationError, match=f"sender_balance_key must be a StorageKey, got {re.escape(repr(bad))}$"):
+        split_senders(w, w[0].sender, 2, bad)

@@ -1,6 +1,9 @@
 """Trace format and synthetic generator tests."""
 
 import random
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -332,7 +335,7 @@ def test_workload_names_the_first_offending_transaction():
 def test_access_set_rewraps_only_what_is_not_canonical():
     k1, k2 = StorageKey("c", "a"), StorageKey("c", "b")
     reads = frozenset({k1})
-    access = AccessSet(reads=reads, writes=[k2], cadds=[(k2, 2), (k1, True)])
+    access = AccessSet(reads=reads, writes=[k2], cadds=[(k2, 2), [k1, 1]])
     assert access.reads is reads
     assert type(access.writes) is frozenset and access.writes == {k2}
     assert access.cadds == ((k1, 1), (k2, 2)) and type(access.cadds[0][1]) is int
@@ -364,3 +367,125 @@ def test_transaction_requires_exact_int_id_and_gas(field, value):
     fields = {"id": 1, "sender": "a", "gas": 5, field: value}
     with pytest.raises(ValidationError, match=field):
         Transaction(**fields)
+
+
+# ---------------------------------------------------------------------------
+# Exact types at the model boundary
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("delta", [1.5, True, "7", None])
+def test_access_set_refuses_a_cadd_delta_that_is_not_an_int(delta):
+    with pytest.raises(ValidationError, match="integer delta"):
+        AccessSet(cadds=[(StorageKey("c", "s"), delta)])
+    with pytest.raises(ValidationError, match="integer delta"):
+        AccessSet(cadds=[(StorageKey("c", "s"), 1, delta)])
+
+
+def test_access_set_refuses_cadd_keys_that_do_not_compare():
+    with pytest.raises(ValidationError, match="cadd keys must be StorageKeys"):
+        AccessSet(cadds=[("c:s", 1), (StorageKey("c", "t"), 2)])
+
+
+@pytest.mark.parametrize("key", ["c:s", StorageKey(1, 2), StorageKey("a", 3), StorageKey(b"a", "s"), ("c", "s")])
+@pytest.mark.parametrize("field", ["reads", "writes", "cadds"])
+def test_workload_refuses_a_key_that_is_not_a_storage_key_of_two_strings(key, field):
+    access = AccessSet(cadds=[(key, 1)]) if field == "cadds" else AccessSet(**{field: {key}})
+    with pytest.raises(ValidationError, match=r"^tx 1: malformed storage key"):
+        Workload(transactions=(Transaction(0, "a", 5), Transaction(1, "a", 5, access)))
+
+
+def test_workload_refuses_an_entry_that_is_not_a_transaction():
+    with pytest.raises(ValidationError, match="position 1 holds 'tx', not a Transaction"):
+        Workload(transactions=(Transaction(0, "a", 5), "tx"))
+
+
+@pytest.mark.parametrize("sender", [5, "", None, b"a"])
+def test_transaction_refuses_a_sender_that_is_not_a_non_empty_string(sender):
+    with pytest.raises(ValidationError, match="^tx 0: sender must be a non-empty string"):
+        Transaction(0, sender, 5)
+
+
+def test_transaction_refuses_an_access_that_is_not_an_access_set():
+    with pytest.raises(ValidationError, match="^tx 0: access must be an AccessSet"):
+        Transaction(0, "a", 5, access=None)
+
+
+_fields = st.one_of(st.text(max_size=3), st.integers(-1, 1), st.none(), st.binary(max_size=1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sender=_fields,
+    contract=_fields,
+    slot=_fields,
+    delta=st.one_of(st.integers(-2, 2), st.floats(allow_nan=False), st.booleans(), st.text(max_size=1)),
+)
+def test_every_workload_that_constructs_round_trips(sender, contract, slot, delta):
+    key = StorageKey(contract, slot)
+    try:
+        w = Workload(transactions=(Transaction(0, sender, 5, AccessSet(reads={key}, writes={key}, cadds=[(key, delta)])),))
+    except ValidationError:
+        return
+    assert parse_trace(emit_trace(w)) == w
+
+
+@pytest.mark.parametrize("gas", [(3, 1), "x", (1,), 2.5, (1.5, 3), (1, 2, 3), True, (1, "2"), (True, 2)])
+def test_generators_refuse_a_malformed_gas(gas):
+    for make in (gen_payments, gen_nft_mint, gen_defi_fee, gen_token_distribution):
+        with pytest.raises(ValidationError, match="gas must be an integer or a"):
+            make(3, gas=gas)
+    assert [tx.gas for tx in gen_payments(3, gas=[7, 7])] == [7, 7, 7]
+
+
+def test_token_distribution_refuses_a_track_total_supply_that_is_not_a_bool():
+    with pytest.raises(ValidationError, match="track_total_supply must be true or false"):
+        gen_token_distribution(3, track_total_supply="yes")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ([("payments", {}, "x")], "weight must be positive and finite"),
+        ([("payments", {}, float("nan"))], "weight must be positive and finite"),
+        ([("payments", {}, float("inf"))], "weight must be positive and finite"),
+        ([("payments", {}, True)], "weight must be positive and finite"),
+        ([("payments", {}, 0)], "weight must be positive and finite"),
+        ([("payments", {"to": 2}, 1)], "takes no param 'to'"),
+        ([("payments", {"seed": 2}, 1)], "takes no param 'seed'"),
+        ([("payments", {"senders": 2}, 1)], "takes no param 'senders'"),
+        ([("payments", [("gas", 5)], 1)], "params must be a dict"),
+        ([("payments", {}, 1, 2)], "triples"),
+        ([("payments", {})], "triples"),
+        (["payments"], "triples"),
+        ([(["payments"], {}, 1)], "unknown pattern"),
+        ([("payments", {"gas": (1.5, 3)}, 1)], "gas must be"),
+        ([("payments", {}, 1e308), ("nft_mint", {}, 1e308)], "is not finite"),
+        ([("payments", {}, 1e308)], "is not finite"),
+    ],
+)
+def test_gen_mixed_refuses_a_malformed_spec(spec, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        gen_mixed(spec, 10)
+
+
+def test_gen_mixed_takes_a_gas_range_as_a_list_or_a_tuple():
+    as_list = gen_mixed([("payments", {"gas": [5, 9]}, 1), ("nft_mint", None, 1)], 20, seed=3)
+    as_tuple = gen_mixed([("payments", {"gas": (5, 9)}, 1), ("nft_mint", None, 1)], 20, seed=3)
+    assert as_list == as_tuple and emit_trace(as_list) == emit_trace(as_tuple)
+
+
+def test_only_the_workload_module_touches_the_memo():
+    src = Path(__file__).resolve().parents[1] / "src" / "txpar"
+    assert [path.name for path in sorted(src.glob("*.py")) if "_memo" in path.read_text(encoding="utf-8")] == ["workload.py"]
+
+
+def test_derived_builds_once_per_name_and_per_object():
+    w = gen_payments(3)
+    built = []
+    build = lambda w: built.append(w) or len(w)  # noqa: E731
+    assert w.derived("n", build) == w.derived("n", build) == 3
+    assert w.derived(("n", 2), build) == 3 and len(built) == 2
+    copy = replace(w)
+    assert copy == w and copy.derived("n", build) == 3
+    assert built == [w, w, copy] and built[2] is copy
