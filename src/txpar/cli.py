@@ -508,6 +508,7 @@ def _add_input_flags(sub):
     sub.add_argument("--threads", default=None, help="comma-separated thread counts")
 
 
+@functools.cache  # built once per process: parsing arguments does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="txpar", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)

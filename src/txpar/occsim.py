@@ -404,8 +404,10 @@ def run_occ_classic(
     random.Random(interleaving_seed).shuffle(order)
     queue = deque(order)  # popleft() = FCFS
 
-    read_like = [tx.access.reads | tx.access.cadd_keys for tx in workload]
-    written = [tx.access.writes | tx.access.cadd_keys for tx in workload]
+    accesses = [tx.access for tx in workload]
+    # A cadd counts as a read and a write; most txs have none, and keep their sets.
+    read_like = [a.reads | a.cadd_keys if a.cadds else a.reads for a in accesses]
+    written = [a.writes | a.cadd_keys if a.cadds else a.writes for a in accesses]
     gas = [tx.gas for tx in workload]
     last_write: dict[StorageKey, int] = {}  # key -> latest commit time writing it
     # Per commit, in commit order: its time (never decreasing) and the

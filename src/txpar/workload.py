@@ -13,6 +13,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import TraceParseError, ValidationError, _check_int
@@ -137,11 +138,12 @@ class Transaction:
 class Workload:
     """One execution unit (a block or a batch of blocks).
 
-    `meta` is a free-form JSON-able label map (generator name, seed, key
-    tags); it is excluded from equality so parse(emit(w)) == w holds
+    `meta` is a free-form label map (generator name, seed, key tags), a
+    dict; it is excluded from equality so parse(emit(w)) == w holds
     regardless of provenance labels. Transactions, senders, keys and cadd
     deltas are checked for their exact types, so a workload that constructs
-    round-trips through the trace format when its `meta` is JSON-able.
+    round-trips through the trace format when its `meta` is JSON-able;
+    `emit_trace` refuses one that is not.
 
     `derived` owns the tables built from the transactions: the per-key
     access index (`graph._accesses`), one `graph.latest_conflict` table per
@@ -156,6 +158,8 @@ class Workload:
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if type(self.meta) is not dict:
+            raise ValidationError(f"meta must be a dict, got {self.meta!r}")
         txs = tuple(self.transactions)
         object.__setattr__(self, "transactions", txs)
         if set(map(type, txs)) <= {Transaction}:
@@ -240,43 +244,50 @@ _scan_once = json.decoder.JSONDecoder().scan_once
 
 
 def _decode_record(stripped: str, line_no: int):
-    """Decode one record line; `stripped` has no surrounding whitespace.
-
-    The scanner's result is taken only when it ends the line. Anything else
-    (no value, malformed or too deep JSON, trailing data) goes through
-    `json.loads`, so an error is worded by `json.loads` itself.
-    """
-    try:
-        obj, end = _scan_once(stripped, 0)
-        if end == len(stripped):
-            return obj
-    except (StopIteration, ValueError, RecursionError):
-        pass
+    """Decode a record line that the scanner did not take whole (no value,
+    malformed or too deep JSON, trailing data) through `json.loads`, so an
+    error is worded by `json.loads` itself; `stripped` has no surrounding
+    whitespace."""
     try:
         return json.loads(stripped)
     except (ValueError, RecursionError) as exc:  # also an over-long number or too deep a nesting
         raise TraceParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
 
 
-def _parse_key_list(raw, line_no: int, field_name: str, cache: dict) -> list[StorageKey]:
+class _KeyTable(dict):
+    """Key string -> its interned StorageKey, for one trace.
+
+    Looking up a string not seen yet checks it as `StorageKey.parse` does
+    (a ValidationError in the same words) and interns the new key; looking
+    up an entry that is not a string raises TypeError.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, text):
+        if type(text) is not str:
+            raise TypeError(text)
+        contract, sep, slot = text.partition(":")
+        if not sep or not contract or not slot:
+            StorageKey.parse(text)  # raises, in its words
+        key = self[text] = tuple.__new__(StorageKey, (contract, slot))
+        return key
+
+
+def _key_set(raw, line_no: int, field_name: str, keys: _KeyTable) -> frozenset[StorageKey]:
+    """The keys of one key list, checked entry by entry in order, or the
+    error of its first bad entry. The parser's fast lookups fall back to it
+    to word an error."""
     if type(raw) is not list:
         raise TraceParseError(line_no, f"{field_name} must be an array")
-    keys = []
-    get = cache.get
-    try:
-        for item in raw:
-            key = get(item)
-            if key is None:  # a new key string, or an entry that is not a string
-                if type(item) is not str:
-                    raise TraceParseError(line_no, f"{field_name} entries must be strings")
-                try:
-                    key = cache[item] = StorageKey.parse(item)
-                except ValidationError as exc:
-                    raise TraceParseError(line_no, str(exc)) from None
-            keys.append(key)
-    except TypeError:  # an unhashable entry: an array or an object
-        raise TraceParseError(line_no, f"{field_name} entries must be strings") from None
-    return keys
+    for item in raw:
+        if type(item) is not str:
+            raise TraceParseError(line_no, f"{field_name} entries must be strings")
+        try:
+            keys[item]
+        except ValidationError as exc:
+            raise TraceParseError(line_no, str(exc)) from None
+    return frozenset(map(keys.__getitem__, raw))
 
 
 def parse_trace(stream) -> Workload:
@@ -290,18 +301,25 @@ def parse_trace(stream) -> Workload:
     shares the reads frozenset, which has already been checked. JSON yields
     exact types only, so the type checks compare types rather than call
     isinstance.
+
+    Every field is checked here, so the AccessSets, Transactions and the
+    Workload are built by setting their fields in declaration order, without
+    the constructors' checks, which would only repeat these. They equal,
+    hash and print like the objects the public constructors build.
     """
     meta: dict = {}
-    key_cache: dict[str, StorageKey] = {}
+    keys = _KeyTable()
+    lookup = keys.__getitem__
     records: list[tuple[int | None, str, int, AccessSet]] = []  # (declared id, sender, gas, access)
     seen_ids: set[int] = set()
     with_ids: bool | None = None
+    new, set_field = object.__new__, object.__setattr__
 
     for line_no, line in enumerate(_decode(stream).splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
-        if stripped.startswith("#"):
+        if stripped[0] == "#":
             if stripped.startswith(_META_PREFIX.strip() + " "):
                 try:
                     parsed = json.loads(stripped[len(_META_PREFIX.strip()) :].strip())
@@ -310,7 +328,12 @@ def parse_trace(stream) -> Workload:
                 except (ValueError, RecursionError):
                     pass  # foreign comment that merely resembles a meta line
             continue
-        obj = _decode_record(stripped, line_no)
+        try:
+            obj, end = _scan_once(stripped, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(stripped):
+            obj = _decode_record(stripped, line_no)
         if type(obj) is not dict:
             raise TraceParseError(line_no, "record must be a JSON object")
 
@@ -337,41 +360,68 @@ def parse_trace(stream) -> Workload:
             raise ValidationError(f"line {line_no}: gas must be >= 1, got {gas}")
 
         raw_reads = obj.get("reads", [])
-        reads = frozenset(_parse_key_list(raw_reads, line_no, "reads", key_cache))
         raw_writes = obj.get("writes", [])
-        if raw_writes == raw_reads:  # a read-modify-write: every entry is a key string checked above
-            writes = reads
-        else:
-            writes = frozenset(_parse_key_list(raw_writes, line_no, "writes", key_cache))
+        try:
+            if type(raw_reads) is not list or type(raw_writes) is not list:
+                raise TypeError
+            reads = frozenset(map(lookup, raw_reads))
+            # A read-modify-write: every entry is a key string checked above.
+            writes = reads if raw_writes == raw_reads else frozenset(map(lookup, raw_writes))
+        except (TypeError, ValidationError):  # a bad list or entry: word its error
+            reads = _key_set(raw_reads, line_no, "reads", keys)
+            writes = _key_set(raw_writes, line_no, "writes", keys)
         raw_cadds = obj.get("cadds", [])
         if type(raw_cadds) is not list:
             raise TraceParseError(line_no, "cadds must be an array")
-        cadds = []
-        for entry in raw_cadds:
-            if not (type(entry) is list and len(entry) == 2 and type(entry[0]) is str):
-                raise TraceParseError(line_no, "cadds entries must be [key, delta] pairs")
-            if type(entry[1]) is not int:
-                raise TraceParseError(line_no, "cadd delta must be an integer")
-            (key,) = _parse_key_list([entry[0]], line_no, "cadds", key_cache)
-            cadds.append((key, entry[1]))
+        cadds = ()
+        if raw_cadds:
+            pairs = []
+            for entry in raw_cadds:
+                if not (type(entry) is list and len(entry) == 2 and type(entry[0]) is str):
+                    raise TraceParseError(line_no, "cadds entries must be [key, delta] pairs")
+                if type(entry[1]) is not int:
+                    raise TraceParseError(line_no, "cadd delta must be an integer")
+                try:
+                    pairs.append((keys[entry[0]], entry[1]))
+                except ValidationError as exc:
+                    raise TraceParseError(line_no, str(exc)) from None
+            cadds = tuple(sorted(pairs))  # what `_canon_cadds` makes of checked pairs
 
-        records.append((declared_id, sender, gas, AccessSet(reads, writes, tuple(cadds))))
+        access = new(AccessSet)
+        set_field(access, "reads", reads)
+        set_field(access, "writes", writes)
+        set_field(access, "cadds", cadds)
+        records.append((declared_id, sender, gas, access))
 
     if with_ids and records:
         ids = sorted(seen_ids)
         if ids[-1] - ids[0] + 1 != len(ids):
             raise ValidationError(f"ids must be contiguous, got range {ids[0]}..{ids[-1]} for {len(ids)} records")
-        records.sort(key=lambda rec: rec[0])
+        records.sort(key=itemgetter(0))
 
-    txs = tuple(Transaction(pos, sender, gas, access) for pos, (_, sender, gas, access) in enumerate(records))
-    return Workload(transactions=txs, meta=meta)
+    txs = []
+    for pos, (_, sender, gas, access) in enumerate(records):
+        tx = new(Transaction)
+        set_field(tx, "id", pos)
+        set_field(tx, "sender", sender)
+        set_field(tx, "gas", gas)
+        set_field(tx, "access", access)
+        txs.append(tx)
+    workload = new(Workload)
+    set_field(workload, "transactions", tuple(txs))
+    set_field(workload, "meta", meta)
+    set_field(workload, "_memo", {})
+    return workload
 
 
 def emit_trace(workload: Workload) -> bytes:
     """Serialize a Workload to the trace format; deterministic byte-for-byte."""
     out = [TRACE_HEADER]
     if workload.meta:
-        out.append(_META_PREFIX + json.dumps(workload.meta, sort_keys=True, separators=(",", ":")))
+        try:
+            out.append(_META_PREFIX + json.dumps(workload.meta, sort_keys=True, separators=(",", ":")))
+        except (TypeError, ValueError) as exc:  # a value JSON has no form for, or a cycle
+            raise ValidationError(f"meta is not JSON-able: {exc}") from None
     for tx in workload:
         record = {
             "id": tx.id,

@@ -91,6 +91,26 @@ def test_analyze_outputs_and_determinism(tmp_path):
     assert rows[0]["bounds"]["2"]["speedup"] == pytest.approx(1.0)
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path):
+    trace = tmp_path / "w.trace"
+    run(["generate", "--pattern", "defi_fee", "--n", "12", "--traders", "2", "--seed", "4", "--out", str(trace)])
+    analyze = ["analyze", "--input", str(trace), "--threads", "2,8", "--format", "both", "--out"]
+    simulate = ["simulate", "--input", str(trace), "--mode", "occ-da", "--threads", "4", "--events", "--out"]
+
+    def outputs(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    assert cli.build_parser() is cli.build_parser()
+    assert run(analyze + [str(tmp_path / "a1")]) == 0
+    assert run(simulate + [str(tmp_path / "s1")]) == 0
+    assert run(["simulate", "--input", str(trace), "--mode", "bogus"]) == 1
+    assert run(analyze + [str(tmp_path / "a2")]) == 0
+    cli.build_parser.cache_clear()  # the next call builds a fresh parser
+    assert run(analyze + [str(tmp_path / "fresh")]) == 0
+    assert outputs(tmp_path / "a2") == outputs(tmp_path / "fresh") == outputs(tmp_path / "a1")
+    assert outputs(tmp_path / "s1")
+
+
 def test_bound_json(tmp_path):
     trace = tmp_path / "w.trace"
     run(["generate", "--pattern", "payments", "--n", "8", "--seed", "2", "--out", str(trace)])

@@ -1,5 +1,6 @@
 """Trace format and synthetic generator tests."""
 
+import json
 import random
 import re
 from dataclasses import replace
@@ -489,3 +490,96 @@ def test_derived_builds_once_per_name_and_per_object():
     copy = replace(w)
     assert copy == w and copy.derived("n", build) == 3
     assert built == [w, w, copy] and built[2] is copy
+
+
+def _assert_parsed_like_public(parsed):
+    """Each object the parser builds equals, hashes and prints like the one
+    the public constructors build from its fields, with its fields in the
+    same order."""
+    for tx in parsed:
+        access = tx.access
+        public_access = AccessSet(access.reads, access.writes, access.cadds)
+        public_tx = Transaction(tx.id, tx.sender, tx.gas, public_access)
+        for ours, public in ((access, public_access), (tx, public_tx)):
+            assert type(ours) is type(public)
+            assert ours == public and hash(ours) == hash(public) and repr(ours) == repr(public)
+            assert list(vars(ours).items()) == list(vars(public).items())
+    public = Workload(transactions=[replace(tx) for tx in parsed], meta=dict(parsed.meta))
+    assert parsed == public and hash(parsed) == hash(public) and repr(parsed) == repr(public)
+    assert list(vars(parsed)) == list(vars(public))
+
+
+def test_parsed_objects_match_public_ones_on_corpus_traces():
+    for index in range(8):
+        workload = corpus_workload(index)
+        counters = {StorageKey.parse(k) for k in workload.meta["bottleneck_keys"]} - {
+            StorageKey.parse(k) for k, tag in workload.key_tags.items() if tag == VALUE_DEPENDENT
+        }
+        for source in (workload, cadd_rewrite(workload, counters)):
+            parsed = parse_trace(emit_trace(source))
+            assert parsed == source
+            _assert_parsed_like_public(parsed)
+
+
+_valid_keys = st.sampled_from(["c:s", "c:t", "tok:bal:s0", "d:x:y"])
+_valid_records = st.tuples(
+    st.fixed_dictionaries(
+        {"sender": st.sampled_from(["a", "b", "cc"]), "gas": st.integers(1, 10**30)},
+        optional={
+            "reads": st.lists(_valid_keys, max_size=3),
+            "writes": st.lists(_valid_keys, max_size=3),
+            "cadds": st.lists(st.tuples(_valid_keys, st.integers(-5, 5)).map(list), max_size=3),
+        },
+    ),
+    st.booleans(),  # a read-modify-write: writes the list it reads
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_valid_records, max_size=8), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_parsed_objects_match_public_ones(rows, first_id, rnd):
+    records = [dict(record, writes=record.get("reads", [])) if rmw else record for record, rmw in rows]
+    if first_id:  # declared ids, in shuffled line order
+        ids = list(range(first_id, first_id + len(records)))
+        rnd.shuffle(ids)
+        records = [dict(record, id=i) for record, i in zip(records, ids)]
+    parsed = parse_trace("\n".join(map(json.dumps, records)))
+    assert len(parsed) == len(records)
+    _assert_parsed_like_public(parsed)
+
+
+def test_parsed_objects_keep_every_check_of_replace():
+    w = gen_defi_fee(4, traders=2, seed=1)
+    parsed = parse_trace(emit_trace(cadd_rewrite(w, {StorageKey.parse(w.meta["bottleneck_keys"][0])})))
+    tx = parsed[1]
+    assert tx.access.cadds
+    with pytest.raises(ValidationError, match="gas must be an integer >= 1"):
+        replace(tx, gas=0)
+    with pytest.raises(ValidationError, match="sender must be a non-empty string"):
+        replace(tx, sender="")
+    with pytest.raises(ValidationError, match="cadds must be"):
+        replace(tx.access, cadds=[(tx.access.cadds[0][0], 1.5)])
+    with pytest.raises(ValidationError, match="meta must be a dict"):
+        replace(parsed, meta=[1])
+    with pytest.raises(ValidationError, match="contiguous"):
+        replace(parsed, transactions=parsed.transactions[1:])
+
+
+def test_each_parse_gets_its_own_empty_memo():
+    trace = emit_trace(gen_payments(5, seed=2))
+    first, second = parse_trace(trace), parse_trace(trace)
+    assert first._memo == {} and second._memo == {} and first._memo is not second._memo
+    assert first.derived("n", len) == 5
+    assert second._memo == {}
+
+
+@pytest.mark.parametrize("meta", [[1], None, "x", ({"a": 1},)])
+def test_workload_refuses_a_meta_that_is_not_a_dict(meta):
+    with pytest.raises(ValidationError, match="^meta must be a dict"):
+        Workload(meta=meta)
+
+
+@pytest.mark.parametrize("meta", [{"x": {1}}, {"key_tags": {"c:s": b"1"}}, {"x": object()}])
+def test_emit_refuses_a_meta_that_is_not_json(meta):
+    with pytest.raises(ValidationError, match="^meta is not JSON-able"):
+        emit_trace(Workload(transactions=gen_payments(2).transactions, meta=meta))
