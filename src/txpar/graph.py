@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .errors import ValidationError
-from .workload import AccessSet, StorageKey, Transaction, Workload
+from .workload import AccessSet, StorageKey, Transaction, Workload, _new, _set_field
 
 #: Access kinds of one transaction on one key, as bits of a kind mask.
 READ, WRITE, CADD = 1, 2, 4
@@ -61,6 +61,17 @@ class DependencyGraph:
                 out[i].append(j)
             object.__setattr__(self, "_dependents", tuple(map(tuple, out)))
         return self._dependents
+
+
+def _graph(n: int, edges: frozenset[tuple[int, int]], weights: tuple[int, ...]) -> DependencyGraph:
+    """A trusted DependencyGraph, built as the trusted workload objects are
+    (see `Workload`): its maker has made `edges` (later, earlier) pairs of
+    ids below `n` from a workload's ids, and `weights` its txs' gas."""
+    g = _new(DependencyGraph)
+    _set_field(g, "n", n)
+    _set_field(g, "edges", edges)
+    _set_field(g, "weights", weights)
+    return g  # `_dependents` is the class default, None, as after `__init__`
 
 
 @dataclass(frozen=True)
@@ -197,7 +208,7 @@ def build_graph(workload: Workload, cadd_aware: bool = False) -> DependencyGraph
     (the normative oracle), in O(sum of per-key conflicting pairs).
     """
     edges = _pairs(_accesses(workload).values(), _kind_conflicts(cadd_aware))
-    return DependencyGraph(n=len(workload), edges=frozenset(edges), weights=tuple(tx.gas for tx in workload))
+    return _graph(len(workload), frozenset(edges), tuple(tx.gas for tx in workload))
 
 
 def edges_only_on(workload: Workload, keys, cadd_aware: bool = False) -> set[tuple[int, int]]:
@@ -263,7 +274,7 @@ def schedule_graph(workload: Workload, cadd_aware: bool = False) -> tuple[Depend
             else:
                 ids[kind] = [j]
                 bits[kind] = 1 << j
-    graph = DependencyGraph(n=len(workload), edges=frozenset(edges), weights=tuple(tx.gas for tx in workload))
+    graph = _graph(len(workload), frozenset(edges), tuple(tx.gas for tx in workload))
     return graph, sum(mask.bit_count() for mask in earlier)
 
 

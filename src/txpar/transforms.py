@@ -2,19 +2,22 @@
 counters, probabilistic edge pruning, and commutative-add rewriting.
 
 All workload transforms preserve transaction count, ids, and gas; they only
-rewrite senders and access sets.
+rewrite senders and access sets. They take a checked workload and checked
+target keys, so they build their output trusted (see `Workload`), sorting
+cadds as `_canon_cadds` does.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 import random
 
 from .errors import SoundnessError, ValidationError, _check_int
-from .graph import DependencyGraph, edges_only_on
-from .workload import VALUE_DEPENDENT, AccessSet, StorageKey, Transaction, Workload, _malformed_key
+from .graph import DependencyGraph, _graph, edges_only_on
+from .workload import VALUE_DEPENDENT, StorageKey, Transaction, Workload, _malformed_key
+from .workload import _access, _key, _transaction, _workload
 
 
 def route_hash(attribute: str) -> int:
@@ -28,7 +31,7 @@ def route_hash(attribute: str) -> int:
 
 
 def sub_counter_key(key: StorageKey, index: int) -> StorageKey:
-    return StorageKey(key.contract, f"{key.slot}#{index}")
+    return _key((key.contract, f"{key.slot}#{index}"))
 
 
 def _target_keys(name: str, keys) -> frozenset[StorageKey]:
@@ -73,7 +76,15 @@ def _with_meta_note(workload: Workload, txs: tuple[Transaction, ...], note: dict
     if type(done) is not list:
         raise ValidationError(f"meta 'transforms' must be a JSON array, got {done!r}")
     meta["transforms"] = done + [note]
-    return Workload(transactions=txs, meta=meta)
+    return _workload(txs, meta)
+
+
+def _rewritten(tx: Transaction, sender: str, reads, writes, cadds: list) -> Transaction:
+    """`tx` with this sender and these key sets and cadds, trusted: equal
+    `reads` and `writes` share one frozenset, and the cadds are sorted."""
+    reads = frozenset(reads)
+    writes = reads if writes == reads else frozenset(writes)
+    return _transaction(tx.id, sender, tx.gas, _access(reads, writes, tuple(sorted(cadds))))
 
 
 def split_senders(
@@ -109,15 +120,10 @@ def split_senders(
             continue
         idx = occurrence % m
         occurrence += 1
-        access = AccessSet(
-            reads=rewrite_keys(tx.access.reads, idx),
-            writes=rewrite_keys(tx.access.writes, idx),
-            cadds=tuple(
-                (derived_keys[idx] if key == sender_balance_key else key, delta)
-                for key, delta in tx.access.cadds
-            ),
-        )
-        txs.append(replace(tx, sender=derived_senders[idx], access=access))
+        access = tx.access
+        reads, writes = rewrite_keys(access.reads, idx), rewrite_keys(access.writes, idx)
+        cadds = [(derived_keys[idx] if key == sender_balance_key else key, delta) for key, delta in access.cadds]
+        txs.append(_rewritten(tx, derived_senders[idx], reads, writes, cadds))
 
     tag = workload.key_tags.get(str(sender_balance_key))
     extra_tags = {str(k): tag for k in derived_keys} if tag is not None else {}
@@ -167,7 +173,7 @@ def partition_counters(workload: Workload, spec: PartitionSpec) -> Workload:
             (sub_counter_key(key, idx) if key in spec.target_keys else key, delta)
             for key, delta in cadds
         ]
-        txs.append(replace(tx, access=AccessSet(frozenset(reads), frozenset(writes), tuple(cadds))))
+        txs.append(_rewritten(tx, tx.sender, reads, writes, cadds))
 
     extra_tags = {}
     for key in spec.target_keys:
@@ -216,7 +222,7 @@ def prune_edges_probabilistic(
     prunable = edges_only_on(workload, _target_keys("target_keys", target_keys), cadd_aware)
     rng = random.Random(seed)
     removed = [edge for edge in sorted(g.edges & prunable) if rng.random() < p]
-    return DependencyGraph(n=g.n, edges=g.edges.difference(removed), weights=g.weights)
+    return _graph(g.n, g.edges.difference(removed), g.weights)
 
 
 def cadd_rewrite(workload: Workload, target_keys: frozenset[StorageKey] | set[StorageKey]) -> Workload:
@@ -250,7 +256,7 @@ def cadd_rewrite(workload: Workload, target_keys: frozenset[StorageKey] | set[St
             reads.discard(key)
             writes.discard(key)
             cadds.append((key, delta))
-        txs.append(replace(tx, access=AccessSet(frozenset(reads), frozenset(writes), tuple(cadds))))
+        txs.append(_rewritten(tx, tx.sender, reads, writes, cadds))
 
     note = {"transform": "cadd_rewrite", "target_keys": sorted(str(k) for k in target_keys)}
     return _with_meta_note(workload, tuple(txs), note, {})

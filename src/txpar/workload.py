@@ -12,7 +12,8 @@ import inspect
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -142,8 +143,19 @@ class Workload:
     dict; it is excluded from equality so parse(emit(w)) == w holds
     regardless of provenance labels. Transactions, senders, keys and cadd
     deltas are checked for their exact types, so a workload that constructs
-    round-trips through the trace format when its `meta` is JSON-able;
-    `emit_trace` refuses one that is not.
+    round-trips through the trace format when JSON reads its `meta` back
+    equal; `emit_trace` refuses one that it would not.
+
+    The public constructors check every field. The objects txpar makes
+    itself are built trusted instead (`_access`, `_transaction`,
+    `_workload`: fields set in declaration order, without `__post_init__`),
+    and skip only checks their maker has already made: `parse_trace` checks
+    every field of the trace; the generators draw keys from a hex namespace
+    and fixed slot templates, senders from the same namespace, gas from
+    `_gas_draw` and ids from a counter; the transforms take a checked
+    workload and checked target keys, keep its ids and gas, and sort cadds
+    as `_canon_cadds` does. A trusted object equals, hashes and prints like
+    the one the public constructors build from its fields.
 
     `derived` owns the tables built from the transactions: the per-key
     access index (`graph._accesses`), one `graph.latest_conflict` table per
@@ -215,6 +227,45 @@ class Workload:
         return sum(tx.gas for tx in self.transactions)
 
 
+_new, _set_field = object.__new__, object.__setattr__
+
+#: A trusted StorageKey, from a (contract, slot) pair of checked strs,
+#: without NamedTuple's Python-level `__new__`.
+_key = partial(tuple.__new__, StorageKey)
+
+
+def _access(reads: frozenset, writes: frozenset, cadds: tuple = ()) -> AccessSet:
+    """A trusted AccessSet: `reads` and `writes` are frozensets of
+    well-formed keys (one shared frozenset for a read-modify-write), `cadds`
+    a tuple of (key, int) pairs sorted as `_canon_cadds` sorts them."""
+    access = _new(AccessSet)
+    _set_field(access, "reads", reads)
+    _set_field(access, "writes", writes)
+    _set_field(access, "cadds", cadds)
+    return access
+
+
+def _transaction(id: int, sender: str, gas: int, access: AccessSet) -> Transaction:
+    """A trusted Transaction: an int id >= 0, a non-empty str sender, an int
+    gas >= 1 and an AccessSet."""
+    tx = _new(Transaction)
+    _set_field(tx, "id", id)
+    _set_field(tx, "sender", sender)
+    _set_field(tx, "gas", gas)
+    _set_field(tx, "access", access)
+    return tx
+
+
+def _workload(transactions: tuple, meta: dict) -> Workload:
+    """A trusted Workload: a tuple of Transactions with ids 0, 1, ... in
+    order, a dict meta, and its own empty `_memo`."""
+    workload = _new(Workload)
+    _set_field(workload, "transactions", transactions)
+    _set_field(workload, "meta", meta)
+    _set_field(workload, "_memo", {})
+    return workload
+
+
 # ---------------------------------------------------------------------------
 # Trace format
 #
@@ -270,7 +321,7 @@ class _KeyTable(dict):
         contract, sep, slot = text.partition(":")
         if not sep or not contract or not slot:
             StorageKey.parse(text)  # raises, in its words
-        key = self[text] = tuple.__new__(StorageKey, (contract, slot))
+        key = self[text] = _key((contract, slot))
         return key
 
 
@@ -303,9 +354,8 @@ def parse_trace(stream) -> Workload:
     isinstance.
 
     Every field is checked here, so the AccessSets, Transactions and the
-    Workload are built by setting their fields in declaration order, without
-    the constructors' checks, which would only repeat these. They equal,
-    hash and print like the objects the public constructors build.
+    Workload are built trusted (see `Workload`), without the constructors'
+    checks, which would only repeat these.
     """
     meta: dict = {}
     keys = _KeyTable()
@@ -313,7 +363,6 @@ def parse_trace(stream) -> Workload:
     records: list[tuple[int | None, str, int, AccessSet]] = []  # (declared id, sender, gas, access)
     seen_ids: set[int] = set()
     with_ids: bool | None = None
-    new, set_field = object.__new__, object.__setattr__
 
     for line_no, line in enumerate(_decode(stream).splitlines(), start=1):
         stripped = line.strip()
@@ -387,11 +436,7 @@ def parse_trace(stream) -> Workload:
                     raise TraceParseError(line_no, str(exc)) from None
             cadds = tuple(sorted(pairs))  # what `_canon_cadds` makes of checked pairs
 
-        access = new(AccessSet)
-        set_field(access, "reads", reads)
-        set_field(access, "writes", writes)
-        set_field(access, "cadds", cadds)
-        records.append((declared_id, sender, gas, access))
+        records.append((declared_id, sender, gas, _access(reads, writes, cadds)))
 
     if with_ids and records:
         ids = sorted(seen_ids)
@@ -399,40 +444,73 @@ def parse_trace(stream) -> Workload:
             raise ValidationError(f"ids must be contiguous, got range {ids[0]}..{ids[-1]} for {len(ids)} records")
         records.sort(key=itemgetter(0))
 
-    txs = []
-    for pos, (_, sender, gas, access) in enumerate(records):
-        tx = new(Transaction)
-        set_field(tx, "id", pos)
-        set_field(tx, "sender", sender)
-        set_field(tx, "gas", gas)
-        set_field(tx, "access", access)
-        txs.append(tx)
-    workload = new(Workload)
-    set_field(workload, "transactions", tuple(txs))
-    set_field(workload, "meta", meta)
-    set_field(workload, "_memo", {})
-    return workload
+    txs = tuple([_transaction(pos, sender, gas, access) for pos, (_, sender, gas, access) in enumerate(records)])
+    return _workload(txs, meta)
+
+
+#: JSON's text for a str, as `json.dumps` writes it: quoted, with every
+#: non-ASCII character escaped (so no record holds a line break).
+_quote = json.encoder.encode_basestring_ascii
+
+#: The types whose values JSON reads back equal to themselves. A float is one
+#: too, unless it is NaN.
+_JSON_EXACT = frozenset({str, int, bool, type(None)})
+
+
+def _round_trips(value) -> bool:
+    """Whether `json.loads` reads `value`'s JSON text back equal to it: a
+    dict with str keys, a list, a str, int, bool or None, or a float that is
+    not NaN, nested. A tuple would come back a list and a non-str key a
+    str."""
+    kind = type(value)
+    if kind is dict:
+        if set(map(type, value)) - {str}:
+            return False
+        value = value.values()
+    elif kind is not list:
+        return kind in _JSON_EXACT or kind is float and value == value
+    return set(map(type, value)) <= _JSON_EXACT or all(map(_round_trips, value))
+
+
+def _key_list(keys: frozenset[StorageKey]) -> str:
+    # Sort the raw `contract:slot` texts and only then quote them: escaping
+    # can change the order. `a~` sorts before `a` + U+00E9, but quoted it
+    # sorts after `"a\\u00e9"`, since `\` is below `~`.
+    return ",".join(map(_quote, sorted(map(":".join, keys))))
 
 
 def emit_trace(workload: Workload) -> bytes:
-    """Serialize a Workload to the trace format; deterministic byte-for-byte."""
+    """Serialize a Workload to the trace format; deterministic byte-for-byte.
+
+    Each record is written from one template, in the bytes
+    `json.dumps(record, separators=(",", ":"))` gives: strs through JSON's
+    own quoting, ints through repr, key lists sorted by raw text. A meta that
+    JSON cannot encode, or would not read back equal, is refused.
+    """
     out = [TRACE_HEADER]
-    if workload.meta:
+    meta = workload.meta
+    if meta:
         try:
-            out.append(_META_PREFIX + json.dumps(workload.meta, sort_keys=True, separators=(",", ":")))
+            out.append(_META_PREFIX + json.dumps(meta, sort_keys=True, separators=(",", ":")))
         except (TypeError, ValueError) as exc:  # a value JSON has no form for, or a cycle
             raise ValidationError(f"meta is not JSON-able: {exc}") from None
-    for tx in workload:
-        record = {
-            "id": tx.id,
-            "sender": tx.sender,
-            "gas": tx.gas,
-            "reads": sorted(str(k) for k in tx.access.reads),
-            "writes": sorted(str(k) for k in tx.access.writes),
-            "cadds": [[str(k), delta] for k, delta in tx.access.cadds],
-        }
-        out.append(json.dumps(record, separators=(",", ":")))
-    return ("\n".join(out) + "\n").encode("utf-8")
+        if not _round_trips(meta):
+            key = next(key for key, value in meta.items() if type(key) is not str or not _round_trips(value))
+            raise ValidationError(
+                f"meta does not round-trip through the trace format: entry {key!r}: {meta[key]!r} would read back"
+                " changed (JSON has str keys only, no tuples and no NaN)"
+            )
+    for tx in workload.transactions:
+        access = tx.access
+        reads = _key_list(access.reads)
+        writes = reads if access.writes is access.reads else _key_list(access.writes)
+        cadds = ",".join([f"[{_quote(':'.join(key))},{delta!r}]" for key, delta in access.cadds])
+        out.append(
+            f'{{"id":{tx.id!r},"sender":{_quote(tx.sender)},"gas":{tx.gas!r},'
+            f'"reads":[{reads}],"writes":[{writes}],"cadds":[{cadds}]}}'
+        )
+    out.append("")
+    return "\n".join(out).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +531,20 @@ def _namespace(pattern: str, seed: int, instance: int) -> str:
 def _gas_draw(gas, pattern: str, rng: random.Random):
     """A generator's gas param, checked once, as a function that gives each
     tx's gas in turn: None for the pattern's default, an int, or a (low,
-    high) pair of ints drawn from uniformly by `rng`."""
+    high) pair of ints drawn from uniformly by `rng`; every gas is >= 1."""
     if gas is None:
         gas = DEFAULT_GAS[pattern]
-    if type(gas) is int:
+    if type(gas) is int and gas >= 1:
         return lambda: gas
-    if type(gas) in (tuple, list) and list(map(type, gas)) == [int, int] and gas[0] <= gas[1]:
+    if type(gas) in (tuple, list) and list(map(type, gas)) == [int, int] and 1 <= gas[0] <= gas[1]:
         low, high = gas
         return lambda: rng.randint(low, high)
-    raise ValidationError(f"gas must be an integer or a (low, high) pair of integers, got {gas!r}")
+    raise ValidationError(f"gas must be an integer or a (low, high) pair of integers, all >= 1 and low <= high, got {gas!r}")
+
+
+# The generators build trusted objects (see `Workload`): each contract is a
+# fixed prefix plus the hex namespace, each slot a fixed template, each
+# sender the namespace plus a counter, and gas comes from `_gas_draw`.
 
 
 def gen_payments(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Workload:
@@ -474,20 +557,13 @@ def gen_payments(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Work
     tags: dict[str, int] = {}
     for i in range(n):
         sender = f"p{ns}-{i}"
-        src = StorageKey(contract, f"bal:{sender}")
-        dst = StorageKey(contract, f"bal:q{ns}-{i}")
-        tags[str(src)] = -1
-        tags[str(dst)] = 1
-        txs.append(
-            Transaction(
-                id=i,
-                sender=sender,
-                gas=draw_gas(),
-                access=AccessSet(reads=frozenset({src, dst}), writes=frozenset({src, dst})),
-            )
-        )
+        src, dst = f"bal:{sender}", f"bal:q{ns}-{i}"
+        tags[f"{contract}:{src}"] = -1
+        tags[f"{contract}:{dst}"] = 1
+        keys = frozenset({_key((contract, src)), _key((contract, dst))})
+        txs.append(_transaction(i, sender, draw_gas(), _access(keys, keys)))
     meta = {"pattern": "payments", "seed": seed, "n": n, "key_tags": tags, "bottleneck_keys": []}
-    return Workload(transactions=tuple(txs), meta=meta)
+    return _workload(tuple(txs), meta)
 
 
 def gen_token_distribution(
@@ -513,12 +589,12 @@ def gen_token_distribution(
     ns = _namespace("token_distribution", seed, _instance)
     contract = f"tok{ns}"
     draw_gas = _gas_draw(gas, "token_distribution", random.Random(seed + 0x9E3779B9 * (_instance + 1)))
-    supply = StorageKey(contract, "totalSupply")
+    supply = _key((contract, "totalSupply"))
     tags: dict[str, int] = {}
     bottleneck = []
     sender_keys = []
     for j in range(senders):
-        key = StorageKey(contract, f"bal:s{ns}-{j}")
+        key = _key((contract, f"bal:s{ns}-{j}"))
         sender_keys.append(key)
         tags[str(key)] = -1
         bottleneck.append(str(key))
@@ -528,19 +604,13 @@ def gen_token_distribution(
     txs = []
     for i in range(n):
         j = i % senders
-        recipient = StorageKey(contract, f"bal:r{ns}-{i}")
-        tags[str(recipient)] = 1
-        keys = {sender_keys[j], recipient}
+        slot = f"bal:r{ns}-{i}"
+        tags[f"{contract}:{slot}"] = 1
+        keys = {sender_keys[j], _key((contract, slot))}
         if track_total_supply:
             keys.add(supply)
-        txs.append(
-            Transaction(
-                id=i,
-                sender=f"s{ns}-{j}",
-                gas=draw_gas(),
-                access=AccessSet(reads=frozenset(keys), writes=frozenset(keys)),
-            )
-        )
+        keys = frozenset(keys)
+        txs.append(_transaction(i, f"s{ns}-{j}", draw_gas(), _access(keys, keys)))
     meta = {
         "pattern": "token_distribution",
         "seed": seed,
@@ -550,7 +620,7 @@ def gen_token_distribution(
         "key_tags": tags,
         "bottleneck_keys": bottleneck,
     }
-    return Workload(transactions=tuple(txs), meta=meta)
+    return _workload(tuple(txs), meta)
 
 
 def gen_defi_fee(n: int, traders: int = 1, seed: int = 0, *, gas=None, _instance: int = 0) -> Workload:
@@ -564,24 +634,16 @@ def gen_defi_fee(n: int, traders: int = 1, seed: int = 0, *, gas=None, _instance
     ns = _namespace("defi_fee", seed, _instance)
     contract = f"dex{ns}"
     draw_gas = _gas_draw(gas, "defi_fee", random.Random(seed + 0x9E3779B9 * (_instance + 1)))
-    fee = StorageKey(contract, "feeBalance")
+    fee = _key((contract, "feeBalance"))
     tags: dict[str, int] = {str(fee): 1}
     txs = []
     for i in range(n):
-        j = i % traders
-        maker = StorageKey(contract, f"bal0:t{ns}-{j}")
-        taker = StorageKey(contract, f"bal1:t{ns}-{j}")
-        tags[str(maker)] = -1
-        tags[str(taker)] = 1
-        keys = frozenset({fee, maker, taker})
-        txs.append(
-            Transaction(
-                id=i,
-                sender=f"t{ns}-{j}",
-                gas=draw_gas(),
-                access=AccessSet(reads=keys, writes=keys),
-            )
-        )
+        trader = f"t{ns}-{i % traders}"
+        maker, taker = f"bal0:{trader}", f"bal1:{trader}"
+        tags[f"{contract}:{maker}"] = -1
+        tags[f"{contract}:{taker}"] = 1
+        keys = frozenset({fee, _key((contract, maker)), _key((contract, taker))})
+        txs.append(_transaction(i, trader, draw_gas(), _access(keys, keys)))
     meta = {
         "pattern": "defi_fee",
         "seed": seed,
@@ -590,7 +652,7 @@ def gen_defi_fee(n: int, traders: int = 1, seed: int = 0, *, gas=None, _instance
         "key_tags": tags,
         "bottleneck_keys": [str(fee)],
     }
-    return Workload(transactions=tuple(txs), meta=meta)
+    return _workload(tuple(txs), meta)
 
 
 def gen_nft_mint(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Workload:
@@ -602,21 +664,12 @@ def gen_nft_mint(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Work
     ns = _namespace("nft_mint", seed, _instance)
     contract = f"nft{ns}"
     draw_gas = _gas_draw(gas, "nft_mint", random.Random(seed + 0x9E3779B9 * (_instance + 1)))
-    length = StorageKey(contract, "items.length")
-    txs = []
-    for i in range(n):
-        element = StorageKey(contract, f"items.{i}")
-        txs.append(
-            Transaction(
-                id=i,
-                sender=f"u{ns}-{i}",
-                gas=draw_gas(),
-                access=AccessSet(
-                    reads=frozenset({length}),
-                    writes=frozenset({length, element}),
-                ),
-            )
-        )
+    length = _key((contract, "items.length"))
+    reads = frozenset({length})  # the same for every tx
+    txs = [
+        _transaction(i, f"u{ns}-{i}", draw_gas(), _access(reads, frozenset({length, _key((contract, f"items.{i}"))})))
+        for i in range(n)
+    ]
     meta = {
         "pattern": "nft_mint",
         "seed": seed,
@@ -624,7 +677,7 @@ def gen_nft_mint(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Work
         "key_tags": {str(length): VALUE_DEPENDENT},
         "bottleneck_keys": [str(length)],
     }
-    return Workload(transactions=tuple(txs), meta=meta)
+    return _workload(tuple(txs), meta)
 
 
 GENERATORS = {
@@ -678,18 +731,23 @@ def gen_mixed(spec: list[tuple[str, dict, float]], n: int, seed: int = 0) -> Wor
         if counts[idx] == 0:
             continue
         sub = GENERATORS[pattern](counts[idx], seed=instance_seeds[idx], _instance=idx, **(params or {}))
-        merged_tags.update(sub.key_tags)
-        bottleneck.extend(sub.meta.get("bottleneck_keys", []))
+        merged_tags.update(sub.meta["key_tags"])
+        bottleneck.extend(sub.meta["bottleneck_keys"])
         combined.extend(sub.transactions)
 
     rng.shuffle(combined)
-    txs = tuple(replace(tx, id=pos) for pos, tx in enumerate(combined))
+    # Renumber in the shuffled order: each tx keeps its checked fields.
+    txs = tuple([_transaction(pos, tx.sender, tx.gas, tx.access) for pos, tx in enumerate(combined)])
     meta = {
         "pattern": "mixed",
         "seed": seed,
         "n": n,
-        "spec": [[pattern, dict(params or {}), weight] for pattern, params, weight in spec],
+        # A gas range given as a tuple is kept as the list JSON reads back.
+        "spec": [
+            [pattern, {name: list(v) if type(v) is tuple else v for name, v in (params or {}).items()}, weight]
+            for pattern, params, weight in spec
+        ],
         "key_tags": merged_tags,
         "bottleneck_keys": bottleneck,
     }
-    return Workload(transactions=txs, meta=meta)
+    return _workload(txs, meta)

@@ -455,3 +455,43 @@ def oracle_parse_trace(stream) -> Workload:
 
     txs = tuple(replace(tx, id=pos) for pos, (_, _, tx) in enumerate(records))
     return Workload(transactions=txs, meta=meta)
+
+
+def oracle_emit_trace(workload: Workload) -> bytes:
+    """The plain emitter that the templated `emit_trace` is checked against:
+    each record a dict written by `json.dumps`, its key lists sorted by the
+    keys' `contract:slot` text. It does not check the meta."""
+    out = ["# txpar-trace v1"]
+    if workload.meta:
+        out.append(_META_PREFIX + json.dumps(workload.meta, sort_keys=True, separators=(",", ":")))
+    for tx in workload:
+        record = {
+            "id": tx.id,
+            "sender": tx.sender,
+            "gas": tx.gas,
+            "reads": sorted(str(k) for k in tx.access.reads),
+            "writes": sorted(str(k) for k in tx.access.writes),
+            "cadds": [[str(k), delta] for k, delta in tx.access.cadds],
+        }
+        out.append(json.dumps(record, separators=(",", ":")))
+    return ("\n".join(out) + "\n").encode("utf-8")
+
+
+def assert_built_like_public(workload: Workload) -> None:
+    """Each object of `workload`, however txpar built it, equals, hashes and
+    prints like the one the public constructors build from its fields, with
+    its fields in the same order; the public `Workload` also checks its ids
+    and keys."""
+    for tx in workload:
+        access = tx.access
+        public_access = AccessSet(access.reads, access.writes, access.cadds)
+        public_tx = Transaction(tx.id, tx.sender, tx.gas, public_access)
+        for ours, public in ((access, public_access), (tx, public_tx)):
+            assert type(ours) is type(public)
+            assert ours == public and hash(ours) == hash(public) and repr(ours) == repr(public)
+            assert list(vars(ours).items()) == list(vars(public).items())
+    public = Workload(transactions=[replace(tx) for tx in workload], meta=dict(workload.meta))
+    assert type(workload) is Workload
+    assert workload == public and hash(workload) == hash(public) and repr(workload) == repr(public)
+    assert list(vars(workload)) == list(vars(public))
+    assert workload._memo == {}

@@ -3,7 +3,9 @@
 Malformed input must map to a documented exit code, never to a traceback:
 `parse_trace` raises only ValidationError, and `cli.main` returns 0, 1 or 2.
 `parse_trace` must also agree with the plain parser kept in
-`oracles.oracle_parse_trace`: the same workload and meta, or the same error.
+`oracles.oracle_parse_trace`: the same workload and meta, or the same error;
+`emit_trace` must write the bytes of the plain emitter in
+`oracles.oracle_emit_trace`.
 The inputs are tiny and the example counts bounded, so these run in seconds.
 """
 
@@ -14,13 +16,13 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from txpar import StorageKey, ValidationError, emit_trace, parse_trace
+from txpar import AccessSet, PartitionSpec, StorageKey, Transaction, ValidationError, Workload, emit_trace, parse_trace
 from txpar.cli import main
-from txpar.transforms import cadd_rewrite
+from txpar.transforms import cadd_rewrite, partition_counters
 from txpar.workload import VALUE_DEPENDENT
 
 from corpus_util import corpus_workload
-from oracles import oracle_parse_trace
+from oracles import oracle_emit_trace, oracle_parse_trace
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -112,6 +114,71 @@ def test_parse_trace_agrees_with_the_plain_parser_on_corpus_traces():
         for data in (emit_trace(workload), emit_trace(cadd_rewrite(workload, counters))):
             ours, plain = parse_trace(data), oracle_parse_trace(data)
             assert ours == plain and ours.meta == plain.meta
+
+
+#: Characters whose JSON text differs from their own: a quote, a backslash,
+#: control characters, non-ASCII (`\u00e9` sorts above `~`, its escape below),
+#: a line separator, an astral character and a lone surrogate.
+texts = st.text(st.sampled_from(list('ab~ ":\\\x00\x1f\x7f\u00e9\u2028\U0001f600\ud800')), min_size=1, max_size=4)
+storage_keys = st.builds(StorageKey, texts.filter(lambda t: ":" not in t), texts)
+deltas = st.integers(-5, 5) | st.integers(-(10**40), 10**40)
+emit_rows = st.tuples(
+    texts,  # sender
+    st.integers(1, 10**30),  # gas
+    st.frozensets(storage_keys, max_size=3),  # reads
+    st.frozensets(storage_keys, max_size=3),  # writes, unless the tx read-modify-writes
+    st.lists(st.tuples(storage_keys, deltas), max_size=3),
+    st.sampled_from(["own", "shared", "equal"]),  # writes: its own set, the reads object, an equal copy
+)
+
+
+def _emit_workload(rows, meta) -> Workload:
+    txs = []
+    for i, (sender, gas, reads, writes, cadds, rmw) in enumerate(rows):
+        if rmw != "own":
+            writes = reads if rmw == "shared" else frozenset(list(reads))
+        txs.append(Transaction(i, sender, gas, AccessSet(reads, writes, cadds)))
+    return Workload(transactions=txs, meta=meta)
+
+
+TILDE_AND_ACUTE = [("s", 5, frozenset({StorageKey("c", "a~"), StorageKey("c", "a\u00e9")}), frozenset(), [], "shared")]
+
+
+@FUZZ
+@given(st.lists(emit_rows, max_size=5), st.dictionaries(texts, texts | deltas, max_size=2))
+@example(TILDE_AND_ACUTE, {})
+@example(
+    [("\u00e9\"", 1, frozenset(), frozenset({StorageKey("\\", "\x00")}), [(StorageKey("a~", "a\u00e9"), -(10**40))], "own")],
+    {"~": "\u00e9"},
+)
+def test_emit_trace_agrees_with_the_plain_emitter(rows, meta):
+    w = _emit_workload(rows, meta)
+    data = emit_trace(w)
+    assert data == oracle_emit_trace(w)
+    assert parse_trace(data) == w
+
+
+def test_emit_sorts_key_texts_before_quoting_them():
+    data = emit_trace(_emit_workload(TILDE_AND_ACUTE, {}))
+    assert b'"reads":["c:a~","c:a\\u00e9"],"writes":["c:a~","c:a\\u00e9"]' in data
+
+
+def test_emit_trace_agrees_with_the_plain_emitter_on_corpus_traces_and_transform_chains():
+    for index in range(20):
+        workload = corpus_workload(index)
+        counters = frozenset(StorageKey.parse(k) for k in workload.meta["bottleneck_keys"]) - {
+            StorageKey.parse(k) for k, tag in workload.key_tags.items() if tag == VALUE_DEPENDENT
+        }
+        chains = [workload]
+        if counters:
+            rewritten = cadd_rewrite(workload, counters)
+            chains += [
+                rewritten,
+                partition_counters(workload, PartitionSpec(counters, 4)),
+                partition_counters(rewritten, PartitionSpec(counters, 3, "tx_id")),
+            ]
+        for w in chains:
+            assert emit_trace(w) == oracle_emit_trace(w)
 
 
 patterns = st.sampled_from(["payments", "token_distribution", "defi_fee", "nft_mint", "mixed", "bogus"])

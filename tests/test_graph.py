@@ -436,6 +436,33 @@ def test_schedule_graph_matches_build_graph_on_corpus_and_cadd_variants():
                 _assert_schedule_graph_matches(cadd_rewrite(w, {StorageKey.parse(key)}))
 
 
+def _assert_graph_built_like_public(g):
+    """`g` equals, hashes and prints like the graph the public constructor
+    builds from its fields, with its fields in the same order."""
+    public = DependencyGraph(n=g.n, edges=g.edges, weights=g.weights)
+    assert type(g.edges) is frozenset and type(g.weights) is tuple and type(g.n) is int
+    assert g == public and hash(g) == hash(public) and repr(g) == repr(public)
+    assert list(vars(g).items()) == list(vars(public).items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_workloads)
+def test_graphs_are_built_like_public_ones(w):
+    for cadd_aware in CADD_MODES:
+        _assert_graph_built_like_public(build_graph(w, cadd_aware))
+        _assert_graph_built_like_public(schedule_graph(w, cadd_aware)[0])
+
+
+def test_graphs_of_corpus_blocks_are_built_like_public_ones():
+    for w in build_corpus(10) + [gen_token_distribution(50, senders=1, track_total_supply=True, seed=3)]:
+        for cadd_aware in CADD_MODES:
+            full = build_graph(w, cadd_aware)
+            assert full.edges
+            _assert_graph_built_like_public(full)
+            _assert_graph_built_like_public(schedule_graph(w, cadd_aware)[0])
+            assert full.dependents() == DependencyGraph(full.n, full.edges, full.weights).dependents()
+
+
 def _alternating_block(n):
     """Even ids read one key and odd ids cadd it: cadd-aware, each reader
     conflicts with every earlier cadder and each cadder with every earlier

@@ -9,18 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from txpar import (
+    AccessSet,
     DependencyGraph,
     PartitionSpec,
     SoundnessError,
     StorageKey,
     ValidationError,
+    Transaction,
     Workload,
     build_graph,
     cadd_rewrite,
     critical_path,
+    emit_trace,
     gen_defi_fee,
     gen_nft_mint,
     gen_token_distribution,
+    parse_trace,
     partition_counters,
     prune_edges_probabilistic,
     route_hash,
@@ -30,8 +34,10 @@ from txpar import (
 )
 
 from txpar.graph import edges_only_on
+from txpar.workload import VALUE_DEPENDENT
 
-from oracles import CADD_MODES, oracle_edges, oracle_prune, random_workload
+from corpus_util import corpus_workload
+from oracles import CADD_MODES, assert_built_like_public, oracle_edges, oracle_prune, random_workload
 
 
 def _sender_balance_key(w: Workload) -> StorageKey:
@@ -486,3 +492,90 @@ def test_split_senders_refuses_a_balance_key_that_is_not_a_storage_key(bad):
     w = gen_token_distribution(4, senders=1, seed=0)
     with pytest.raises(ValidationError, match=f"sender_balance_key must be a StorageKey, got {re.escape(repr(bad))}$"):
         split_senders(w, w[0].sender, 2, bad)
+
+
+# ---------------------------------------------------------------------------
+# Transforms build their output trusted: it must equal what the public
+# constructors build, with cadds sorted and a memo of its own
+# ---------------------------------------------------------------------------
+
+
+def _rewrites(w: Workload):
+    """`w` through each transform and through chains of them, on its own bottleneck keys."""
+    tags = w.key_tags
+    keys = [StorageKey.parse(k) for k in w.meta["bottleneck_keys"]]
+    counters = frozenset(k for k in keys if tags.get(str(k)) != VALUE_DEPENDENT)
+    outs = []
+    distributor = next((k for k in keys if k.slot.startswith("bal:")), None)
+    if distributor is not None:
+        outs.append(split_senders(w, distributor.slot[len("bal:") :], 3, distributor))
+    if counters:
+        for routing in ("sender", "tx_id"):
+            outs.append(partition_counters(w, PartitionSpec(counters, 4, routing)))
+        outs.append(cadd_rewrite(w, counters))
+        outs.append(partition_counters(cadd_rewrite(w, counters), PartitionSpec(counters, 3)))
+        outs.append(cadd_rewrite(partition_counters(w, PartitionSpec(counters, 3)), counters))
+        if distributor is not None:
+            split = split_senders(w, distributor.slot[len("bal:") :], 2, distributor)
+            outs.append(cadd_rewrite(partition_counters(split, PartitionSpec(counters, 2)), counters))
+    return outs
+
+
+def test_transformed_objects_match_public_ones_on_corpus_blocks():
+    rewritten = 0
+    for index in range(16):
+        w = corpus_workload(index)
+        w.derived("n", len)  # a memo shared with the outputs would show
+        for out in _rewrites(w):
+            assert out != w
+            assert_built_like_public(out)
+            assert parse_trace(emit_trace(out)) == out
+            rewritten += 1
+    assert rewritten > 40
+
+
+K = StorageKey("c", "a")
+
+
+@pytest.mark.parametrize(
+    "transform",
+    [
+        lambda w: partition_counters(w, PartitionSpec(frozenset({K}), 2)),
+        lambda w: split_senders(w, "s", 2, K),
+        lambda w: cadd_rewrite(w, {StorageKey("c", "a!")}),
+    ],
+    ids=["partition_counters", "split_senders", "cadd_rewrite"],
+)
+def test_transforms_keep_cadds_sorted_when_a_rewritten_key_moves(transform):
+    # `c:a#i` sorts after `c:a!`, and a new cadd on `c:a!` after one on `c:a`.
+    rmw = {StorageKey("c", "a!")}
+    access = AccessSet(reads=rmw, writes=rmw, cadds=[(K, 1), (StorageKey("c", "a#"), 2)])
+    txs = [Transaction(i, "s", 5, access) for i in range(3)]
+    out = transform(Workload(transactions=txs, meta={"key_tags": {str(K): 1}}))
+    assert all(list(tx.access.cadds) == sorted(tx.access.cadds) for tx in out)
+    assert any(tx.access.cadds != access.cadds for tx in out)
+    assert_built_like_public(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.sets(st.integers(0, 7), min_size=1))
+def test_transformed_random_workloads_match_public_ones(seed, picked):
+    w = random_workload(random.Random(seed))
+    targets = frozenset(StorageKey("c", f"k{i}") for i in picked)
+    sender = w[0].sender
+    for out in (
+        partition_counters(w, PartitionSpec(targets, 3)),
+        cadd_rewrite(w, targets),
+        split_senders(w, sender, 2, min(targets)),
+        partition_counters(cadd_rewrite(w, targets), PartitionSpec(targets, 2, "tx_id")),
+    ):
+        assert_built_like_public(out)
+
+
+def test_pruned_graphs_are_built_like_public_ones():
+    w = gen_token_distribution(30, senders=1, seed=1)
+    g = build_graph(w)
+    pruned = prune_edges_probabilistic(g, w, {_sender_balance_key(w)}, "1/2", seed=3)
+    public = DependencyGraph(n=pruned.n, edges=pruned.edges, weights=pruned.weights)
+    assert g.edges > pruned.edges
+    assert pruned == public and repr(pruned) == repr(public) and list(vars(pruned)) == list(vars(public))

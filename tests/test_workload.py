@@ -31,7 +31,7 @@ from txpar.transforms import cadd_rewrite
 from txpar.workload import VALUE_DEPENDENT
 
 from corpus_util import corpus_workload
-from oracles import oracle_edges
+from oracles import assert_built_like_public, oracle_edges
 
 
 def test_parse_empty_stream():
@@ -492,23 +492,6 @@ def test_derived_builds_once_per_name_and_per_object():
     assert built == [w, w, copy] and built[2] is copy
 
 
-def _assert_parsed_like_public(parsed):
-    """Each object the parser builds equals, hashes and prints like the one
-    the public constructors build from its fields, with its fields in the
-    same order."""
-    for tx in parsed:
-        access = tx.access
-        public_access = AccessSet(access.reads, access.writes, access.cadds)
-        public_tx = Transaction(tx.id, tx.sender, tx.gas, public_access)
-        for ours, public in ((access, public_access), (tx, public_tx)):
-            assert type(ours) is type(public)
-            assert ours == public and hash(ours) == hash(public) and repr(ours) == repr(public)
-            assert list(vars(ours).items()) == list(vars(public).items())
-    public = Workload(transactions=[replace(tx) for tx in parsed], meta=dict(parsed.meta))
-    assert parsed == public and hash(parsed) == hash(public) and repr(parsed) == repr(public)
-    assert list(vars(parsed)) == list(vars(public))
-
-
 def test_parsed_objects_match_public_ones_on_corpus_traces():
     for index in range(8):
         workload = corpus_workload(index)
@@ -518,7 +501,7 @@ def test_parsed_objects_match_public_ones_on_corpus_traces():
         for source in (workload, cadd_rewrite(workload, counters)):
             parsed = parse_trace(emit_trace(source))
             assert parsed == source
-            _assert_parsed_like_public(parsed)
+            assert_built_like_public(parsed)
 
 
 _valid_keys = st.sampled_from(["c:s", "c:t", "tok:bal:s0", "d:x:y"])
@@ -545,7 +528,7 @@ def test_parsed_objects_match_public_ones(rows, first_id, rnd):
         records = [dict(record, id=i) for record, i in zip(records, ids)]
     parsed = parse_trace("\n".join(map(json.dumps, records)))
     assert len(parsed) == len(records)
-    _assert_parsed_like_public(parsed)
+    assert_built_like_public(parsed)
 
 
 def test_parsed_objects_keep_every_check_of_replace():
@@ -583,3 +566,85 @@ def test_workload_refuses_a_meta_that_is_not_a_dict(meta):
 def test_emit_refuses_a_meta_that_is_not_json(meta):
     with pytest.raises(ValidationError, match="^meta is not JSON-able"):
         emit_trace(Workload(transactions=gen_payments(2).transactions, meta=meta))
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        {1: 2, 2: (3, 4)},
+        {"x": (3, 4)},
+        {"x": [1, {"y": (2,)}]},
+        {"x": {1: "a"}},
+        {"x": {True: "a"}},
+        {"x": [float("nan")]},
+        {"spec": [["payments", {"gas": (5, 9)}, 1]]},
+    ],
+)
+def test_emit_refuses_a_meta_that_does_not_round_trip(meta):
+    with pytest.raises(ValidationError, match="^meta does not round-trip through the trace format"):
+        emit_trace(Workload(transactions=gen_payments(2).transactions, meta=meta))
+
+
+_meta_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=2) | st.integers(0, 2) | st.booleans(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.text(max_size=3) | st.integers(0, 2), _meta_values, max_size=3))
+def test_every_meta_that_emits_reads_back_equal(meta):
+    w = Workload(transactions=gen_payments(1).transactions, meta=meta)
+    try:
+        data = emit_trace(w)
+    except ValidationError:
+        return
+    assert parse_trace(data).meta == meta
+
+
+_generated = [
+    lambda: gen_payments(17, seed=1),
+    lambda: gen_payments(5, seed=2, gas=(1, 3)),
+    lambda: gen_token_distribution(13, senders=3, track_total_supply=True, seed=2, gas=[4, 9]),
+    lambda: gen_token_distribution(4, seed=5),
+    lambda: gen_defi_fee(9, traders=4, seed=3),
+    lambda: gen_defi_fee(6, traders=10, seed=3, gas=7),
+    lambda: gen_nft_mint(11, seed=4),
+    lambda: gen_mixed([("payments", {}, 2), ("defi_fee", {"traders": 2}, 1)], 20, seed=5),
+    lambda: gen_mixed([("payments", {"gas": (5, 9)}, 1), ("nft_mint", None, 1)], 20, seed=3),
+    lambda: corpus_workload(3),
+    lambda: corpus_workload(7),
+]
+
+
+@pytest.mark.parametrize("make", _generated)
+def test_generated_objects_match_public_ones(make):
+    w = make()
+    assert_built_like_public(w)
+    again = parse_trace(emit_trace(w))
+    assert again == w and again.meta == w.meta
+
+
+def test_each_generated_workload_gets_its_own_empty_memo():
+    built = [make() for make in _generated] + [make() for make in _generated[:3]]
+    assert len({id(w._memo) for w in built}) == len(built)
+    assert built[0].derived("n", len) == 17
+    assert all(w._memo == {} for w in built[1:])
+
+
+def test_gen_mixed_records_a_tuple_gas_range_as_the_list_it_reads_back_as():
+    spec = [("payments", {"gas": (5, 9)}, 1), ("nft_mint", None, 1)]
+    w = gen_mixed(spec, 20, seed=3)
+    assert w.meta["spec"] == [["payments", {"gas": [5, 9]}, 1], ["nft_mint", {}, 1]]
+    assert spec[0][1]["gas"] == (5, 9)  # the caller's spec is untouched
+    assert parse_trace(emit_trace(w)).meta == w.meta
+
+
+@pytest.mark.parametrize("gas", [0, -3, (0, 5), [0, 0]])
+def test_generators_refuse_a_gas_below_one(gas):
+    for make in (gen_payments, gen_nft_mint, gen_defi_fee, gen_token_distribution):
+        with pytest.raises(ValidationError, match="gas must be an integer or a .* all >= 1"):
+            make(3, gas=gas)
