@@ -475,7 +475,7 @@ def _round_trips(value) -> bool:
 def _key_list(keys: frozenset[StorageKey]) -> str:
     # Sort the raw `contract:slot` texts and only then quote them: escaping
     # can change the order. `a~` sorts before `a` + U+00E9, but quoted it
-    # sorts after `"a\\u00e9"`, since `\` is below `~`.
+    # sorts after `"a\u00e9"`, since `\` is below `~`.
     return ",".join(map(_quote, sorted(map(":".join, keys))))
 
 
