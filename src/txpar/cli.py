@@ -14,6 +14,7 @@ import inspect
 import json
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 from . import report
@@ -36,6 +37,8 @@ from .workload import GENERATORS, StorageKey, Workload, emit_trace, gen_mixed, p
 MODES = (MODE_DA, MODE_DET_COMMIT, MODE_CLASSIC)
 FORMATS = ("json", "csv", "both")
 POLICIES = ("minus_one", "dep_graph")
+#: An aborted `ExecAttempt`'s (tx_id, attempt, sv) row in `runs.json`.
+_ABORT_ROW = itemgetter(0, 1, 2)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -392,7 +395,7 @@ def cmd_simulate(args) -> int:
                 "makespan": result.makespan,
                 "speedup": result.speedup,
                 "wasted_gas": result.wasted_gas,
-                "aborts": [[a.tx_id, a.attempt, a.sv] for a in result.aborted()],
+                "aborts": list(map(_ABORT_ROW, result.aborted())),
                 "committed_order": list(result.committed_order),
                 "digest": result.digest,
             }

@@ -50,8 +50,8 @@ _TX_ATTEMPT_OUTCOME = itemgetter(0, 1, 5)
 class ExecAttempt(NamedTuple):
     """One execution attempt: the i-th run of a transaction, its snapshot
     version, its span in virtual time, and whether it committed. A named
-    tuple, because the engines build one per attempt; the in-order engine
-    builds it with `tuple.__new__`, skipping the Python-level `__new__`."""
+    tuple, because the engines build one per attempt; both build it with
+    `tuple.__new__`, skipping the Python-level `__new__`."""
 
     tx_id: int
     attempt: int
@@ -204,10 +204,12 @@ def _finalize(
     attempts: list[ExecAttempt],
     committed_order: list[int] | range,
     makespan: int,
+    wasted: int,
     with_digest: bool,
 ) -> OccRunResult:
+    """Package an engine's run. `wasted` is the gas of the aborted attempts,
+    which each engine sums as its attempts abort."""
     serial = sum(gas)
-    wasted = sum([gas[a[0]] for a in attempts if a[5] == "aborted"])
     result = OccRunResult(
         mode=mode,
         threads=threads,
@@ -252,7 +254,7 @@ def _run_in_order(
     if policy is not None and policy.first_sv is not None and len(policy.first_sv) != n:
         raise ValidationError(f"policy covers {len(policy.first_sv)} txs, the workload has {n}")
     if n == 0:
-        return _finalize(workload, [], mode, threads, policy_name, [], [], 0, with_digest)
+        return _finalize(workload, [], mode, threads, policy_name, [], [], 0, 0, with_digest)
 
     latest = latest_writer(workload, cadd_aware)
     gas = [tx.gas for tx in workload]
@@ -282,6 +284,7 @@ def _run_in_order(
     clock = 0
     next_commit = 0
     attempts: list[ExecAttempt] = []
+    wasted = 0
 
     while next_commit < n:
         # Stage 1: admission. Parked txs whose storage version has committed
@@ -331,6 +334,7 @@ def _run_in_order(
             finished[tx_id] = None
             if latest[tx_id] > sv:
                 attempts.append(new_attempt(ExecAttempt, (tx_id, att, sv, start, end, "aborted")))
+                wasted += gas[tx_id]
                 if retry is not None:
                     raise InvariantViolation(f"tx {tx_id} aborted while the retry of tx {retry} is pending")
                 retry = tx_id
@@ -339,7 +343,7 @@ def _run_in_order(
                 next_commit += 1
 
     # Commits are strictly in id order, so the committed order is the block.
-    return _finalize(workload, gas, mode, threads, policy_name, attempts, range(n), clock, with_digest)
+    return _finalize(workload, gas, mode, threads, policy_name, attempts, range(n), clock, wasted, with_digest)
 
 
 def run_occ_da(
@@ -394,11 +398,16 @@ def run_occ_classic(
     post-dates this scheduler). The recorded sv is the highest id among the
     commits at or before the attempt's start, found in O(log commits); for
     out-of-order commits it only approximates the observed snapshot.
+
+    An attempt costs O(log threads) for the pool, the sv search and one dict
+    lookup per read-like key. Attempts are built with `tuple.__new__`, as
+    the in-order engine builds them, and each aborted attempt's gas is
+    added to the run's wasted gas as it aborts.
     """
     _check_int("threads", threads, 1)
     n = len(workload)
     if n == 0:
-        return _finalize(workload, [], MODE_CLASSIC, threads, "fcfs", [], [], 0, with_digest)
+        return _finalize(workload, [], MODE_CLASSIC, threads, "fcfs", [], [], 0, 0, with_digest)
 
     order = list(range(n))
     random.Random(interleaving_seed).shuffle(order)
@@ -409,48 +418,56 @@ def run_occ_classic(
     read_like = [a.reads | a.cadd_keys if a.cadds else a.reads for a in accesses]
     written = [a.writes | a.cadd_keys if a.cadds else a.writes for a in accesses]
     gas = [tx.gas for tx in workload]
+    heappush, heappop = heapq.heappush, heapq.heappop
+    new_attempt = tuple.__new__
     last_write: dict[StorageKey, int] = {}  # key -> latest commit time writing it
+    last_write_at = last_write.get
     # Per commit, in commit order: its time (never decreasing) and the
-    # highest id committed so far. The leading -1s stand for the pre-block state.
+    # highest id committed so far (`top`). The leading -1s stand for the
+    # pre-block state.
     commit_times = [-1]
     max_committed = [-1]
+    top = -1
     attempt_no = [0] * n
     pool: list[tuple[int, int, int, int]] = []  # (end, dispatch_seq, id, start)
+    free = threads  # threads - len(pool)
     dispatch_seq = 0
     clock = 0
     attempts: list[ExecAttempt] = []
     committed_order: list[int] = []
+    wasted = 0
 
     while queue or pool:
-        while len(pool) < threads and queue:
+        while free and queue:
             tx_id = queue.popleft()
-            heapq.heappush(pool, (clock + gas[tx_id], dispatch_seq, tx_id, clock))
+            heappush(pool, (clock + gas[tx_id], dispatch_seq, tx_id, clock))
             dispatch_seq += 1
-        end, _, tx_id, start = heapq.heappop(pool)
-        clock = end
+            free -= 1
+        clock, _, tx_id, start = heappop(pool)
+        free += 1
         att = attempt_no[tx_id]
         # bisect_right: a commit at exactly `start` precedes the attempt.
         sv = max_committed[bisect_right(commit_times, start) - 1]
         # Backward validation: reads against writes committed strictly after
         # this attempt started.
-        conflict = False
         for key in read_like[tx_id]:
-            if last_write.get(key, -1) > start:
-                conflict = True
+            if last_write_at(key, -1) > start:
+                attempts.append(new_attempt(ExecAttempt, (tx_id, att, sv, start, clock, "aborted")))
+                wasted += gas[tx_id]
+                attempt_no[tx_id] = att + 1
+                queue.append(tx_id)  # back of the FCFS queue
                 break
-        if conflict:
-            attempts.append(ExecAttempt(tx_id, att, sv, start, end, "aborted"))
-            attempt_no[tx_id] += 1
-            queue.append(tx_id)  # back of the FCFS queue
         else:
-            attempts.append(ExecAttempt(tx_id, att, sv, start, end, "committed"))
+            attempts.append(new_attempt(ExecAttempt, (tx_id, att, sv, start, clock, "committed")))
             committed_order.append(tx_id)
             commit_times.append(clock)
-            max_committed.append(max(tx_id, max_committed[-1]))
+            if tx_id > top:
+                top = tx_id
+            max_committed.append(top)
             for key in written[tx_id]:
                 last_write[key] = clock
 
-    return _finalize(workload, gas, MODE_CLASSIC, threads, "fcfs", attempts, committed_order, clock, with_digest)
+    return _finalize(workload, gas, MODE_CLASSIC, threads, "fcfs", attempts, committed_order, clock, wasted, with_digest)
 
 
 @dataclass(frozen=True)

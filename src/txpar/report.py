@@ -114,12 +114,13 @@ def _render(value, level: int) -> str:
         types = set(map(type, value))
         if types == {int}:
             body = map(int.__repr__, value)
-        elif types == {list} and all(value) and set(map(type, chain.from_iterable(value))) == {int}:
-            # Non-empty rows of ints, such as abort triples: one %-template per row width.
+        elif (types == {tuple} or types == {list}) and all(value) and set(map(type, chain.from_iterable(value))) == {int}:
+            # Non-empty rows of ints, such as abort triples: one %-template per
+            # row width. Tuple rows are the template's arguments as they are.
             row_inner = inner + "  "
             widths = set(map(len, value))
             rows = {width: "[" + row_inner + ("," + row_inner).join(["%d"] * width) + inner + "]" for width in widths}
-            body = [rows[len(row)] % tuple(row) for row in value]
+            body = [rows[len(row)] % row for row in (value if types == {tuple} else map(tuple, value))]
         else:
             body = [_render(item, level + 1) for item in value]
         return "[" + inner + ("," + inner).join(body) + inner[:-2] + "]"

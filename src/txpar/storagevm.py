@@ -306,7 +306,6 @@ def _deterministic_svs(workload: Workload, result: "OccRunResult") -> list[int] 
     version in id order, or None for a classic run, whose commit order is
     validated instead."""
     n = len(workload)
-    committed = [a for a in result.attempts if a.outcome == "committed"]
     for attempt in result.attempts:
         if not 0 <= attempt.tx_id < n:
             raise ValidationError(f"attempt references unknown tx {attempt.tx_id}")
@@ -316,6 +315,7 @@ def _deterministic_svs(workload: Workload, result: "OccRunResult") -> list[int] 
             raise ValidationError("classic run must commit every tx exactly once")
         return None
 
+    committed = [a for a in result.attempts if a.outcome == "committed"]
     by_id = {a.tx_id: a for a in committed}
     if sorted(by_id) != list(range(n)) or len(committed) != n:
         raise ValidationError("deterministic run must commit every tx exactly once")

@@ -68,10 +68,12 @@ class PartitionSpec:
         return route_hash(attribute) % self.length
 
 
-def _with_meta_note(workload: Workload, txs: tuple[Transaction, ...], note: dict, extra_tags: dict) -> Workload:
+def _with_meta_note(workload: Workload, txs: tuple[Transaction, ...], note: dict, tags: dict, extra_tags: dict) -> Workload:
+    """`txs` under `workload`'s meta, with `note` appended to its transforms
+    and `extra_tags` merged over `tags`, the `key_tags` the caller read."""
     meta = dict(workload.meta)
     if extra_tags:
-        meta["key_tags"] = {**workload.key_tags, **extra_tags}
+        meta["key_tags"] = {**tags, **extra_tags}
     done = meta.get("transforms", [])
     if type(done) is not list:
         raise ValidationError(f"meta 'transforms' must be a JSON array, got {done!r}")
@@ -125,7 +127,8 @@ def split_senders(
         cadds = [(derived_keys[idx] if key == sender_balance_key else key, delta) for key, delta in access.cadds]
         txs.append(_rewritten(tx, derived_senders[idx], reads, writes, cadds))
 
-    tag = workload.key_tags.get(str(sender_balance_key))
+    tags = workload.key_tags
+    tag = tags.get(str(sender_balance_key))
     extra_tags = {str(k): tag for k in derived_keys} if tag is not None else {}
     note = {
         "transform": "split_senders",
@@ -133,7 +136,7 @@ def split_senders(
         "m": m,
         "sender_balance_key": str(sender_balance_key),
     }
-    return _with_meta_note(workload, tuple(txs), note, extra_tags)
+    return _with_meta_note(workload, tuple(txs), note, tags, extra_tags)
 
 
 def partition_counters(workload: Workload, spec: PartitionSpec) -> Workload:
@@ -187,7 +190,7 @@ def partition_counters(workload: Workload, spec: PartitionSpec) -> Workload:
         "length": spec.length,
         "routing": spec.routing,
     }
-    return _with_meta_note(workload, tuple(txs), note, extra_tags)
+    return _with_meta_note(workload, tuple(txs), note, tags, extra_tags)
 
 
 def prune_edges_probabilistic(
@@ -259,4 +262,4 @@ def cadd_rewrite(workload: Workload, target_keys: frozenset[StorageKey] | set[St
         txs.append(_rewritten(tx, tx.sender, reads, writes, cadds))
 
     note = {"transform": "cadd_rewrite", "target_keys": sorted(str(k) for k in target_keys)}
-    return _with_meta_note(workload, tuple(txs), note, {})
+    return _with_meta_note(workload, tuple(txs), note, tags, {})

@@ -168,13 +168,19 @@ def random_workload(rng: random.Random, max_n: int = 24, key_pool: int = 8, with
     return Workload(transactions=tuple(txs))
 
 
+def _wasted_gas(workload: Workload, attempts: list[ExecAttempt]) -> int:
+    """The gas of the aborted attempts, summed from the attempts themselves,
+    so the engines' running sums are checked against an independent count."""
+    return sum(workload[a.tx_id].gas for a in attempts if a.outcome == "aborted")
+
+
 def oracle_occ_classic(workload: Workload, threads: int, interleaving_seed: int = 0, *, with_digest: bool = True) -> OccRunResult:
     """The original quadratic classic-OCC loop: every attempt rescans all
     commits for its sv, and retries are inserted at the head of a reversed
     list. The library engine must return an equal result."""
     n = len(workload)
     if n == 0:
-        return _finalize(workload, [], MODE_CLASSIC, threads, "fcfs", [], [], 0, with_digest)
+        return _finalize(workload, [], MODE_CLASSIC, threads, "fcfs", [], [], 0, 0, with_digest)
 
     order = list(range(n))
     random.Random(interleaving_seed).shuffle(order)
@@ -226,7 +232,8 @@ def oracle_occ_classic(workload: Workload, threads: int, interleaving_seed: int 
             for key in access.writes | access.cadd_keys:
                 write_commit_times.setdefault(key, []).append(clock)
 
-    return _finalize(workload, [tx.gas for tx in workload], MODE_CLASSIC, threads, "fcfs", attempts, committed_order, clock, with_digest)
+    wasted = _wasted_gas(workload, attempts)
+    return _finalize(workload, [tx.gas for tx in workload], MODE_CLASSIC, threads, "fcfs", attempts, committed_order, clock, wasted, with_digest)
 
 
 def _written_in_window(workload: Workload, keys: frozenset, sv: int, tx_id: int) -> bool:
@@ -259,7 +266,7 @@ def oracle_run_in_order(
     mode = MODE_DA if policy is not None else MODE_DET_COMMIT
     policy_name = policy.variant if policy is not None else "runtime"
     if n == 0:
-        return _finalize(workload, [], mode, threads, policy_name, [], [], 0, with_digest)
+        return _finalize(workload, [], mode, threads, policy_name, [], [], 0, 0, with_digest)
 
     read_keys = [_aborting_keys(tx, cadd_aware) for tx in workload]
     attempt_no = [0] * n
@@ -315,7 +322,8 @@ def oracle_run_in_order(
                 committed_order.append(tx_id)
                 next_commit += 1
 
-    return _finalize(workload, [tx.gas for tx in workload], mode, threads, policy_name, attempts, committed_order, clock, with_digest)
+    wasted = _wasted_gas(workload, attempts)
+    return _finalize(workload, [tx.gas for tx in workload], mode, threads, policy_name, attempts, committed_order, clock, wasted, with_digest)
 
 
 def oracle_occ_da_outcomes(workload: Workload, policy: SvPolicy, cadd_aware: bool = False) -> tuple:

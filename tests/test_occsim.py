@@ -436,6 +436,44 @@ def test_classic_matches_the_quadratic_oracle_on_the_corpus():
         _assert_classic_matches_oracle(w, (1, 2, 8, 32))
 
 
+def _hot_key_block():
+    """The benchmark's hot-key block shape: every tx read-modify-writes one
+    sender balance and the total supply."""
+    return gen_token_distribution(160, senders=1, track_total_supply=True)
+
+
+def test_classic_matches_the_quadratic_oracle_on_a_hot_key_block():
+    w = _hot_key_block()
+    result = run_occ_classic(w, 32)
+    assert len(result.attempts) > 10 * len(w)  # the regime where classic aborts most
+    _assert_classic_matches_oracle(w, (8, 32))
+
+
+@pytest.mark.parametrize("targets", [1, 2])
+def test_classic_matches_the_quadratic_oracle_on_a_cadd_rewritten_block(targets):
+    w = _hot_key_block()
+    keys = [StorageKey.parse(key) for key in w.meta["bottleneck_keys"]][-targets:]
+    rewritten = cadd_rewrite(w, keys)
+    # Classic validates a cadd as a read and a write: every tx's read-like
+    # and written sets hold the cadd keys.
+    assert all({key for key, _ in tx.access.cadds} == set(keys) for tx in rewritten)
+    assert all(not set(keys) & (tx.access.reads | tx.access.writes) for tx in rewritten)
+    _assert_classic_matches_oracle(rewritten, (8, 32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(classic_blocks, st.integers(1, 8), st.integers(0, 2**16), st.booleans())
+def test_wasted_gas_is_the_gas_of_the_aborted_attempts(w, threads, seed, cadd_aware):
+    runs = (
+        run_occ_classic(w, threads, seed, with_digest=False),
+        run_occ_da(w, threads, None, cadd_aware, timing=JitterTiming(seed), with_digest=False),
+        run_occ_da(w, threads, SvPolicy.from_workload(w, cadd_aware), cadd_aware, timing=JitterTiming(seed), with_digest=False),
+        run_occ_det_commit(w, threads, cadd_aware, timing=JitterTiming(seed), with_digest=False),
+    )
+    for result in runs:
+        assert result.wasted_gas == sum(w[a.tx_id].gas for a in result.aborted()), result.mode
+
+
 # ---------------------------------------------------------------------------
 # in-order engines against the original loop
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ floats = st.floats() | st.sampled_from([-0.0, 0.0, 1e300, -1e-300, math.nan, mat
 texts = st.text(max_size=8) | st.sampled_from(["", "é", "\x00\n\t\"\\", " ", "\U0001f600", "</script>"])
 scalars = st.none() | st.booleans() | ints | floats | texts
 int_rows = st.lists(st.lists(ints, min_size=1, max_size=4), min_size=1, max_size=6)  # abort triples and the like
+tuple_rows = st.lists(st.tuples(ints) | st.tuples(ints, ints, ints) | st.tuples(ints, ints | st.booleans() | floats), min_size=1, max_size=6)
 json_values = st.recursive(
-    scalars | int_rows | st.lists(ints | st.booleans(), max_size=5),
+    scalars | int_rows | tuple_rows | st.lists(ints | st.booleans(), max_size=5),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(texts, inner, max_size=4)
@@ -51,6 +52,20 @@ def test_render_json_matches_the_stdlib(value):
         [-0.0, 1e300, math.nan, math.inf, -math.inf],
         {"a": {1: [2.5, {"b": ()}], 3: None}, "c": [{"d": {}}]},
         {"rows": [[12, 0, -1], [74, 0, 95]], "order": list(range(5)), "x": 10**40},
+        # Tuple rows of ints, as `simulate` writes abort rows: one width,
+        # mixed widths, negative and huge ints; a bool, a float or an empty
+        # row leaves the fast path.
+        [(12, 0, -1)],
+        [(12, 0, -1), (74, 1), (5,), (6, 7, 8, 9)],
+        [(-1, -(2**70), 0), (2**64, 2**64 + 1, -(2**64) - 1)],
+        ((1, 2), (3, 4)),
+        {"aborts": [(12, 0, -1), (74, 0, 95)], "none": []},
+        [(1, True), (2, 3)],
+        [(1, 2), (False, 3)],
+        [(1, 2.5), (3, 4)],
+        [(1, 2), (3, -0.0)],
+        [(1, 2), ()],
+        [(1, 2), [3, 4]],
         "é\x00\n",
     ],
 )

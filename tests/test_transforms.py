@@ -579,3 +579,31 @@ def test_pruned_graphs_are_built_like_public_ones():
     public = DependencyGraph(n=pruned.n, edges=pruned.edges, weights=pruned.weights)
     assert g.edges > pruned.edges
     assert pruned == public and repr(pruned) == repr(public) and list(vars(pruned)) == list(vars(public))
+
+
+@pytest.mark.parametrize(
+    "transform",
+    [
+        lambda w, keys: split_senders(w, w[0].sender, 3, keys[0]),
+        lambda w, keys: partition_counters(w, PartitionSpec(frozenset(keys), 4)),
+        lambda w, keys: cadd_rewrite(w, keys),
+    ],
+    ids=["split_senders", "partition_counters", "cadd_rewrite"],
+)
+def test_transforms_read_the_key_tags_once(monkeypatch, transform):
+    # `Workload.key_tags` checks every tag on each read, so a transform reads it once.
+    w = gen_token_distribution(40, senders=1, track_total_supply=True, seed=3)
+    keys = [StorageKey.parse(k) for k in w.meta["bottleneck_keys"]]
+    bad = Workload(transactions=w.transactions, meta={**w.meta, "key_tags": {**w.meta["key_tags"], "c:x": "x"}})
+    expected = transform(w, keys)
+    checked = Workload.key_tags
+    reads = []
+    monkeypatch.setattr(Workload, "key_tags", property(lambda self: reads.append(self) or checked.fget(self)))
+    out = transform(w, keys)
+    assert reads == [w]
+    assert out == expected and out.meta == expected.meta
+    assert out.meta["key_tags"] != w.meta["key_tags"] or out.meta["transforms"][-1]["transform"] == "cadd_rewrite"
+    reads.clear()
+    with pytest.raises(ValidationError, match="meta 'key_tags': key 'c:x' has tag 'x'"):
+        transform(bad, keys)
+    assert reads == [bad]
