@@ -14,11 +14,7 @@ from .graph import (
     DependencyGraph,
     PathReport,
     build_graph,
-    conflicts,
     critical_path,
-    graph_from_json_dict,
-    graph_to_edgelist,
-    graph_to_json_dict,
     heaviest_from,
     schedule_graph,
 )

@@ -44,7 +44,7 @@ def bound_schedule(g: DependencyGraph, threads: int) -> ScheduleResult:
     n = g.n
     serial = g.total_weight
     if n == 0:
-        return ScheduleResult(0, tuple(() for _ in range(threads)), 0, 1.0, threads)
+        return ScheduleResult(0, ((),) * threads, 0, 1.0, threads)
 
     priority = heaviest_from(g)
     dependents = g.dependents()
@@ -54,10 +54,12 @@ def bound_schedule(g: DependencyGraph, threads: int) -> ScheduleResult:
 
     ready: list[tuple[int, int]] = [(-priority[i], i) for i in range(n) if indegree[i] == 0]
     heapq.heapify(ready)
-    idle = list(range(threads))
-    heapq.heapify(idle)
+    # A dispatch takes the lowest idle thread, whose index is at most the
+    # number of running txs and so below n: threads from n on stay idle.
+    lanes = min(threads, n)
+    idle = list(range(lanes))
     running: list[tuple[int, int, int]] = []  # (end, thread, tx)
-    timeline: list[list[tuple[int, int, int]]] = [[] for _ in range(threads)]
+    timeline: list[list[tuple[int, int, int]]] = [[] for _ in range(lanes)]
     clock = 0
     finished = 0
 
@@ -86,7 +88,7 @@ def bound_schedule(g: DependencyGraph, threads: int) -> ScheduleResult:
     makespan = clock
     return ScheduleResult(
         makespan=makespan,
-        per_thread=tuple(tuple(lane) for lane in timeline),
+        per_thread=tuple(map(tuple, timeline)) + ((),) * (threads - lanes),
         serial_cost=serial,
         speedup=serial / makespan if makespan else 1.0,
         threads=threads,

@@ -480,10 +480,12 @@ def cmd_histogram(args) -> int:
         if not isinstance(rows, list):
             raise ValidationError(f"{path}: expected a JSON array of result rows")
         for row in rows:
-            if type(row) is not dict or type(row.get("speedup")) not in (int, float):
-                raise ValidationError(f"{path}: rows need a numeric 'speedup' field")
+            speedup = row.get("speedup") if type(row) is dict else None
+            # JSON admits NaN and Infinity, and a float from an int may overflow
+            if type(speedup) not in (int, float) or not -sys.float_info.max <= speedup <= sys.float_info.max:
+                raise ValidationError(f"{path}: rows need a finite numeric 'speedup' field, got {speedup!r}")
             key = f"{Path(path).stem}/t{row.get('threads', '?')}"
-            series.setdefault(key, []).append(float(row["speedup"]))
+            series.setdefault(key, []).append(float(speedup))
     if not series:
         raise ValidationError("no result rows to bucket")
     names = sorted(series)

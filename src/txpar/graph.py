@@ -1,4 +1,4 @@
-"""Conflict predicate, transaction dependency graph, and heaviest-path
+"""Conflict rule, transaction dependency graph, and heaviest-path
 metrics. Two transactions conflict when they touch a common storage key and
 at least one side writes it; commutative-add-only overlaps are exempt in
 cadd-aware mode."""
@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .errors import ValidationError
-from .workload import AccessSet, StorageKey, Transaction, Workload, _new, _set_field
+from .workload import StorageKey, Workload, _new, _set_field
 
 #: Access kinds of one transaction on one key, as bits of a kind mask.
 READ, WRITE, CADD = 1, 2, 4
@@ -31,11 +31,9 @@ class DependencyGraph:
     _dependents: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "edges", frozenset(self.edges))
+        object.__setattr__(self, "weights", tuple(self.weights))
         # Exact ints only: a float, string or bool is refused, never coerced.
-        if type(self.edges) is not frozenset:
-            object.__setattr__(self, "edges", frozenset(self.edges))
-        if type(self.weights) is not tuple:
-            object.__setattr__(self, "weights", tuple(self.weights))
         n = self.n
         if type(n) is not int:
             raise ValidationError(f"vertex count must be an integer, got {n!r}")
@@ -95,25 +93,6 @@ def _kind_conflicts(cadd_aware: bool) -> tuple[tuple[bool, ...], ...]:
         return bool(x & WRITE and y or x & CADD and y & READ)
 
     return tuple(tuple(one_way(later, earlier) or one_way(earlier, later) for earlier in range(8)) for later in range(8))
-
-
-def _masks(access: AccessSet) -> dict[StorageKey, int]:  # each key touched, to its kind mask
-    reads, writes, cadds = access.reads, access.writes, access.cadd_keys
-    return {key: READ * (key in reads) | WRITE * (key in writes) | CADD * (key in cadds) for key in reads | writes | cadds}
-
-
-def conflicts(a: Transaction, b: Transaction, cadd_aware: bool = False) -> bool:
-    """True iff the two transactions have a storage conflict.
-
-    Plain mode treats commutative adds as ordinary read+write accesses. In
-    cadd-aware mode a key conflicts unless both sides touch it with cadds
-    only: a plain write on one side still conflicts with a cadd on the other.
-    """
-    if a.id == b.id:
-        raise ValidationError("conflicts() requires two distinct transactions")
-    rule = _kind_conflicts(cadd_aware)
-    x, y = _masks(a.access), _masks(b.access)
-    return any(rule[kind][y[key]] for key, kind in x.items() if key in y)
 
 
 def _accesses(workload: Workload) -> dict[StorageKey, list[tuple[int, int]]]:
@@ -204,8 +183,9 @@ def _pairs(per_key, conflict: tuple[tuple[bool, ...], ...]) -> set[tuple[int, in
 def build_graph(workload: Workload, cadd_aware: bool = False) -> DependencyGraph:
     """Build the dependency graph from the per-key access index.
 
-    Produces exactly the edge set of the naive pairwise conflicts() scan
-    (the normative oracle), in O(sum of per-key conflicting pairs).
+    Produces exactly the edge set of the naive pairwise scan
+    `tests/oracles.py::oracle_edges` (the normative oracle), in O(sum of
+    per-key conflicting pairs).
     """
     edges = _pairs(_accesses(workload).values(), _kind_conflicts(cadd_aware))
     return _graph(len(workload), frozenset(edges), tuple(tx.gas for tx in workload))
@@ -309,31 +289,3 @@ def critical_path(g: DependencyGraph) -> PathReport:
         current = min(j for j in dependents[current] if hf[j] == target)
         path.append(current)
     return PathReport(critical_weight=best, critical_path=tuple(path), total_weight=g.total_weight)
-
-
-# ---------------------------------------------------------------------------
-# Export formats
-# ---------------------------------------------------------------------------
-
-
-def graph_to_json_dict(g: DependencyGraph) -> dict:
-    return {
-        "n": g.n,
-        "weights": list(g.weights),
-        "edges": sorted([j, i] for j, i in g.edges),
-    }
-
-
-def graph_from_json_dict(data: dict) -> DependencyGraph:
-    try:
-        return DependencyGraph(n=data["n"], edges=frozenset((j, i) for j, i in data["edges"]), weights=data["weights"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed graph JSON: {exc}") from None
-
-
-def graph_to_edgelist(g: DependencyGraph) -> str:
-    """Edge-list text: a weights header comment, then one `j i` line per edge."""
-    lines = ["# weights " + " ".join(str(w) for w in g.weights)]
-    for j, i in sorted(g.edges):
-        lines.append(f"{j} {i}")
-    return "\n".join(lines) + "\n"

@@ -13,9 +13,9 @@ All engines run a single-threaded event loop over virtual gas time;
   a retry; outcomes are invariant under any timing perturbation.
 
 A transaction with storage version sv may only observe commits with id <=
-sv. At its commit turn it aborts iff some tx in (sv, id) wrote a key it
-reads; an aborted tx re-enters the queue with storage version id-1, whose
-empty conflict window guarantees the retry commits.
+sv. At its commit turn it aborts iff some tx in (sv, id) wrote or cadded a
+key it reads; an aborted tx re-enters the queue with storage version id-1,
+whose empty conflict window guarantees the retry commits.
 """
 
 from __future__ import annotations
@@ -103,27 +103,25 @@ class SvPolicy:
     [-1, id-1].
     """
 
-    variant: str
     first_sv: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.variant == "minus_one":
-            if self.first_sv is not None:
-                raise ValidationError("a minus_one policy takes no first_sv table")
-            return
-        if self.variant != "dep_graph":
-            raise ValidationError(f"unknown sv policy variant {self.variant!r}")
         if self.first_sv is None:
-            raise ValidationError("a dep_graph policy needs a first_sv table")
+            return
         first_sv = tuple(self.first_sv)
         for tx_id, sv in enumerate(first_sv):
             if type(sv) is not int or not -1 <= sv < tx_id:
                 raise ValidationError(f"tx {tx_id}: a first storage version must be an int in [-1, {tx_id - 1}], got {sv!r}")
         object.__setattr__(self, "first_sv", first_sv)
 
+    @property
+    def variant(self) -> str:
+        """`minus_one` without a table, `dep_graph` with one."""
+        return "minus_one" if self.first_sv is None else "dep_graph"
+
     @classmethod
     def minus_one(cls) -> "SvPolicy":
-        return cls(variant="minus_one")
+        return cls()
 
     @classmethod
     def from_graph(cls, graph: DependencyGraph) -> "SvPolicy":
@@ -133,14 +131,14 @@ class SvPolicy:
         for j, i in graph.edges:
             if i > first_sv[j]:
                 first_sv[j] = i
-        return cls(variant="dep_graph", first_sv=tuple(first_sv))
+        return cls(tuple(first_sv))
 
     @classmethod
     def from_workload(cls, workload: Workload, cadd_aware: bool = False) -> "SvPolicy":
         """The `from_graph(build_graph(workload, cadd_aware))` policy, built
         with no graph: each tx's highest conflicting earlier id, from one pass
         over the workload's access index (`graph.latest_conflict`)."""
-        return cls(variant="dep_graph", first_sv=latest_conflict(workload, _kind_conflicts(cadd_aware)))
+        return cls(latest_conflict(workload, _kind_conflicts(cadd_aware)))
 
     def storage_version(self, tx_id: int, attempt: int) -> int:
         """The version attempt `attempt` of tx `tx_id` reads at: the table's

@@ -98,14 +98,9 @@ class AccessSet:
     cadds: tuple[tuple[StorageKey, int], ...] = ()
 
     def __post_init__(self):
-        # Re-wrap only what is not canonical yet: the parser and the generators
-        # pass frozensets and, mostly, no cadds.
-        if type(self.reads) is not frozenset:
-            object.__setattr__(self, "reads", frozenset(self.reads))
-        if type(self.writes) is not frozenset:
-            object.__setattr__(self, "writes", frozenset(self.writes))
-        if self.cadds or type(self.cadds) is not tuple:
-            object.__setattr__(self, "cadds", _canon_cadds(self.cadds))
+        object.__setattr__(self, "reads", frozenset(self.reads))
+        object.__setattr__(self, "writes", frozenset(self.writes))
+        object.__setattr__(self, "cadds", _canon_cadds(self.cadds))
 
     @property
     def cadd_keys(self) -> frozenset[StorageKey]:

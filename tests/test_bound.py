@@ -1,6 +1,7 @@
 """List-scheduler bound and brute-force oracle tests."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -161,6 +162,19 @@ def test_cadd_awareness_never_hurts_the_bound():
         assert aware.edges <= plain.edges
         for threads in (2, 8):
             assert bound_schedule(aware, threads).makespan <= bound_schedule(plain, threads).makespan
+
+
+def test_threads_beyond_the_tx_count_stay_idle():
+    rng = random.Random(29)
+    for _ in range(200):
+        g = random_dag(rng, max_n=9)
+        base = bound_schedule(g, g.n)
+        assert base.makespan == critical_path(g).critical_weight  # no tx ever waits for a thread
+        for threads in (g.n + 1, 3 * g.n + 5):
+            padded = replace(base, per_thread=base.per_thread + ((),) * (threads - g.n), threads=threads)
+            assert bound_schedule(g, threads) == padded
+    empty = DependencyGraph(n=0, edges=frozenset(), weights=())
+    assert bound_schedule(empty, 4).per_thread == ((),) * 4
 
 
 def test_empty_graph_schedules_to_zero():

@@ -437,6 +437,18 @@ def test_bad_input_exits_1_and_names_its_field(case, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "speedup", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400], ids=["nan", "inf", "minus_inf", "1e999", "big_int"]
+)
+def test_histogram_refuses_a_non_finite_speedup(speedup, tmp_path, capsys):
+    rows = tmp_path / "bound.json"
+    rows.write_text(f'[{{"threads": 2, "speedup": {speedup}}}, {{"threads": 2, "speedup": 3.0}}]')
+    out = tmp_path / "hist.csv"
+    assert run(["histogram", "--input", str(rows), "--out", str(out)]) == 1
+    assert f"{rows}: rows need a finite numeric 'speedup' field" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _probe_json(argv, out):
     argv = ["probe", *argv, "--cadd-aware", "--threads", "2,4", "--trials", "4", "--seed", "3"]
     assert run(argv + ["--out", str(out)]) == 0

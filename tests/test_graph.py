@@ -1,4 +1,4 @@
-"""Conflict predicate and dependency graph tests, checked against the
+"""Conflict rule and dependency graph tests, checked against the
 pairwise and path-enumeration oracles."""
 
 import random
@@ -17,13 +17,9 @@ from txpar import (
     bound_schedule,
     build_graph,
     cadd_rewrite,
-    conflicts,
     critical_path,
     gen_payments,
     gen_token_distribution,
-    graph_from_json_dict,
-    graph_to_edgelist,
-    graph_to_json_dict,
     heaviest_from,
     schedule_graph,
 )
@@ -55,47 +51,44 @@ def _tx(i, reads=(), writes=(), cadds=(), gas=10):
     )
 
 
+def _pair(first, second):
+    """A two-tx block whose txs have these access sets, in this order."""
+    return Workload((Transaction(0, "a", 10, first), Transaction(1, "b", 10, second)))
+
+
+def _edges(first, second, cadd_aware=False):
+    return build_graph(_pair(first, second), cadd_aware).edges
+
+
+EDGE = {(1, 0)}
+
+
 def test_write_read_conflicts_in_both_modes():
-    a = _tx(0, writes={K})
-    b = _tx(1, reads={K})
-    assert conflicts(a, b) is True
-    assert conflicts(a, b, cadd_aware=True) is True
+    a, b = AccessSet(writes={K}), AccessSet(reads={K})
+    assert _edges(a, b) == _edges(a, b, cadd_aware=True) == EDGE
 
 
 def test_disjoint_key_sets_never_conflict():
-    a = _tx(0, writes={StorageKey("c", "x")})
-    b = _tx(1, reads={StorageKey("c", "y")})
-    assert conflicts(a, b) is False
-    assert conflicts(a, b, cadd_aware=True) is False
+    a, b = AccessSet(writes={StorageKey("c", "x")}), AccessSet(reads={StorageKey("c", "y")})
+    assert _edges(a, b) == _edges(a, b, cadd_aware=True) == set()
 
 
 def test_cadd_vs_cadd_exempt_only_in_cadd_aware_mode():
-    a = _tx(0, cadds=[(K, 1)])
-    b = _tx(1, cadds=[(K, 2)])
-    assert conflicts(a, b) is True
-    assert conflicts(a, b, cadd_aware=True) is False
+    a, b = AccessSet(cadds=[(K, 1)]), AccessSet(cadds=[(K, 2)])
+    assert _edges(a, b) == EDGE
+    assert _edges(a, b, cadd_aware=True) == set()
 
 
 def test_cadd_vs_read_conflicts_in_both_modes():
     # Reordering the pair changes the read result, so this must stay an edge.
-    a = _tx(0, cadds=[(K, 1)])
-    b = _tx(1, reads={K})
-    assert conflicts(a, b) is True
-    assert conflicts(a, b, cadd_aware=True) is True
-    assert conflicts(b, a, cadd_aware=True) is True
+    a, b = AccessSet(cadds=[(K, 1)]), AccessSet(reads={K})
+    assert _edges(a, b) == _edges(a, b, cadd_aware=True) == EDGE
+    assert _edges(b, a, cadd_aware=True) == EDGE
 
 
 def test_write_vs_cadd_conflicts_in_cadd_aware_mode():
-    a = _tx(0, writes={K})
-    b = _tx(1, cadds=[(K, 1)])
-    assert conflicts(a, b, cadd_aware=True) is True
-    assert conflicts(b, a, cadd_aware=True) is True
-
-
-def test_conflicts_rejects_same_id():
-    a = _tx(0, writes={K})
-    with pytest.raises(ValidationError):
-        conflicts(a, a)
+    a, b = AccessSet(writes={K}), AccessSet(cadds=[(K, 1)])
+    assert _edges(a, b, cadd_aware=True) == _edges(b, a, cadd_aware=True) == EDGE
 
 
 def test_build_graph_single_sender_clique():
@@ -141,6 +134,7 @@ def test_edge_orientation_validated():
         (2, {(1, 0)}, ("3", 1)),
         (2.0, {(1, 0)}, (3, 1)),
         (True, set(), (3,)),
+        ("2", {(1, 0)}, (3, 1)),
     ],
 )
 def test_constructor_refuses_non_integer_ids_and_weights(n, edges, weights):
@@ -254,59 +248,6 @@ def test_cadd_aware_edges_subset_of_plain():
         assert build_graph(w, True).edges <= build_graph(w, False).edges
 
 
-def test_graph_json_round_trip():
-    g = build_graph(gen_token_distribution(6, senders=2, seed=1))
-    again = graph_from_json_dict(graph_to_json_dict(g))
-    assert again == DependencyGraph(n=g.n, edges=g.edges, weights=g.weights)
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        {"n": "x", "weights": [1], "edges": []},
-        {"n": 2, "weights": [1, 1], "edges": [[1, 0, 5]]},
-        {"n": 2, "weights": [1, 1], "edges": [[1]]},
-        {"n": 2, "weights": [1, 1]},
-        {"n": 2, "weights": None, "edges": []},
-        {"n": 2, "weights": [1, 1], "edges": [[0, 1]]},
-        {"n": 2.9, "weights": [1, 1], "edges": []},
-        {"n": "2", "weights": [1, 1], "edges": []},
-        {"n": True, "weights": [1], "edges": []},
-        {"n": 2, "weights": ["3", 1], "edges": []},
-        {"n": 2, "weights": [3, True], "edges": []},
-        {"n": 2, "weights": [1, 1.5], "edges": []},
-        {"n": 2, "weights": [1, 1], "edges": [[1.7, 0]]},
-        {"n": 2, "weights": [1, 1], "edges": [[1, False]]},
-    ],
-    ids=[
-        "n_not_an_int",
-        "edge_of_three",
-        "edge_of_one",
-        "no_edges",
-        "weights_null",
-        "edge_points_forward",
-        "n_float",
-        "n_numeric_string",
-        "n_bool",
-        "weight_string",
-        "weight_bool",
-        "weight_float",
-        "edge_end_float",
-        "edge_end_bool",
-    ],
-)
-def test_malformed_graph_json_is_a_validation_error(data):
-    with pytest.raises(ValidationError):
-        graph_from_json_dict(data)
-
-
-def test_graph_edgelist_format():
-    text = graph_to_edgelist(DIAMOND)
-    lines = text.strip().splitlines()
-    assert lines[0] == "# weights 1 2 3 1"
-    assert lines[1:] == ["1 0", "2 0", "3 1", "3 2"]
-
-
 # ---------------------------------------------------------------------------
 # Per-key access index
 # ---------------------------------------------------------------------------
@@ -324,11 +265,12 @@ _access_sets = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(_access_sets, _access_sets)
 def test_conflicts_matches_the_per_key_oracle(x, y):
-    a, b = Transaction(id=0, sender="a", gas=1, access=x), Transaction(id=1, sender="b", gas=1, access=y)
-    for cadd_aware in CADD_MODES:
-        expected = oracle_conflict(a, b, cadd_aware)
-        assert conflicts(a, b, cadd_aware) == expected, cadd_aware
-        assert conflicts(b, a, cadd_aware) == expected, cadd_aware
+    """`build_graph` draws a two-tx block's one edge exactly when the per-key
+    oracle finds a conflict, in both modes and both orders."""
+    for first, second in ((x, y), (y, x)):
+        for cadd_aware in CADD_MODES:
+            expected = EDGE if oracle_conflict(*_pair(first, second), cadd_aware) else set()
+            assert _edges(first, second, cadd_aware) == expected, cadd_aware
 
 
 def _one_key_tx(i, mask):

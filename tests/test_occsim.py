@@ -174,20 +174,17 @@ def test_occ_da_wasted_gas_accounting():
 
 
 @pytest.mark.parametrize(
-    "variant, table",
+    "table",
     [
-        ("dep_graph", (-1, 1, 0)),  # sv >= id
-        ("dep_graph", (-1, 0, -2)),  # sv < -1
-        ("dep_graph", (-1, 0.0, 1)),  # a float
-        ("dep_graph", (-1, False, 1)),  # a bool
-        ("dep_graph", None),  # no table
-        ("minus_one", (-1, -1, -1)),  # a table under minus_one
-        ("custom", (-1, -1, -1)),  # an unknown variant
+        (-1, 1, 0),  # sv >= id
+        (-1, 0, -2),  # sv < -1
+        (-1, 0.0, 1),  # a float
+        (-1, False, 1),  # a bool
     ],
 )
-def test_policy_table_is_checked_at_construction(variant, table):
+def test_policy_table_is_checked_at_construction(table):
     with pytest.raises(ValidationError):
-        SvPolicy(variant, table)
+        SvPolicy(table)
 
 
 def test_workload_and_graph_built_policies_agree():
@@ -303,7 +300,7 @@ def test_occ_da_parked_tx_lets_a_later_ready_tx_take_its_slot():
     # tx1 waits for tx0's commit, so tx2 (sv -1) takes the second slot at
     # clock 0, and tx1 starts only when tx0 commits at clock 10.
     w = Workload(transactions=(_tx(0, 10, writes={K}), _tx(1, 5, reads={K}), _tx(2, 7)))
-    policy = SvPolicy("dep_graph", (-1, 0, -1))
+    policy = SvPolicy((-1, 0, -1))
     result = run_occ_da(w, 2, policy, with_digest=False)
     assert result.attempts == (
         (0, 0, -1, 0, 10, "committed"),
@@ -489,7 +486,7 @@ def _timings(w, seed):
 
 def _assert_in_order_matches_oracle(w, seed, thread_counts=(1, 4, 32)):
     rng = random.Random(seed)
-    random_policy = SvPolicy("dep_graph", tuple(rng.randint(-1, tx.id - 1) for tx in w))
+    random_policy = SvPolicy(tuple(rng.randint(-1, tx.id - 1) for tx in w))
     for cadd_aware in (False, True):
         policies = (SvPolicy.minus_one(), SvPolicy.from_workload(w, cadd_aware), random_policy, None)
         for policy in policies:
