@@ -142,6 +142,44 @@ def test_constructor_refuses_non_integer_ids_and_weights(n, edges, weights):
         DependencyGraph(n=n, edges=edges, weights=weights)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": "x", "weights": [1], "edges": []},
+        {"n": 2, "weights": [1, 1], "edges": [[0, 1]]},
+        {"n": 2.9, "weights": [1, 1], "edges": []},
+        {"n": "2", "weights": [1, 1], "edges": []},
+        {"n": True, "weights": [1], "edges": []},
+        {"n": 2, "weights": ["3", 1], "edges": []},
+        {"n": 2, "weights": [3, True], "edges": []},
+        {"n": 2, "weights": [1, 1.5], "edges": []},
+        {"n": 2, "weights": [1, 1], "edges": [[1.7, 0]]},
+        {"n": 2, "weights": [1, 1], "edges": [[1, False]]},
+    ],
+    ids=[
+        "n_not_an_int",
+        "edge_points_forward",
+        "n_float",
+        "n_numeric_string",
+        "n_bool",
+        "weight_string",
+        "weight_bool",
+        "weight_float",
+        "edge_end_float",
+        "edge_end_bool",
+    ],
+)
+def test_malformed_graph_json_is_a_validation_error(data):
+    # Values as json.loads gives them (lists, bools, floats, strings), with
+    # each edge pair made a tuple: the constructor refuses every such graph.
+    with pytest.raises(ValidationError):
+        DependencyGraph(
+            n=data["n"],
+            edges=frozenset(tuple(e) for e in data["edges"]),
+            weights=data["weights"],
+        )
+
+
 def test_constructor_keeps_frozen_inputs_and_freezes_the_rest():
     edges, weights = frozenset({(1, 0)}), (3, 1)
     g = DependencyGraph(n=2, edges=edges, weights=weights)
