@@ -38,6 +38,7 @@ from .storagevm import (
     commit,
     exec_abstract,
     replay_check,
+    replay_digest,
     replay_final_state,
     run_serial,
     serial_final_state,

@@ -31,6 +31,7 @@ from .occsim import (
     run_occ_da,
     run_occ_det_commit,
 )
+from .storagevm import replay_digest
 from .transforms import PartitionSpec, cadd_rewrite, partition_counters, prune_edges_probabilistic, split_senders
 from .workload import GENERATORS, StorageKey, Workload, emit_trace, gen_mixed, parse_trace
 
@@ -397,10 +398,10 @@ def cmd_simulate(args) -> int:
                 "wasted_gas": result.wasted_gas,
                 "aborts": list(map(_ABORT_ROW, result.aborted())),
                 "committed_order": list(result.committed_order),
-                "digest": result.digest,
+                "digest": replay_digest(workload, result),
             }
             if args.mode == MODE_DA:
-                baseline = run_occ_det_commit(workload, t, args.cadd_aware, with_digest=False)
+                baseline = run_occ_det_commit(workload, t, args.cadd_aware)
                 row["identical_to_det_commit"] = (
                     result.makespan == baseline.makespan and result.abort_pattern() == baseline.abort_pattern()
                 )

@@ -25,10 +25,10 @@ class InvariantViolation(RuntimeError):
     """A property the simulator guarantees was observed to fail (exit code 3)."""
 
 
-def _check_int(name: str, value, minimum: int) -> None:
+def _check_int(name: str, value, minimum: int | None = None) -> None:
     """Raise ValidationError unless `value` is an exact int (a bool is not
-    one) of at least `minimum`."""
+    one) of at least `minimum`, if one is given."""
     if type(value) is not int:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")

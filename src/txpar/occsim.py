@@ -24,7 +24,7 @@ import heapq
 import random
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 from typing import Mapping, NamedTuple
@@ -33,7 +33,7 @@ from .errors import InvariantViolation, ValidationError, _check_int
 from .graph import DependencyGraph, _kind_conflicts, latest_conflict, latest_writer
 # Nothing here calls `replay_final_state`: bench/tracing.py wraps it under
 # this module's name, and tests/test_bench_tracing.py requires that it resolves.
-from .storagevm import _replay_digest, replay_final_state  # noqa: F401
+from .storagevm import replay_final_state  # noqa: F401
 from .workload import StorageKey, Workload
 
 MODE_CLASSIC = "occ-classic"
@@ -72,7 +72,6 @@ class OccRunResult:
     wasted_gas: int
     serial_cost: int
     speedup: float
-    digest: str | None
 
     def aborted(self) -> tuple[ExecAttempt, ...]:
         return tuple(compress(self.attempts, map("aborted".__eq__, map(_OUTCOME, self.attempts))))
@@ -172,6 +171,7 @@ class JitterTiming(Timing):
     `max(1, round(...))`."""
 
     def __init__(self, seed: int):
+        _check_int("seed", seed)
         self._random = random.Random(seed).random
 
     def draw(self, tx_id: int, attempt: int, gas: int) -> tuple[int, float]:
@@ -194,7 +194,6 @@ class FixedTiming(Timing):
 
 
 def _finalize(
-    workload: Workload,
     gas: list[int],
     mode: str,
     threads: int,
@@ -203,12 +202,11 @@ def _finalize(
     committed_order: list[int] | range,
     makespan: int,
     wasted: int,
-    with_digest: bool,
 ) -> OccRunResult:
     """Package an engine's run. `wasted` is the gas of the aborted attempts,
     which each engine sums as its attempts abort."""
     serial = sum(gas)
-    result = OccRunResult(
+    return OccRunResult(
         mode=mode,
         threads=threads,
         policy=policy_name,
@@ -218,11 +216,7 @@ def _finalize(
         wasted_gas=wasted,
         serial_cost=serial,
         speedup=serial / makespan if makespan else 1.0,
-        digest=None,
     )
-    if with_digest:
-        result = replace(result, digest=_replay_digest(workload, result))
-    return result
 
 
 def _run_in_order(
@@ -231,7 +225,6 @@ def _run_in_order(
     policy: SvPolicy | None,
     cadd_aware: bool,
     timing: Timing,
-    with_digest: bool,
 ) -> OccRunResult:
     """Shared engine for the two in-order-commit modes.
 
@@ -252,7 +245,7 @@ def _run_in_order(
     if policy is not None and policy.first_sv is not None and len(policy.first_sv) != n:
         raise ValidationError(f"policy covers {len(policy.first_sv)} txs, the workload has {n}")
     if n == 0:
-        return _finalize(workload, [], mode, threads, policy_name, [], [], 0, 0, with_digest)
+        return _finalize([], mode, threads, policy_name, [], [], 0, 0)
 
     latest = latest_writer(workload, cadd_aware)
     gas = [tx.gas for tx in workload]
@@ -341,7 +334,7 @@ def _run_in_order(
                 next_commit += 1
 
     # Commits are strictly in id order, so the committed order is the block.
-    return _finalize(workload, gas, mode, threads, policy_name, attempts, range(n), clock, wasted, with_digest)
+    return _finalize(gas, mode, threads, policy_name, attempts, range(n), clock, wasted)
 
 
 def run_occ_da(
@@ -351,7 +344,6 @@ def run_occ_da(
     cadd_aware: bool = False,
     *,
     timing: Timing | None = None,
-    with_digest: bool = True,
 ) -> OccRunResult:
     """OCC with deterministic aborts: storage versions fixed per (tx,
     attempt) before execution, so the commit/abort outcome of every attempt
@@ -362,7 +354,6 @@ def run_occ_da(
         policy if policy is not None else SvPolicy.minus_one(),
         cadd_aware,
         timing or Timing(),
-        with_digest,
     )
 
 
@@ -372,20 +363,17 @@ def run_occ_det_commit(
     cadd_aware: bool = False,
     *,
     timing: Timing | None = None,
-    with_digest: bool = True,
 ) -> OccRunResult:
     """OCC with deterministic commit order only: commits follow block order,
     but each dispatch snapshots the highest committed id at that moment, so
     abort patterns vary with timing."""
-    return _run_in_order(workload, threads, None, cadd_aware, timing or Timing(), with_digest)
+    return _run_in_order(workload, threads, None, cadd_aware, timing or Timing())
 
 
 def run_occ_classic(
     workload: Workload,
     threads: int,
     interleaving_seed: int = 0,
-    *,
-    with_digest: bool = True,
 ) -> OccRunResult:
     """Classic OCC: first-come-first-served dispatch, commit at execution
     completion, backward validation against txs that committed during the
@@ -403,9 +391,10 @@ def run_occ_classic(
     added to the run's wasted gas as it aborts.
     """
     _check_int("threads", threads, 1)
+    _check_int("interleaving_seed", interleaving_seed)
     n = len(workload)
     if n == 0:
-        return _finalize(workload, [], MODE_CLASSIC, threads, "fcfs", [], [], 0, 0, with_digest)
+        return _finalize([], MODE_CLASSIC, threads, "fcfs", [], [], 0, 0)
 
     order = list(range(n))
     random.Random(interleaving_seed).shuffle(order)
@@ -465,7 +454,7 @@ def run_occ_classic(
             for key in written[tx_id]:
                 last_write[key] = clock
 
-    return _finalize(workload, gas, MODE_CLASSIC, threads, "fcfs", attempts, committed_order, clock, wasted, with_digest)
+    return _finalize(gas, MODE_CLASSIC, threads, "fcfs", attempts, committed_order, clock, wasted)
 
 
 @dataclass(frozen=True)
@@ -504,19 +493,20 @@ def determinism_probe(
     the distinct outcome multisets of each. Trial `t` seeds its timing with
     `seed * 1_000_003 + t`, the same for both schedulers."""
     _check_int("trials", trials, 2)
+    _check_int("seed", seed)
     policy = policy if policy is not None else SvPolicy.minus_one()
     da_patterns: list = []
     dc_patterns: list = []
     makespans: list[int] = []
     for trial in range(trials):
         timing = JitterTiming(seed=seed * 1_000_003 + trial)
-        da = run_occ_da(workload, threads, policy, cadd_aware, timing=timing, with_digest=False)
+        da = run_occ_da(workload, threads, policy, cadd_aware, timing=timing)
         makespans.append(da.makespan)
         pattern = da.outcome_multiset()
         if pattern not in da_patterns:
             da_patterns.append(pattern)
         timing = JitterTiming(seed=seed * 1_000_003 + trial)
-        dc = run_occ_det_commit(workload, threads, cadd_aware, timing=timing, with_digest=False)
+        dc = run_occ_det_commit(workload, threads, cadd_aware, timing=timing)
         dc_pattern = dc.abort_pattern()
         if dc_pattern not in dc_patterns:
             dc_patterns.append(dc_pattern)

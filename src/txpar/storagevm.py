@@ -12,17 +12,17 @@ serial executor and the replay of OCC runs take a fast path with the same
 semantics: each workload object compiles its transactions once into a
 replay plan (sorted reads and writes, commutative adds folded per key), and
 one loop executes the plan against a versioned store.
-The plan, the serial digest and the version floors are three tables kept by
-`Workload.derived`, so each is built once per workload object and freed
+The plan and the serial digest with the version floors are two tables kept
+by `Workload.derived`, so each is built once per workload object and freed
 with it. Tests compare the plan with the interpreter, state for state.
 
 A deterministic run that observed only serial versions need not be
 replayed. The version floors give, per tx, the newest serial version
 among the keys it reads; an attempt whose storage version is at or above its
 floor saw what serial execution sees, so if every attempt passes, the run
-ends in the serial state. `replay_check` and the engines' digests take that
-proof and fall back to the full replay on the first attempt that fails it,
-so their answers are the replay's.
+ends in the serial state. `replay_digest`, and `replay_check` through it,
+take that proof and fall back to the full replay on the first attempt that
+fails it, so their answers are the replay's.
 """
 
 from __future__ import annotations
@@ -234,22 +234,6 @@ def _compile_plan(workload: Workload) -> list[tuple]:
     return plan
 
 
-def _version_floors(workload: Workload) -> list[int]:
-    """Per tx, the newest serial version among its read keys: the highest
-    lower id that writes or cadds one of them, or -1. Taken from the plan,
-    not from `graph`'s access index, so the proof stays independent of the
-    engines' abort table. Non-writers keep no reads, so their floor is -1."""
-    last: dict[StorageKey, int] = {}
-    floors = []
-    for tx_id, reads, writes, cadds in _plan(workload):
-        floors.append(max([last.get(key, -1) for key in reads], default=-1))
-        for key in writes:
-            last[key] = tx_id
-        for key, _ in cadds:
-            last[key] = tx_id
-    return floors
-
-
 def _replay(schedule) -> StorageState:
     """Execute (plan entry, snapshot sv, commit version) steps in order on a
     fresh store, exactly as `exec_abstract` followed by `commit`: reads see
@@ -296,9 +280,26 @@ def serial_final_state(workload: Workload) -> StorageState:
     return _replay((entry, entry[0] - 1, entry[0]) for entry in _plan(workload))
 
 
+def _serial_reference(workload: Workload) -> tuple[str, list[int]]:
+    """The serial digest and the version floors, one table. A tx's floor is
+    the newest serial version among its read keys: the highest lower id that
+    writes or cadds one of them, or -1. Taken from the plan, not from
+    `graph`'s access index, so the proof stays independent of the engines'
+    abort table. Non-writers keep no reads, so their floor is -1."""
+    last: dict[StorageKey, int] = {}
+    floors = []
+    for tx_id, reads, writes, cadds in _plan(workload):
+        floors.append(max([last.get(key, -1) for key in reads], default=-1))
+        for key in writes:
+            last[key] = tx_id
+        for key, _ in cadds:
+            last[key] = tx_id
+    return serial_final_state(workload).digest(), floors
+
+
 def run_serial(workload: Workload) -> str:
     """Digest of `serial_final_state`, computed once per workload object."""
-    return workload.derived("serial_digest", lambda w: serial_final_state(w).digest())
+    return workload.derived("serial", _serial_reference)[0]
 
 
 def _deterministic_svs(workload: Workload, result: "OccRunResult") -> list[int] | None:
@@ -342,7 +343,7 @@ def replay_final_state(workload: Workload, result: "OccRunResult") -> StorageSta
     return _replay(zip(txs, svs, range(len(txs))))
 
 
-def _replay_digest(workload: Workload, result: "OccRunResult") -> str:
+def replay_digest(workload: Workload, result: "OccRunResult") -> str:
     """`replay_final_state(workload, result).digest()`, validated the same
     way. A deterministic run whose every storage version is at or above its
     tx's version floor observed only serial (value, version) pairs, so by
@@ -350,12 +351,13 @@ def _replay_digest(workload: Workload, result: "OccRunResult") -> str:
     `run_serial`'s. Any other run is replayed."""
     if result.mode != "occ-classic":
         svs = _deterministic_svs(workload, result)
-        if all(map(ge, svs, workload.derived("version_floors", _version_floors))):
-            return run_serial(workload)
+        digest, floors = workload.derived("serial", _serial_reference)
+        if all(map(ge, svs, floors)):
+            return digest
     return replay_final_state(workload, result).digest()
 
 
 def replay_check(workload: Workload, result: "OccRunResult") -> bool:
     """True iff replaying the run's committed attempts reproduces the fully
     serial execution digest."""
-    return _replay_digest(workload, result) == run_serial(workload)
+    return replay_digest(workload, result) == run_serial(workload)

@@ -174,13 +174,13 @@ def _wasted_gas(workload: Workload, attempts: list[ExecAttempt]) -> int:
     return sum(workload[a.tx_id].gas for a in attempts if a.outcome == "aborted")
 
 
-def oracle_occ_classic(workload: Workload, threads: int, interleaving_seed: int = 0, *, with_digest: bool = True) -> OccRunResult:
+def oracle_occ_classic(workload: Workload, threads: int, interleaving_seed: int = 0) -> OccRunResult:
     """The original quadratic classic-OCC loop: every attempt rescans all
     commits for its sv, and retries are inserted at the head of a reversed
     list. The library engine must return an equal result."""
     n = len(workload)
     if n == 0:
-        return _finalize(workload, [], MODE_CLASSIC, threads, "fcfs", [], [], 0, 0, with_digest)
+        return _finalize([], MODE_CLASSIC, threads, "fcfs", [], [], 0, 0)
 
     order = list(range(n))
     random.Random(interleaving_seed).shuffle(order)
@@ -233,7 +233,7 @@ def oracle_occ_classic(workload: Workload, threads: int, interleaving_seed: int 
                 write_commit_times.setdefault(key, []).append(clock)
 
     wasted = _wasted_gas(workload, attempts)
-    return _finalize(workload, [tx.gas for tx in workload], MODE_CLASSIC, threads, "fcfs", attempts, committed_order, clock, wasted, with_digest)
+    return _finalize([tx.gas for tx in workload], MODE_CLASSIC, threads, "fcfs", attempts, committed_order, clock, wasted)
 
 
 def _written_in_window(workload: Workload, keys: frozenset, sv: int, tx_id: int) -> bool:
@@ -254,8 +254,6 @@ def oracle_run_in_order(
     policy: SvPolicy | None,
     cadd_aware: bool = False,
     timing: Timing | None = None,
-    *,
-    with_digest: bool = False,
 ) -> OccRunResult:
     """The original in-order engine loop (occ-da with a policy, det-commit
     without): storage versions are recomputed at dispatch, completed attempts
@@ -266,7 +264,7 @@ def oracle_run_in_order(
     mode = MODE_DA if policy is not None else MODE_DET_COMMIT
     policy_name = policy.variant if policy is not None else "runtime"
     if n == 0:
-        return _finalize(workload, [], mode, threads, policy_name, [], [], 0, 0, with_digest)
+        return _finalize([], mode, threads, policy_name, [], [], 0, 0)
 
     read_keys = [_aborting_keys(tx, cadd_aware) for tx in workload]
     attempt_no = [0] * n
@@ -323,7 +321,7 @@ def oracle_run_in_order(
                 next_commit += 1
 
     wasted = _wasted_gas(workload, attempts)
-    return _finalize(workload, [tx.gas for tx in workload], mode, threads, policy_name, attempts, committed_order, clock, wasted, with_digest)
+    return _finalize([tx.gas for tx in workload], mode, threads, policy_name, attempts, committed_order, clock, wasted)
 
 
 def oracle_occ_da_outcomes(workload: Workload, policy: SvPolicy, cadd_aware: bool = False) -> tuple:

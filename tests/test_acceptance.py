@@ -84,14 +84,14 @@ def test_criterion_2_serial_equivalence(corpus):
     for position, (workload, threads) in enumerate(corpus):
         seen: set = set()
         runs = [
-            run_occ_da(workload, threads, with_digest=False),
-            run_occ_det_commit(workload, threads, with_digest=False),
+            run_occ_da(workload, threads),
+            run_occ_det_commit(workload, threads),
         ]
         for trial in range(PROBE_TRIALS):
             timing = JitterTiming(seed=PROBE_SEED * 1_000_003 + trial)
-            runs.append(run_occ_da(workload, threads, timing=timing, with_digest=False))
+            runs.append(run_occ_da(workload, threads, timing=timing))
             timing = JitterTiming(seed=PROBE_SEED * 1_000_003 + trial)
-            runs.append(run_occ_det_commit(workload, threads, timing=timing, with_digest=False))
+            runs.append(run_occ_det_commit(workload, threads, timing=timing))
         for result in runs:
             checked += 1
             key = (result.mode, tuple(sorted((a.tx_id, a.sv) for a in result.attempts if a.outcome == "committed")))
@@ -124,8 +124,8 @@ def test_criterion_3_det_commit_nondeterminism_witness():
     the dependent tx, while OCC-DA's outcomes are identical."""
     w = _four_tx_example()
     timings = (None, FixedTiming({0: 8}))  # gas-true node vs fast-writer node
-    dc = [run_occ_det_commit(w, 2, timing=t, with_digest=False) for t in timings]
-    da = [run_occ_da(w, 2, timing=t, with_digest=False) for t in timings]
+    dc = [run_occ_det_commit(w, 2, timing=t) for t in timings]
+    da = [run_occ_da(w, 2, timing=t) for t in timings]
     assert dc[0].abort_pattern() != dc[1].abort_pattern()
     assert len(dc[0].aborted()) == 1 and len(dc[1].aborted()) == 0
     assert da[0].outcome_multiset() == da[1].outcome_multiset()
@@ -279,8 +279,8 @@ def test_criterion_9_occ_da_vs_det_commit_cost(corpus):
     ser_da = mk_da = ser_dc = mk_dc = 0
     identical = 0
     for workload, threads in corpus:
-        da = run_occ_da(workload, threads, with_digest=False)
-        dc = run_occ_det_commit(workload, threads, with_digest=False)
+        da = run_occ_da(workload, threads)
+        dc = run_occ_det_commit(workload, threads)
         ser_da += da.serial_cost
         mk_da += da.makespan
         ser_dc += dc.serial_cost

@@ -37,7 +37,7 @@ def test_the_occ_da_hooks_fire(tmp_path):
     on a small block, reach every occ-da hook. The storage-version hook fires
     once per tx per occ-da run: a retry reads id - 1 without a policy call."""
     workload = gen_token_distribution(30, senders=2, seed=1)
-    assert run_occ_da(workload, 4, with_digest=False).aborted()  # so the probe's minus_one runs retry
+    assert run_occ_da(workload, 4).aborted()  # so the probe's minus_one runs retry
     trace = tmp_path / "block.trace"
     trace.write_bytes(emit_trace(workload))
     tracing = _load_tracing()

@@ -27,6 +27,7 @@ from txpar import (
     gen_mixed,
     gen_token_distribution,
     replay_check,
+    replay_digest,
     run_occ_classic,
     run_occ_da,
     run_occ_det_commit,
@@ -34,6 +35,7 @@ from txpar import (
 
 from corpus_util import build_corpus
 from oracles import oracle_occ_classic, oracle_occ_da_outcomes, oracle_run_in_order, random_workload
+from txpar import occsim, storagevm
 from txpar.graph import _abort_rule, latest_conflict, latest_writer
 from txpar.workload import VALUE_DEPENDENT
 
@@ -95,14 +97,14 @@ def test_occ_da_abort_pattern_survives_any_pool_timing():
     w = four_tx_example()
     baseline = run_occ_da(w, 2).outcome_multiset()
     for trial in range(30):
-        jittered = run_occ_da(w, 2, timing=JitterTiming(seed=trial), with_digest=False)
+        jittered = run_occ_da(w, 2, timing=JitterTiming(seed=trial))
         assert jittered.outcome_multiset() == baseline
 
 
 def test_occ_da_edge_free_no_aborts():
     w = gen_payments(12, seed=0)
     for threads in (1, 3, 32):
-        result = run_occ_da(w, threads, with_digest=False)
+        result = run_occ_da(w, threads)
         assert result.aborted() == ()
         assert result.committed_order == tuple(range(12))
 
@@ -126,7 +128,7 @@ def test_occ_da_minus_one_aborts_do_not_depend_on_thread_count():
     assert len(single.aborted()) == 4  # every tx after the first retries once
     assert replay_check(w, single)
     for threads in (2, 8, 32):
-        assert run_occ_da(w, threads, with_digest=False).outcome_multiset() == single.outcome_multiset()
+        assert run_occ_da(w, threads).outcome_multiset() == single.outcome_multiset()
 
 
 def test_occ_da_perfect_graph_policy_avoids_all_aborts():
@@ -145,7 +147,7 @@ def test_occ_da_at_most_two_attempts_under_minus_one():
 
     for _ in range(40):
         w = random_workload(rng, max_n=20)
-        result = run_occ_da(w, rng.randint(1, 4), with_digest=False)
+        result = run_occ_da(w, rng.randint(1, 4))
         per_tx = {}
         for a in result.attempts:
             per_tx.setdefault(a.tx_id, []).append(a)
@@ -166,7 +168,7 @@ def test_occ_da_wasted_gas_accounting():
 
     for _ in range(30):
         w = random_workload(rng, max_n=20)
-        result = run_occ_da(w, 3, with_digest=False)
+        result = run_occ_da(w, 3)
         total_attempt_gas = sum(w[a.tx_id].gas for a in result.attempts)
         committed_gas = sum(w[a.tx_id].gas for a in result.attempts if a.outcome == "committed")
         assert result.wasted_gas + committed_gas == total_attempt_gas
@@ -203,7 +205,7 @@ def test_policy_must_cover_the_workload():
     w = chain_workload(3)
     policy = SvPolicy.from_workload(chain_workload(2))
     with pytest.raises(ValidationError):
-        run_occ_da(w, 2, policy, with_digest=False)
+        run_occ_da(w, 2, policy)
 
 
 def test_key_index_window_check_matches_naive_scan():
@@ -235,9 +237,9 @@ class _ConstantTiming(Timing):
 def test_engines_reject_non_positive_durations(duration):
     w = four_tx_example()
     with pytest.raises(ValidationError, match="duration"):
-        run_occ_da(w, 2, timing=_ConstantTiming(duration), with_digest=False)
+        run_occ_da(w, 2, timing=_ConstantTiming(duration))
     with pytest.raises(ValidationError, match="duration"):
-        run_occ_det_commit(w, 2, timing=_ConstantTiming(duration), with_digest=False)
+        run_occ_det_commit(w, 2, timing=_ConstantTiming(duration))
 
 
 @pytest.mark.parametrize("duration", [0, -100, 2.5, True, "3", None])
@@ -264,9 +266,9 @@ def test_engines_draw_the_timing_once_per_attempt():
         for policy in (SvPolicy.minus_one(), SvPolicy.from_workload(w), None):
             timing = _CountingTiming()
             if policy is None:
-                result = run_occ_det_commit(w, threads, timing=timing, with_digest=False)
+                result = run_occ_det_commit(w, threads, timing=timing)
             else:
-                result = run_occ_da(w, threads, policy, timing=timing, with_digest=False)
+                result = run_occ_da(w, threads, policy, timing=timing)
             assert timing.calls == len(result.attempts), (policy and policy.variant, threads)
             retries += len(result.attempts) - len(w)
     assert retries > 0  # retried attempts draw too
@@ -290,7 +292,7 @@ def test_occ_da_snapshot_gate_waits_for_commit():
     # tx1's assigned snapshot (tx0) must commit before tx1 may start.
     w = chain_workload(2, gas=10)
     policy = SvPolicy.from_graph(build_graph(w))
-    result = run_occ_da(w, 2, policy, with_digest=False)
+    result = run_occ_da(w, 2, policy)
     start_1 = next(a.start for a in result.attempts if a.tx_id == 1)
     end_0 = next(a.end for a in result.attempts if a.tx_id == 0)
     assert start_1 >= end_0
@@ -301,7 +303,7 @@ def test_occ_da_parked_tx_lets_a_later_ready_tx_take_its_slot():
     # clock 0, and tx1 starts only when tx0 commits at clock 10.
     w = Workload(transactions=(_tx(0, 10, writes={K}), _tx(1, 5, reads={K}), _tx(2, 7)))
     policy = SvPolicy((-1, 0, -1))
-    result = run_occ_da(w, 2, policy, with_digest=False)
+    result = run_occ_da(w, 2, policy)
     assert result.attempts == (
         (0, 0, -1, 0, 10, "committed"),
         (1, 0, 0, 10, 15, "committed"),
@@ -331,14 +333,14 @@ def test_det_commit_outcome_depends_on_node_timing():
 
 def test_occ_da_identical_across_the_same_two_timings():
     w = four_tx_example()
-    a = run_occ_da(w, 2, with_digest=False)
-    b = run_occ_da(w, 2, timing=FixedTiming({0: 8}), with_digest=False)
+    a = run_occ_da(w, 2)
+    b = run_occ_da(w, 2, timing=FixedTiming({0: 8}))
     assert a.outcome_multiset() == b.outcome_multiset()
 
 
 def test_det_commit_edge_free_no_aborts():
     w = gen_payments(10, seed=1)
-    result = run_occ_det_commit(w, 4, with_digest=False)
+    result = run_occ_det_commit(w, 4)
     assert result.aborted() == ()
 
 
@@ -369,7 +371,7 @@ def test_classic_commit_orders_diverge_across_seeds():
     # neither aborts (the conflicting pair never ran concurrently), yet the
     # end states diverge: level-1 determinism is insufficient.
     assert a.aborted() == () and b.aborted() == ()
-    assert a.digest != b.digest
+    assert replay_digest(w, a) != replay_digest(w, b)
 
 
 def test_classic_edge_free_any_seed_no_aborts():
@@ -462,10 +464,10 @@ def test_classic_matches_the_quadratic_oracle_on_a_cadd_rewritten_block(targets)
 @given(classic_blocks, st.integers(1, 8), st.integers(0, 2**16), st.booleans())
 def test_wasted_gas_is_the_gas_of_the_aborted_attempts(w, threads, seed, cadd_aware):
     runs = (
-        run_occ_classic(w, threads, seed, with_digest=False),
-        run_occ_da(w, threads, None, cadd_aware, timing=JitterTiming(seed), with_digest=False),
-        run_occ_da(w, threads, SvPolicy.from_workload(w, cadd_aware), cadd_aware, timing=JitterTiming(seed), with_digest=False),
-        run_occ_det_commit(w, threads, cadd_aware, timing=JitterTiming(seed), with_digest=False),
+        run_occ_classic(w, threads, seed),
+        run_occ_da(w, threads, None, cadd_aware, timing=JitterTiming(seed)),
+        run_occ_da(w, threads, SvPolicy.from_workload(w, cadd_aware), cadd_aware, timing=JitterTiming(seed)),
+        run_occ_det_commit(w, threads, cadd_aware, timing=JitterTiming(seed)),
     )
     for result in runs:
         assert result.wasted_gas == sum(w[a.tx_id].gas for a in result.aborted()), result.mode
@@ -493,9 +495,9 @@ def _assert_in_order_matches_oracle(w, seed, thread_counts=(1, 4, 32)):
             for timing in _timings(w, seed):
                 for threads in thread_counts:
                     if policy is None:
-                        fast = run_occ_det_commit(w, threads, cadd_aware, timing=timing(), with_digest=False)
+                        fast = run_occ_det_commit(w, threads, cadd_aware, timing=timing())
                     else:
-                        fast = run_occ_da(w, threads, policy, cadd_aware, timing=timing(), with_digest=False)
+                        fast = run_occ_da(w, threads, policy, cadd_aware, timing=timing())
                     expected = oracle_run_in_order(w, threads, policy, cadd_aware, timing())
                     assert fast == expected, (policy and policy.variant, cadd_aware, threads)
 
@@ -555,11 +557,11 @@ def test_outcome_patterns_match_their_attribute_definitions():
     unsorted_classic_runs = aborting_runs = 0
     for index, w in enumerate(build_corpus(12)):
         threads = (2, 8, 32)[index % 3]
-        runs = [run_occ_classic(w, threads, seed, with_digest=False) for seed in (0, 1)]
+        runs = [run_occ_classic(w, threads, seed) for seed in (0, 1)]
         unsorted_classic_runs += sum(list(r.attempts) != sorted(r.attempts) for r in runs)
         for trial in range(3):
-            runs.append(run_occ_da(w, threads, timing=JitterTiming(trial), with_digest=False))
-            runs.append(run_occ_det_commit(w, threads, timing=JitterTiming(trial), with_digest=False))
+            runs.append(run_occ_da(w, threads, timing=JitterTiming(trial)))
+            runs.append(run_occ_det_commit(w, threads, timing=JitterTiming(trial)))
         for r in runs:
             assert (r.outcome_multiset(), r.abort_pattern(), r.aborted()) == _patterns_by_attribute(r), (index, r.mode)
             aborting_runs += bool(r.aborted())
@@ -591,22 +593,50 @@ def test_probe_edge_free_identical_everywhere():
     assert probe.det_commit_deterministic
 
 
+def test_negative_seeds_are_accepted():
+    w = gen_payments(6, seed=0)
+    assert run_occ_classic(w, 2, -3) == run_occ_classic(w, 2, -3)
+    assert determinism_probe(w, 2, trials=2, seed=-1).da_deterministic
+    assert JitterTiming(-7).draw(0, 0, 10) == JitterTiming(-7).draw(0, 0, 10)
+
+
+def test_engines_and_probe_call_nothing_in_storagevm(monkeypatch):
+    """The engines schedule and the storage VM replays: no engine run and no
+    probe reaches a digest, a replay or the serial executor."""
+    w = build_corpus(1)[0]
+
+    def called(*args, **kwargs):
+        raise AssertionError("an engine called into storagevm")
+
+    for name in ("replay_digest", "replay_final_state", "run_serial", "_replay"):
+        monkeypatch.setattr(storagevm, name, called)
+    monkeypatch.setattr(occsim, "replay_final_state", called)
+    runs = [run_occ_da(w, 4), run_occ_da(w, 4, SvPolicy.from_workload(w)), run_occ_det_commit(w, 4), run_occ_classic(w, 4)]
+    assert any(run.aborted() for run in runs)
+    assert determinism_probe(w, 4, trials=3).da_deterministic
+
+
 def test_probe_requires_two_trials():
     with pytest.raises(ValidationError):
         determinism_probe(gen_payments(2, seed=0), 2, trials=1)
 
 
 _COUNT_ENTRY_POINTS = {
-    "run_occ_da": lambda bad: run_occ_da(gen_payments(12), bad, with_digest=False),
-    "run_occ_det_commit": lambda bad: run_occ_det_commit(gen_payments(12), bad, with_digest=False),
-    "run_occ_classic": lambda bad: run_occ_classic(gen_payments(12), bad, with_digest=False),
+    "run_occ_da": lambda bad: run_occ_da(gen_payments(12), bad),
+    "run_occ_det_commit": lambda bad: run_occ_det_commit(gen_payments(12), bad),
+    "run_occ_classic": lambda bad: run_occ_classic(gen_payments(12), bad),
     "bound_schedule": lambda bad: bound_schedule(build_graph(gen_payments(4)), bad),
     "brute_force_makespan": lambda bad: brute_force_makespan(build_graph(gen_payments(4)), bad),
     "determinism_probe trials": lambda bad: determinism_probe(gen_payments(4), 2, trials=bad),
+    # Seeds may be negative, but only exact ints: `random.Random(None)` would
+    # seed from the OS, and a float or a string seeds silently or fails late.
+    "run_occ_classic seed": lambda bad: run_occ_classic(gen_payments(12), 4, interleaving_seed=bad),
+    "determinism_probe seed": lambda bad: determinism_probe(gen_payments(4), 2, trials=2, seed=bad),
+    "JitterTiming seed": lambda bad: JitterTiming(seed=bad),
 }
 
 
-@pytest.mark.parametrize("bad", [2.5, True, "2"])
+@pytest.mark.parametrize("bad", [2.5, True, "2", None])
 @pytest.mark.parametrize("entry", sorted(_COUNT_ENTRY_POINTS))
 def test_thread_and_trial_counts_must_be_exact_ints(entry, bad):
     with pytest.raises(ValidationError):

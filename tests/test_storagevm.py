@@ -28,6 +28,7 @@ from txpar import (
     gen_defi_fee,
     gen_token_distribution,
     replay_check,
+    replay_digest,
     replay_final_state,
     run_occ_classic,
     run_occ_da,
@@ -176,7 +177,7 @@ def test_run_serial_empty_and_digest_stability():
 def test_serial_digest_equals_occ_da_digest():
     w = gen_token_distribution(5, senders=2, track_total_supply=True, seed=2)
     result = run_occ_da(w, 2)
-    assert result.digest == run_serial(w)
+    assert replay_digest(w, result) == run_serial(w)
     assert replay_check(w, result)
 
 
@@ -222,7 +223,6 @@ def test_replay_check_detects_corrupted_sv():
         wasted_gas=honest.wasted_gas,
         serial_cost=honest.serial_cost,
         speedup=honest.speedup,
-        digest=honest.digest,
     )
     assert committed[1].sv == 0  # honest run saw tx0's write
     assert replay_check(w, forged) is False
@@ -241,7 +241,6 @@ def test_replay_check_rejects_dangling_attempts():
         wasted_gas=0,
         serial_cost=result.serial_cost,
         speedup=result.speedup,
-        digest=None,
     )
     with pytest.raises(ValidationError):
         replay_check(w, bad)
@@ -267,7 +266,6 @@ def _committed_run(workload, mode, svs=(), order=()):
         wasted_gas=0,
         serial_cost=n,
         speedup=1.0,
-        digest=None,
     )
 
 
@@ -286,7 +284,7 @@ def test_snapshot_discipline_no_read_above_sv():
 
     for _ in range(40):
         w = random_workload(rng, max_n=16, with_cadds=False)
-        result = run_occ_da(w, 3, with_digest=False)
+        result = run_occ_da(w, 3)
         state = StorageState()
         committed = sorted(
             (a for a in result.attempts if a.outcome == "committed"), key=lambda a: a.tx_id
@@ -379,7 +377,7 @@ def test_replay_plan_matches_interpreter_on_corpus_and_cadd_variants():
                 steps = [(tx_id, pos - 1, pos) for pos, tx_id in enumerate(result.committed_order)]
                 if result.mode != "occ-classic":
                     steps = sorted((a.tx_id, a.sv, a.tx_id) for a in result.attempts if a.outcome == "committed")
-                assert result.digest == _interpreted(v, steps).digest(), result.mode
+                assert replay_digest(v, result) == _interpreted(v, steps).digest(), result.mode
 
 
 def test_serial_digest_is_memoized_per_object(monkeypatch):
@@ -397,18 +395,16 @@ def test_serial_digest_is_memoized_per_object(monkeypatch):
     assert run_serial(w2) == expected
     assert len(executed) == 2 and executed[1] is w2
 
-    # The version floors follow the plan: once per object, and a `replace`
-    # copy, whose memo starts empty, builds its own.
-    built = []
-    floors = storagevm._version_floors
-    monkeypatch.setattr(storagevm, "_version_floors", lambda w: built.append(w) or floors(w))
-    result = run_occ_da(w1, 4, with_digest=False)
+    # The version floors live in the serial table with the serial digest:
+    # w1's came with its `run_serial` above, and a `replace` copy, whose memo
+    # starts empty, builds both once.
+    result = run_occ_da(w1, 4)
     assert replay_check(w1, result) and replay_check(w1, result)
-    assert len(built) == 1 and built[0] is w1
+    assert len(executed) == 2
     w3 = dataclasses.replace(w1)
     assert replay_check(w3, result)
-    assert len(built) == 2 and built[1] is w3
-    assert _kept(w3, "version_floors") == _kept(w1, "version_floors")
+    assert len(executed) == 3 and executed[2] is w3
+    assert _kept(w3, "serial") == _kept(w1, "serial")
     assert _kept(w3, "replay_plan") is storagevm._plan(w3) is not storagevm._plan(w1)
 
 
@@ -418,7 +414,7 @@ def _kept(workload, name):
 
 
 # ---------------------------------------------------------------------------
-# `_replay_digest`: the version-floor proof against the full replay
+# `replay_digest`: the version-floor proof against the full replay
 # ---------------------------------------------------------------------------
 
 
@@ -430,7 +426,7 @@ def _full_replay_digest(workload, svs):
 def _assert_floor_digest_matches_replay(workload, svs):
     for mode in ("occ-da", "occ-det-commit"):
         run = _committed_run(workload, mode, svs=svs)
-        assert storagevm._replay_digest(workload, run) == _full_replay_digest(workload, svs), (mode, svs)
+        assert replay_digest(workload, run) == _full_replay_digest(workload, svs), (mode, svs)
 
 
 def test_floor_counts_cadd_versions_and_read_keys_the_tx_writes():
@@ -443,7 +439,7 @@ def test_floor_counts_cadd_versions_and_read_keys_the_tx_writes():
             _tx(2, reads={L}, writes={L}),
         )
     )
-    assert storagevm._version_floors(w) == [-1, 0, 1]
+    assert storagevm._serial_reference(w)[1] == [-1, 0, 1]
     for svs in ([-1, 0, 1], [-1, -1, 1], [-1, 0, 0], [-1, -1, -1]):
         _assert_floor_digest_matches_replay(w, svs)
     assert replay_check(w, _committed_run(w, "occ-da", svs=[-1, 0, 1]))
@@ -480,7 +476,11 @@ def test_replay_digest_matches_full_replay_on_corpus_and_cadd_variants():
         for cadd_aware in (False, True):
             for result in (run_occ_da(v, 8, cadd_aware=cadd_aware), run_occ_det_commit(v, 8, cadd_aware)):
                 svs = [a.sv for a in sorted(a for a in result.attempts if a.outcome == "committed")]
-                assert result.digest == _full_replay_digest(v, svs) == run_serial(v), result.mode
+                assert replay_digest(v, result) == _full_replay_digest(v, svs) == run_serial(v), result.mode
+        # Classic runs take no proof: their digest is the commit-order replay's.
+        for seed in (0, 1):
+            result = run_occ_classic(v, 8, seed)
+            assert replay_digest(v, result) == replay_final_state(v, result).digest()
 
 
 def test_correct_deterministic_runs_never_replay(monkeypatch):
@@ -504,5 +504,5 @@ def test_correct_deterministic_runs_never_replay(monkeypatch):
                 run_occ_det_commit(v, 3, cadd_aware, timing=JitterTiming(index)),
             ]
             for result in runs:
-                assert result.digest == run_serial(v), result.mode
+                assert replay_digest(v, result) == run_serial(v), result.mode
                 assert replay_check(v, result), result.mode
