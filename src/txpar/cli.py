@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import sys
-from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
 
@@ -32,8 +30,9 @@ from .occsim import (
     run_occ_det_commit,
 )
 from .storagevm import replay_digest
-from .transforms import PartitionSpec, cadd_rewrite, partition_counters, prune_edges_probabilistic, split_senders
-from .workload import GENERATORS, StorageKey, Workload, emit_trace, gen_mixed, parse_trace
+from .transforms import PartitionSpec, cadd_rewrite, partition_counters, probability, prune_edges_probabilistic
+from .transforms import split_senders
+from .workload import GENERATORS, StorageKey, Workload, emit_trace, gen_mixed, generator_params, parse_trace
 
 MODES = (MODE_DA, MODE_DET_COMMIT, MODE_CLASSIC)
 FORMATS = ("json", "csv", "both")
@@ -67,24 +66,12 @@ def _is_strings(value) -> bool:
     return type(value) is list and all(type(s) is str for s in value)
 
 
-def _is_gas(value) -> bool:
-    return type(value) is int or type(value) is list and list(map(type, value)) == [int, int] and value[0] <= value[1]
-
-
-def _is_probability(value) -> bool:
-    if type(value) is bool:  # Fraction(True) is 1
-        return False
-    try:
-        float(Fraction(value))
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        return False
-    return True
-
-
 def _thread_counts(name: str, raw) -> tuple[int, ...]:
     threads = [int(p) if p.strip().isdecimal() else p for p in raw.split(",") if p] if type(raw) is str else raw
     if type(threads) is not list or not threads or any(type(t) is not int or t < 1 for t in threads):
         raise ValidationError(f"{name} must be positive thread counts such as 2,8 or [2, 8], got {raw!r}")
+    if len(set(threads)) < len(threads):
+        raise ValidationError(f"{name} repeats a thread count: {raw!r}")
     return tuple(threads)
 
 
@@ -95,12 +82,6 @@ _OBJECT = _expect("a JSON object", lambda v: type(v) is dict)
 _PATH = _expect("a path", lambda v: type(v) is str and "\0" not in v)
 _PATHS = _expect("a list of paths", lambda v: _is_strings(v) and not any("\0" in path for path in v))
 _KEYS = _expect("a storage key or a list of them", lambda v: type(v) is str or _is_strings(v))
-_PROBABILITY = _expect('a number or a fraction such as "1/2"', _is_probability)
-_WEIGHT = _expect("a positive number", lambda v: type(v) in (int, float) and v > 0)
-_GAS = _expect("an integer or [low, high]", _is_gas)
-_MIX = _expect(
-    "a list of [pattern, params, weight]", lambda v: type(v) is list and all(type(e) is list and len(e) == 3 for e in v)
-)
 _POSITIVE = _expect("a positive integer", lambda v: type(v) is int and v > 0)
 
 #: Every setting a flag or a config key can give, with its default and parser. A command resolves those it has
@@ -148,34 +129,22 @@ def _load_trace(path: str) -> Workload:
             raise ValidationError(f"{path}: {exc}") from None
 
 
-#: The params a generator may take, each with its parser; a pattern takes those in its signature.
-_GENERATOR_PARAMS = {"senders": _INT, "traders": _INT, "track_total_supply": _BOOL, "gas": _GAS}
-
-
-def _generator_params(pattern, params) -> dict:
-    if _STR("generator pattern", pattern) not in GENERATORS:
-        raise ValidationError(f"unknown pattern {pattern!r}")
-    params = _OBJECT(f"generator {pattern!r} params", {} if params is None else params)
-    for name, value in params.items():
-        if name not in _GENERATOR_PARAMS or name not in inspect.signature(GENERATORS[pattern]).parameters:
-            raise ValidationError(f"generator {pattern!r} takes no param {name!r}")
-        _GENERATOR_PARAMS[name](f"generator {pattern!r} param {name!r}", value)
-    return params
+#: The generator params `generate` has a flag for: every param the generators take but n, seed and _instance.
+_GENERATOR_FLAGS = ("senders", "traders", "track_total_supply", "gas")
 
 
 def _generator_workloads(spec):
-    """Check a generator spec; return an iterator over its (label, workload) blocks, each generated in its turn."""
-    pattern = _OBJECT("generator spec", spec).get("pattern")  # _generator_params checks it
+    """Check a generator spec's n, count and seed and its pattern's param names; return an iterator over its
+    (label, workload) blocks, each generated in its turn. The generator checks its param values, and gen_mixed a
+    mixed spec's entries and weights, when the first block is generated, before any output is written."""
+    pattern = _OBJECT("generator spec", spec).get("pattern")
     n = _INT("generator 'n'", spec.get("n", 0))
     count = _POSITIVE("generator 'count'", spec.get("count", 1))
     seed = _INT("generator 'seed'", spec.get("seed", 0))
     if pattern == "mixed":
-        mix = _MIX("generator 'spec'", spec.get("spec", []))
-        mix = [(p, _generator_params(p, params), _WEIGHT(f"mixed {p!r} weight", w)) for p, params, w in mix]
-        generate = functools.partial(gen_mixed, mix, n)
+        generate = functools.partial(gen_mixed, spec.get("spec", []), n)
     else:
-        params = _generator_params(pattern, spec.get("params"))
-        generate = functools.partial(GENERATORS[pattern], n, **params)
+        generate = functools.partial(GENERATORS[pattern], n, **generator_params(pattern, spec.get("params")))
     return ((f"{pattern}-s{seed}-{i:04d}", generate(seed=seed + i)) for i in range(count))
 
 
@@ -223,7 +192,7 @@ _STEPS = {
     ),
     "partition_counters": ({"target_keys": _KEYS, "length": _INT}, _partition_counters),
     "cadd_rewrite": ({"target_keys": _KEYS}, lambda w, step: cadd_rewrite(w, _key_set(step["target_keys"], w))),
-    "prune_edges": ({"target_keys": _KEYS, "p": _PROBABILITY}, _prune_edges),
+    "prune_edges": ({"target_keys": _KEYS, "p": probability}, _prune_edges),
 }
 #: Optional fields, checked in any step that carries them.
 _OPTIONAL_STEP_FIELDS = {"routing": _STR, "seed": _INT}
@@ -302,7 +271,7 @@ def cmd_generate(args) -> int:
             raise ValidationError("--pattern mixed needs --mixed-spec FILE")
         spec["spec"] = _load_json_file(args.mixed_spec)
     else:
-        params = {name: getattr(args, name) for name in _GENERATOR_PARAMS}  # a flag per param
+        params = {name: getattr(args, name) for name in _GENERATOR_FLAGS}
         spec["params"] = {name: value for name, value in params.items() if value is not None and value is not False}
     workloads = list(_generator_workloads(spec))
     if len(workloads) == 1:

@@ -193,6 +193,20 @@ def partition_counters(workload: Workload, spec: PartitionSpec) -> Workload:
     return _with_meta_note(workload, tuple(txs), note, tags, extra_tags)
 
 
+def probability(name: str, value) -> float:
+    """`value` as a probability: a float, int, Fraction or fraction string
+    such as "1/2" (not a bool) in [0, 1]."""
+    try:
+        p = float(Fraction(value)) if not isinstance(value, float) else value
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        p = None
+    if p is None or type(value) is bool:  # Fraction(True) is 1
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"{name} must be in [0, 1], got {value}")
+    return p
+
+
 def prune_edges_probabilistic(
     g: DependencyGraph,
     workload: Workload,
@@ -207,19 +221,11 @@ def prune_edges_probabilistic(
     in either mode a write-vs-cadd overlap on another key keeps the edge.
 
     Models the expected effect of partitioning the targets without
-    rewriting the workload. Accepts the probability as a float, int,
-    Fraction or fraction string such as "1/2". Deterministic for a fixed
-    seed: candidate edges are visited in sorted order and one uniform draw
-    decides each.
+    rewriting the workload. Accepts the probability in any form `probability`
+    does. Deterministic for a fixed seed: candidate edges are visited in
+    sorted order and one uniform draw decides each.
     """
-    try:
-        p = float(Fraction(removal_probability)) if not isinstance(removal_probability, float) else removal_probability
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        p = None
-    if p is None or type(removal_probability) is bool:  # Fraction(True) is 1
-        raise ValidationError(f"removal probability must be a number, got {removal_probability!r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"removal probability must be in [0, 1], got {removal_probability}")
+    p = probability("removal probability", removal_probability)
     if g.weights != tuple(tx.gas for tx in workload):
         raise ValidationError(f"the graph's {g.n} vertex weights are not the gas of the workload's {len(workload)} txs")
     prunable = edges_only_on(workload, _target_keys("target_keys", target_keys), cadd_aware)

@@ -537,6 +537,21 @@ def _gas_draw(gas, pattern: str, rng: random.Random):
     raise ValidationError(f"gas must be an integer or a (low, high) pair of integers, all >= 1 and low <= high, got {gas!r}")
 
 
+def _preamble(pattern: str, n, seed, gas, instance: int, **params):
+    """What every generator starts with: check n, then each of `params` in
+    turn (track_total_supply must be true or false, any other is a count of
+    at least 1), then the seed, an exact int; return the instance's
+    namespace and its gas draw."""
+    _check_int("n", n, 1)
+    for name, value in params.items():
+        if name != "track_total_supply":
+            _check_int(name, value, 1)
+        elif type(value) is not bool:
+            raise ValidationError(f"track_total_supply must be true or false, got {value!r}")
+    _check_int("seed", seed)
+    return _namespace(pattern, seed, instance), _gas_draw(gas, pattern, random.Random(seed + 0x9E3779B9 * (instance + 1)))
+
+
 # The generators build trusted objects (see `Workload`): each contract is a
 # fixed prefix plus the hex namespace, each slot a fixed template, each
 # sender the namespace plus a counter, and gas comes from `_gas_draw`.
@@ -544,10 +559,8 @@ def _gas_draw(gas, pattern: str, rng: random.Random):
 
 def gen_payments(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Workload:
     """n independent value transfers: every tx touches its own pair of balance keys."""
-    _check_int("n", n, 1)
-    ns = _namespace("payments", seed, _instance)
+    ns, draw_gas = _preamble("payments", n, seed, gas, _instance)
     contract = f"native{ns}"
-    draw_gas = _gas_draw(gas, "payments", random.Random(seed + 0x9E3779B9 * (_instance + 1)))
     txs = []
     tags: dict[str, int] = {}
     for i in range(n):
@@ -577,13 +590,10 @@ def gen_token_distribution(
     read-modify-write one shared supply key. Senders are assigned
     round-robin.
     """
-    _check_int("n", n, 1)
-    _check_int("senders", senders, 1)
-    if type(track_total_supply) is not bool:
-        raise ValidationError(f"track_total_supply must be true or false, got {track_total_supply!r}")
-    ns = _namespace("token_distribution", seed, _instance)
+    ns, draw_gas = _preamble(
+        "token_distribution", n, seed, gas, _instance, senders=senders, track_total_supply=track_total_supply
+    )
     contract = f"tok{ns}"
-    draw_gas = _gas_draw(gas, "token_distribution", random.Random(seed + 0x9E3779B9 * (_instance + 1)))
     supply = _key((contract, "totalSupply"))
     tags: dict[str, int] = {}
     bottleneck = []
@@ -624,11 +634,8 @@ def gen_defi_fee(n: int, traders: int = 1, seed: int = 0, *, gas=None, _instance
     Each tx read-modify-writes the fee key plus two keys owned by its
     trader (assigned round-robin).
     """
-    _check_int("n", n, 1)
-    _check_int("traders", traders, 1)
-    ns = _namespace("defi_fee", seed, _instance)
+    ns, draw_gas = _preamble("defi_fee", n, seed, gas, _instance, traders=traders)
     contract = f"dex{ns}"
-    draw_gas = _gas_draw(gas, "defi_fee", random.Random(seed + 0x9E3779B9 * (_instance + 1)))
     fee = _key((contract, "feeBalance"))
     tags: dict[str, int] = {str(fee): 1}
     txs = []
@@ -655,10 +662,8 @@ def gen_nft_mint(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Work
     writes a distinct element key. The new element's location is derived
     from the length read, so the length key is tagged value-dependent and
     can never be turned into a commutative add."""
-    _check_int("n", n, 1)
-    ns = _namespace("nft_mint", seed, _instance)
+    ns, draw_gas = _preamble("nft_mint", n, seed, gas, _instance)
     contract = f"nft{ns}"
-    draw_gas = _gas_draw(gas, "nft_mint", random.Random(seed + 0x9E3779B9 * (_instance + 1)))
     length = _key((contract, "items.length"))
     reads = frozenset({length})  # the same for every tx
     txs = [
@@ -683,6 +688,21 @@ GENERATORS = {
 }
 
 
+def generator_params(pattern, params) -> dict:
+    """Check a generator's pattern name and the names of its params (None
+    for none); return the params as a dict. The generator checks the values."""
+    if type(pattern) is not str or pattern not in GENERATORS:
+        raise ValidationError(f"unknown pattern {pattern!r}")
+    if params is None:
+        return {}
+    if type(params) is not dict:
+        raise ValidationError(f"pattern {pattern!r}: params must be a dict, got {params!r}")
+    for name in params:
+        if name in ("n", "seed", "_instance") or name not in inspect.signature(GENERATORS[pattern]).parameters:
+            raise ValidationError(f"pattern {pattern!r} takes no param {name!r}")
+    return params
+
+
 def gen_mixed(spec: list[tuple[str, dict, float]], n: int, seed: int = 0) -> Workload:
     """Blend several patterns into one workload of n transactions.
 
@@ -691,22 +711,20 @@ def gen_mixed(spec: list[tuple[str, dict, float]], n: int, seed: int = 0) -> Wor
     shuffled deterministically by seed. Key spaces of distinct instances
     are disjoint by construction.
     """
-    if not spec:
-        raise ValidationError("mixed spec must not be empty")
+    if type(spec) not in (tuple, list) or not spec:
+        raise ValidationError(f"mixed spec must be a non-empty list of (pattern, params, weight) triples, got {spec!r}")
     _check_int("n", n, 1)
+    _check_int("seed", seed)
+    checked = []
     for entry in spec:
         if type(entry) not in (tuple, list) or len(entry) != 3:
             raise ValidationError(f"mixed spec entries must be (pattern, params, weight) triples, got {entry!r}")
         pattern, params, weight = entry
-        if type(pattern) is not str or pattern not in GENERATORS:
-            raise ValidationError(f"unknown pattern {pattern!r}")
-        if params is not None and type(params) is not dict:
-            raise ValidationError(f"pattern {pattern!r}: params must be a dict, got {params!r}")
-        for name in params or {}:
-            if name in ("n", "seed", "_instance") or name not in inspect.signature(GENERATORS[pattern]).parameters:
-                raise ValidationError(f"pattern {pattern!r} takes no param {name!r}")
+        params = generator_params(pattern, params)
         if type(weight) not in (int, float) or not 0 < weight < math.inf:
             raise ValidationError(f"pattern {pattern!r}: weight must be positive and finite, got {weight!r}")
+        checked.append((pattern, params, weight))
+    spec = checked
 
     total = sum(weight for _, _, weight in spec)
     if not math.isfinite(n * total):  # then no count below overflows
@@ -723,9 +741,9 @@ def gen_mixed(spec: list[tuple[str, dict, float]], n: int, seed: int = 0) -> Wor
     bottleneck: list[str] = []
     combined: list[Transaction] = []
     for idx, (pattern, params, _) in enumerate(spec):
+        sub = GENERATORS[pattern](counts[idx] or 1, seed=instance_seeds[idx], _instance=idx, **params)
         if counts[idx] == 0:
-            continue
-        sub = GENERATORS[pattern](counts[idx], seed=instance_seeds[idx], _instance=idx, **(params or {}))
+            continue  # generated only so that the generator checks its params
         merged_tags.update(sub.meta["key_tags"])
         bottleneck.extend(sub.meta["bottleneck_keys"])
         combined.extend(sub.transactions)
@@ -739,7 +757,7 @@ def gen_mixed(spec: list[tuple[str, dict, float]], n: int, seed: int = 0) -> Wor
         "n": n,
         # A gas range given as a tuple is kept as the list JSON reads back.
         "spec": [
-            [pattern, {name: list(v) if type(v) is tuple else v for name, v in (params or {}).items()}, weight]
+            [pattern, {name: list(v) if type(v) is tuple else v for name, v in params.items()}, weight]
             for pattern, params, weight in spec
         ],
         "key_tags": merged_tags,

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, output determinism, and exit codes."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from txpar import SvPolicy, StorageKey, build_graph, parse_trace, prune_edges_probabilistic, replay_digest, run_occ_da
 from txpar import cli
 from txpar.cli import main
+from txpar.workload import GENERATORS
 
 
 def run(argv):
@@ -399,6 +401,7 @@ def test_malformed_config_exits_1(tmp_path, capsys):
 SPLIT_M_ABC = {"transform": "split_senders", "hot_sender": "s", "m": "abc", "sender_balance_key": "tok:bal:s"}
 PRUNE_P_HIGH = {"transform": "prune_edges", "target_keys": "bottleneck", "p": "high"}
 PRUNE_P_TRUE = {**PRUNE_P_HIGH, "p": True}  # Fraction(True) is 1
+MIXED = {"pattern": "mixed", "n": 4}
 
 #: (argv, JSON payload, text the error must contain). In argv, "{trace}" is a
 #: small trace, "{json}" a file holding the payload and "{rows}" a bound.json.
@@ -408,6 +411,15 @@ BAD_INPUTS = {
     "chain_p_bool": (["bound", "--input", "{trace}", "--transforms", "{json}"], [PRUNE_P_TRUE], "'p' must be a number"),
     "gen_n": (["analyze", "--gen", "{json}"], {"pattern": "payments", "n": "x"}, "generator 'n' must be an integer"),
     "gen_param": (["simulate", "--gen", "{json}"], {"pattern": "payments", "n": 4, "params": {"to": 2}}, "param 'to'"),
+    "gen_gas": (["simulate", "--gen", "{json}"], {"pattern": "payments", "n": 4, "params": {"gas": "x"}}, "gas must be"),
+    "gen_mixed_weight": (["analyze", "--gen", "{json}"], {**MIXED, "spec": [["payments", {}, "x"]]}, "weight must be"),
+    "gen_mixed_spec": (["analyze", "--gen", "{json}"], {**MIXED, "spec": 5}, "mixed spec must be"),
+    "simulate_threads_8_8": (["simulate", "--input", "{trace}", "--threads", "8,8"], None, "--threads repeats"),
+    "analyze_threads_8_8": (
+        ["analyze", "--input", "{trace}", "--format", "both", "--config", "{json}"],
+        {"threads": [8, 8]},
+        "config 'threads' repeats",
+    ),
     "threads_flag": (["analyze", "--input", "{trace}", "--threads", "a,b"], None, "--threads must be"),
     "buckets_flag": (["histogram", "--input", "{rows}", "--buckets", "x"], None, "--buckets must be"),
     "buckets_nan": (["histogram", "--input", "{rows}", "--buckets", "nan,1"], None, "--buckets must be"),
@@ -435,6 +447,30 @@ def test_bad_input_exits_1_and_names_its_field(case, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path / "out")]) == 1
     assert expected in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_an_out_of_range_p_is_refused_before_any_input_is_read(tmp_path, capsys):
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps([{**PRUNE_P_HIGH, "p": 2}]))
+    argv = ["analyze", "--input", str(tmp_path / "missing.trace"), "--transforms", str(chain)]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert "'p' must be in [0, 1], got 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
+def test_a_null_gas_means_the_patterns_default(mixed, tmp_path):
+    def runs_json(params, out):
+        spec = {"pattern": "mixed", "spec": [["nft_mint", params, 1]]} if mixed else {"pattern": "defi_fee", "params": params}
+        assert run(["simulate", "--gen", json.dumps({**spec, "n": 6, "seed": 2}), "--threads", "2", "--out", str(out)]) == 0
+        return (out / "runs.json").read_bytes()
+
+    assert runs_json({"gas": None}, tmp_path / "a") == runs_json({}, tmp_path / "b")
+
+
+def test_generate_has_a_flag_for_every_generator_param():
+    params = {name for make in GENERATORS.values() for name in inspect.signature(make).parameters}
+    assert set(cli._GENERATOR_FLAGS) == params - {"n", "seed", "_instance"}
 
 
 @pytest.mark.parametrize(

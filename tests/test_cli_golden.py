@@ -106,9 +106,7 @@ CASES = {
         ["simulate", "--input", "{d}/tok2.trace", "{d}/nft.trace", "--mode", "occ-classic", "--threads", "2,4"]
         + ["--events", "--seed", "11"]
     ],
-    "simulate_threads_8_8": [["simulate", "--input", "{d}/fee.trace", "--threads", "8,8"]],
     "simulate_classic_hot": [["simulate", "--input", "{d}/hot.trace", "--mode", "occ-classic", "--threads", "8,32"]],
-    "analyze_threads_8_8": [["analyze", "--input", "{d}/fee.trace", "--threads", "8,8", "--format", "both"]],
     "simulate_config": [["simulate", "--config", "{d}/sim_cfg.json"]],
     "analyze_config": [["analyze", "--config", "{d}/analyze_cfg.json"]],
     "bound_config_flag_beats_config": [
@@ -134,7 +132,6 @@ GOLDEN = {
     "analyze_csv_partition": "7511b0201cfcf56dd3b22cc0ff214f48b6cad5282e262d3a6bbc6eb76c9108dd",
     "analyze_csv_prune": "c8c142e062257506ccde1d35c9ff167c3f0043a72c7e3d816250bfc521c9ab34",
     "analyze_csv_split_cadd": "7a3466009483f29f21cc323e2a315278cef38c16193f3e8d7e11118ef89768f4",
-    "analyze_threads_8_8": "899105448ebce842e3816260ca55b03b3bf34aaa67cf85a233dd8f790e0c45cf",
     "bound_config_flag_beats_config": "eeb2e14fd170208f6c7ef41759f7d5811c1c5fb67c882511d7f602311e1aaf8f",
     "bound_prune_json": "2d1d837bb9adb383dc4691c07ac50ed0f56b399ffb435be0e274d3614778dc03",
     "bound_timeline_both": "8c5b08951ca1336e03b8e809f2f7ebf2d4d3b4f32bb67a622ec1dd839eeda97d",
@@ -148,7 +145,6 @@ GOLDEN = {
     "simulate_events_da_dep_graph_prune": "454020101f22f5263219c7366c4710226ae34e63eed2e9005536854f13f9b226",
     "simulate_events_det_commit": "5d8090e22576332377d2616abc211358ad261ca3dc99a649b122252c4ef64309",
     "simulate_gen_inline": "318b3a619970939231f8468fe9c355be10b6be2ea4e51b26b29284d1e67ef27e",
-    "simulate_threads_8_8": "54fce5f7a8d28b30ac1bd0d9ca6076f869cf79c9991da126dcb54874b0fb1fff",
     "transform_partition": "54e5115fe4f7cb8eba72519299d37462dc9fb52ab0f0ec273d432006b225ef2c",
     "transform_split_cadd": "8ea51ec7cf6cfe6bafdaf1de6fee7d691f880d0bf99e61cbbcd1d285a4aab4af",
 }

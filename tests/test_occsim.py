@@ -23,8 +23,10 @@ from txpar import (
     build_graph,
     cadd_rewrite,
     determinism_probe,
-    gen_payments,
+    gen_defi_fee,
     gen_mixed,
+    gen_nft_mint,
+    gen_payments,
     gen_token_distribution,
     replay_check,
     replay_digest,
@@ -633,7 +635,10 @@ _COUNT_ENTRY_POINTS = {
     "run_occ_classic seed": lambda bad: run_occ_classic(gen_payments(12), 4, interleaving_seed=bad),
     "determinism_probe seed": lambda bad: determinism_probe(gen_payments(4), 2, trials=2, seed=bad),
     "JitterTiming seed": lambda bad: JitterTiming(seed=bad),
+    "gen_mixed seed": lambda bad: gen_mixed([("payments", {}, 1)], 4, seed=bad),
 }
+for _make in (gen_payments, gen_token_distribution, gen_defi_fee, gen_nft_mint):
+    _COUNT_ENTRY_POINTS[f"{_make.__name__} seed"] = lambda bad, make=_make: make(4, seed=bad)
 
 
 @pytest.mark.parametrize("bad", [2.5, True, "2", None])

@@ -463,6 +463,11 @@ def test_token_distribution_refuses_a_track_total_supply_that_is_not_a_bool():
         ([("payments", {"gas": (1.5, 3)}, 1)], "gas must be"),
         ([("payments", {}, 1e308), ("nft_mint", {}, 1e308)], "is not finite"),
         ([("payments", {}, 1e308)], "is not finite"),
+        (5, "mixed spec must be a non-empty list"),
+        ({"a": 1}, "mixed spec must be a non-empty list"),
+        ([], "mixed spec must be a non-empty list"),
+        # an entry whose weight gets it no tx still has its params checked
+        ([("payments", {}, 1), ("defi_fee", {"traders": 0}, 1e-9)], "traders must be >= 1"),
     ],
 )
 def test_gen_mixed_refuses_a_malformed_spec(spec, message):
