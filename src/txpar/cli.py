@@ -144,7 +144,8 @@ def _generator_workloads(spec):
     if pattern == "mixed":
         generate = functools.partial(gen_mixed, spec.get("spec", []), n)
     else:
-        generate = functools.partial(GENERATORS[pattern], n, **generator_params(pattern, spec.get("params")))
+        params = generator_params(pattern, spec.get("params"))
+        generate = functools.partial(GENERATORS[pattern], n, **params)
     return ((f"{pattern}-s{seed}-{i:04d}", generate(seed=seed + i)) for i in range(count))
 
 

@@ -537,17 +537,10 @@ def _gas_draw(gas, pattern: str, rng: random.Random):
     raise ValidationError(f"gas must be an integer or a (low, high) pair of integers, all >= 1 and low <= high, got {gas!r}")
 
 
-def _preamble(pattern: str, n, seed, gas, instance: int, **params):
-    """What every generator starts with: check n, then each of `params` in
-    turn (track_total_supply must be true or false, any other is a count of
-    at least 1), then the seed, an exact int; return the instance's
-    namespace and its gas draw."""
-    _check_int("n", n, 1)
-    for name, value in params.items():
-        if name != "track_total_supply":
-            _check_int(name, value, 1)
-        elif type(value) is not bool:
-            raise ValidationError(f"track_total_supply must be true or false, got {value!r}")
+def _preamble(pattern: str, seed, gas, instance: int):
+    """What every generator does once its n and its own params are checked:
+    check the seed, an exact int; return the instance's namespace and its
+    gas draw."""
     _check_int("seed", seed)
     return _namespace(pattern, seed, instance), _gas_draw(gas, pattern, random.Random(seed + 0x9E3779B9 * (instance + 1)))
 
@@ -559,7 +552,8 @@ def _preamble(pattern: str, n, seed, gas, instance: int, **params):
 
 def gen_payments(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Workload:
     """n independent value transfers: every tx touches its own pair of balance keys."""
-    ns, draw_gas = _preamble("payments", n, seed, gas, _instance)
+    _check_int("n", n, 1)
+    ns, draw_gas = _preamble("payments", seed, gas, _instance)
     contract = f"native{ns}"
     txs = []
     tags: dict[str, int] = {}
@@ -590,9 +584,11 @@ def gen_token_distribution(
     read-modify-write one shared supply key. Senders are assigned
     round-robin.
     """
-    ns, draw_gas = _preamble(
-        "token_distribution", n, seed, gas, _instance, senders=senders, track_total_supply=track_total_supply
-    )
+    _check_int("n", n, 1)
+    _check_int("senders", senders, 1)
+    if type(track_total_supply) is not bool:
+        raise ValidationError(f"track_total_supply must be true or false, got {track_total_supply!r}")
+    ns, draw_gas = _preamble("token_distribution", seed, gas, _instance)
     contract = f"tok{ns}"
     supply = _key((contract, "totalSupply"))
     tags: dict[str, int] = {}
@@ -634,7 +630,9 @@ def gen_defi_fee(n: int, traders: int = 1, seed: int = 0, *, gas=None, _instance
     Each tx read-modify-writes the fee key plus two keys owned by its
     trader (assigned round-robin).
     """
-    ns, draw_gas = _preamble("defi_fee", n, seed, gas, _instance, traders=traders)
+    _check_int("n", n, 1)
+    _check_int("traders", traders, 1)
+    ns, draw_gas = _preamble("defi_fee", seed, gas, _instance)
     contract = f"dex{ns}"
     fee = _key((contract, "feeBalance"))
     tags: dict[str, int] = {str(fee): 1}
@@ -662,7 +660,8 @@ def gen_nft_mint(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Work
     writes a distinct element key. The new element's location is derived
     from the length read, so the length key is tagged value-dependent and
     can never be turned into a commutative add."""
-    ns, draw_gas = _preamble("nft_mint", n, seed, gas, _instance)
+    _check_int("n", n, 1)
+    ns, draw_gas = _preamble("nft_mint", seed, gas, _instance)
     contract = f"nft{ns}"
     length = _key((contract, "items.length"))
     reads = frozenset({length})  # the same for every tx

@@ -411,6 +411,9 @@ BAD_INPUTS = {
     "chain_p_bool": (["bound", "--input", "{trace}", "--transforms", "{json}"], [PRUNE_P_TRUE], "'p' must be a number"),
     "gen_n": (["analyze", "--gen", "{json}"], {"pattern": "payments", "n": "x"}, "generator 'n' must be an integer"),
     "gen_param": (["simulate", "--gen", "{json}"], {"pattern": "payments", "n": 4, "params": {"to": 2}}, "param 'to'"),
+    "gen_pattern_unknown": (["analyze", "--gen", "{json}"], {"pattern": "bogus", "n": 4}, "unknown pattern 'bogus'"),
+    "gen_pattern_missing": (["analyze", "--gen", "{json}"], {"n": 4}, "unknown pattern None"),
+    "gen_pattern_list": (["simulate", "--gen", "{json}"], {"pattern": ["x"], "n": 4}, "unknown pattern ['x']"),
     "gen_gas": (["simulate", "--gen", "{json}"], {"pattern": "payments", "n": 4, "params": {"gas": "x"}}, "gas must be"),
     "gen_mixed_weight": (["analyze", "--gen", "{json}"], {**MIXED, "spec": [["payments", {}, "x"]]}, "weight must be"),
     "gen_mixed_spec": (["analyze", "--gen", "{json}"], {**MIXED, "spec": 5}, "mixed spec must be"),
