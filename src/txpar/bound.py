@@ -4,10 +4,10 @@ instances.
 
 The list scheduler dispatches, whenever a thread is idle and ready
 transactions exist, the ready transaction heading the heaviest dependency
-chain. This realizes the best-case schedule in which no transaction ever
-aborts; its makespan lower-bounds what any optimistic scheduler can achieve
-on the same graph. List schedules are not optimal in general, which is what
-the brute-force oracle quantifies.
+chain. This realizes a schedule in which no transaction aborts and every
+conflicting pair runs in block order; occ-da, whose multi-version store
+orders only read-after-write pairs, can finish sooner. List schedules are
+not optimal in general, which is what the brute-force oracle quantifies.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from .graph import DependencyGraph, heaviest_from
 class ScheduleResult:
     """A complete abort-free schedule on virtual threads.
 
-    `per_thread` holds one tuple of (tx_id, start, end) triples per thread,
-    in dispatch order; times are gas units.
+    `per_thread` holds one tuple of (tx_id, start, end) triples per thread
+    from 0 to min(threads, n) - 1, in dispatch order; times are gas units.
+    A dispatch takes the lowest idle thread, so threads from n on stay idle.
     """
 
     makespan: int
@@ -44,7 +45,7 @@ def bound_schedule(g: DependencyGraph, threads: int) -> ScheduleResult:
     n = g.n
     serial = g.total_weight
     if n == 0:
-        return ScheduleResult(0, ((),) * threads, 0, 1.0, threads)
+        return ScheduleResult(0, (), 0, 1.0, threads)
 
     priority = heaviest_from(g)
     dependents = g.dependents()
@@ -54,12 +55,9 @@ def bound_schedule(g: DependencyGraph, threads: int) -> ScheduleResult:
 
     ready: list[tuple[int, int]] = [(-priority[i], i) for i in range(n) if indegree[i] == 0]
     heapq.heapify(ready)
-    # A dispatch takes the lowest idle thread, whose index is at most the
-    # number of running txs and so below n: threads from n on stay idle.
-    lanes = min(threads, n)
-    idle = list(range(lanes))
+    timeline: list[list[tuple[int, int, int]]] = [[] for _ in range(min(threads, n))]
+    idle = list(range(len(timeline)))
     running: list[tuple[int, int, int]] = []  # (end, thread, tx)
-    timeline: list[list[tuple[int, int, int]]] = [[] for _ in range(lanes)]
     clock = 0
     finished = 0
 
@@ -88,7 +86,7 @@ def bound_schedule(g: DependencyGraph, threads: int) -> ScheduleResult:
     makespan = clock
     return ScheduleResult(
         makespan=makespan,
-        per_thread=tuple(map(tuple, timeline)) + ((),) * (threads - lanes),
+        per_thread=tuple(map(tuple, timeline)),
         serial_cost=serial,
         speedup=serial / makespan if makespan else 1.0,
         threads=threads,

@@ -66,6 +66,13 @@ def _is_strings(value) -> bool:
     return type(value) is list and all(type(s) is str for s in value)
 
 
+def _refuse_unread(what: str, obj: dict, fields) -> None:
+    """Refuse the first field of `obj` that is not in `fields`, the ones that `what` reads."""
+    for name, value in obj.items():
+        if name not in fields:
+            raise ValidationError(f"{what} reads no field {name!r}, got {value!r}")
+
+
 def _thread_counts(name: str, raw) -> tuple[int, ...]:
     threads = [int(p) if p.strip().isdecimal() else p for p in raw.split(",") if p] if type(raw) is str else raw
     if type(threads) is not list or not threads or any(type(t) is not int or t < 1 for t in threads):
@@ -134,32 +141,37 @@ _GENERATOR_FLAGS = ("senders", "traders", "track_total_supply", "gas")
 
 
 def _generator_workloads(spec):
-    """Check a generator spec's n, count and seed and its pattern's param names; return an iterator over its
-    (label, workload) blocks, each generated in its turn. The generator checks its param values, and gen_mixed a
-    mixed spec's entries and weights, when the first block is generated, before any output is written."""
+    """Check a generator spec's fields, count and seed; return an iterator over its (label, workload) blocks, each
+    generated in its turn. A spec holds only the fields its pattern reads: pattern, n, count, seed, and spec for
+    "mixed" or params for any other pattern. The generator checks n and its param values, and gen_mixed a mixed
+    spec's entries and weights, when the first block is generated, before any output is written."""
     pattern = _OBJECT("generator spec", spec).get("pattern")
-    n = _INT("generator 'n'", spec.get("n", 0))
+    extra = "spec" if pattern == "mixed" else "params"
+    _refuse_unread(f"generator spec of pattern {pattern!r}", spec, ("pattern", "n", "count", "seed", extra))
     count = _POSITIVE("generator 'count'", spec.get("count", 1))
     seed = _INT("generator 'seed'", spec.get("seed", 0))
     if pattern == "mixed":
-        generate = functools.partial(gen_mixed, spec.get("spec", []), n)
+        generate = functools.partial(gen_mixed, spec.get("spec", []), spec.get("n"))
     else:
         params = generator_params(pattern, spec.get("params"))
-        generate = functools.partial(GENERATORS[pattern], n, **params)
+        generate = functools.partial(GENERATORS[pattern], spec.get("n"), **params)
     return ((f"{pattern}-s{seed}-{i:04d}", generate(seed=seed + i)) for i in range(count))
 
 
 def _resolve_workloads(args):
     """Check where the inputs come from; return an iterator over their (label, workload) blocks, each read in turn."""
-    inputs = args.input
     if args.gen:
         spec = _parse_json(args.gen, "--gen") if args.gen.lstrip().startswith("{") else _load_json_file(args.gen)
         return _generator_workloads(spec)
+    inputs = args.input
     if not inputs:
         config_input = _OBJECT("config 'input'", args.config_data.get("input", {}))
-        traces = [config_input["trace"]] if "trace" in config_input else config_input.get("traces")
-        if traces is None and "generator" in config_input:
+        if len(config_input) > 1 or config_input.keys() - {"trace", "traces", "generator"}:
+            sources = "one of 'trace', 'traces' and 'generator'"
+            raise ValidationError(f"config 'input' must hold {sources}, got {list(config_input)}")
+        if "generator" in config_input:
             return _generator_workloads(config_input["generator"])
+        traces = [config_input["trace"]] if "trace" in config_input else config_input.get("traces")
         inputs = _PATHS("config input 'trace'/'traces'", [] if traces is None else traces)
     if not inputs:
         raise ValidationError("no input: pass --input TRACE..., --gen SPEC, or a config with an 'input' field")
@@ -195,8 +207,8 @@ _STEPS = {
     "cadd_rewrite": ({"target_keys": _KEYS}, lambda w, step: cadd_rewrite(w, _key_set(step["target_keys"], w))),
     "prune_edges": ({"target_keys": _KEYS, "p": probability}, _prune_edges),
 }
-#: Optional fields, checked in any step that carries them.
-_OPTIONAL_STEP_FIELDS = {"routing": _STR, "seed": _INT}
+#: The optional fields of each step kind that has any: a step carries no others but its required ones.
+_OPTIONAL_STEP_FIELDS = {"partition_counters": {"routing": _STR}, "prune_edges": {"seed": _INT}}
 
 
 def _load_chain(args) -> tuple[list[dict], list[dict]]:
@@ -210,10 +222,13 @@ def _load_chain(args) -> tuple[list[dict], list[dict]]:
         kind = step.get("transform") if type(step) is dict else None
         if type(kind) is not str or kind not in _STEPS:
             raise ValidationError(f"unknown transform {kind!r}")
-        for name, parse in {**_STEPS[kind][0], **_OPTIONAL_STEP_FIELDS}.items():
-            if name in step:
-                parse(f"transform step {kind!r} field {name!r}", step[name])
-            elif name in _STEPS[kind][0]:
+        required = _STEPS[kind][0]
+        fields = {"transform": _STR, **required, **_OPTIONAL_STEP_FIELDS.get(kind, {})}
+        _refuse_unread(f"transform step {kind!r}", step, fields)
+        for name, value in step.items():
+            fields[name](f"transform step {kind!r} field {name!r}", value)
+        for name in required:
+            if name not in step:
                 raise ValidationError(f"transform step {kind!r} needs a {name!r} field")
         (prunes if kind == "prune_edges" else rewrites).append(step)
     return rewrites, prunes
@@ -261,19 +276,14 @@ def _write_table(args, name: str, rows: list, header: list[str], flat: list) -> 
 
 
 def cmd_generate(args) -> int:
-    spec = {
-        "pattern": args.pattern,
-        "n": args.n,
-        "count": args.count,
-        "seed": args.seed,
-    }
-    if args.pattern == "mixed":
-        if not args.mixed_spec:
-            raise ValidationError("--pattern mixed needs --mixed-spec FILE")
+    # every flag given goes into the spec, whose field check refuses a flag that the pattern does not read
+    spec = {"pattern": args.pattern, "n": args.n, "count": args.count, "seed": args.seed}
+    params = {name: getattr(args, name) for name in _GENERATOR_FLAGS}
+    params = {name: value for name, value in params.items() if value is not None and value is not False}
+    if params:
+        spec["params"] = params
+    if args.mixed_spec is not None:
         spec["spec"] = _load_json_file(args.mixed_spec)
-    else:
-        params = {name: getattr(args, name) for name in _GENERATOR_FLAGS}
-        spec["params"] = {name: value for name, value in params.items() if value is not None and value is not False}
     workloads = list(_generator_workloads(spec))
     if len(workloads) == 1:
         args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -330,7 +340,8 @@ def cmd_bound(args) -> int:
                 "speedup": result.speedup,
             }
             if args.timeline:
-                row["timeline"] = [list(map(list, lane)) for lane in result.per_thread]
+                lanes = [list(map(list, lane)) for lane in result.per_thread]
+                row["timeline"] = lanes + [[]] * (t - len(lanes))  # one shared empty lane per idle thread
             rows.append(row)
         del workload  # before the next block is read
     header = ["workload", "threads", "makespan", "serial", "speedup"]
@@ -474,8 +485,9 @@ def cmd_histogram(args) -> int:
 
 
 def _add_input_flags(sub):
-    sub.add_argument("--input", nargs="+", help="trace file(s)")
-    sub.add_argument("--gen", help="generator spec: JSON file or inline JSON")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--input", nargs="+", help="trace file(s)")
+    source.add_argument("--gen", help="generator spec: JSON file or inline JSON")
     sub.add_argument("--config", help="experiment config JSON")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", default=None, help="output directory")

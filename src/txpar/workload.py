@@ -169,17 +169,6 @@ class Workload:
             raise ValidationError(f"meta must be a dict, got {self.meta!r}")
         txs = tuple(self.transactions)
         object.__setattr__(self, "transactions", txs)
-        if set(map(type, txs)) <= {Transaction}:
-            keys: set[StorageKey] = set()
-            for tx in txs:
-                access = tx.access
-                keys.update(access.reads)
-                keys.update(access.writes)
-                if access.cadds:
-                    keys.update([key for key, _ in access.cadds])
-            if [tx.id for tx in txs] == list(range(len(txs))) and not any(map(_malformed_key, keys)):
-                return
-        # Something is wrong: find the first offending tx, in order, for the message.
         for pos, tx in enumerate(txs):
             if type(tx) is not Transaction:
                 raise ValidationError(f"position {pos} holds {tx!r}, not a Transaction")

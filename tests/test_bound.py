@@ -171,10 +171,16 @@ def test_threads_beyond_the_tx_count_stay_idle():
         base = bound_schedule(g, g.n)
         assert base.makespan == critical_path(g).critical_weight  # no tx ever waits for a thread
         for threads in (g.n + 1, 3 * g.n + 5):
-            padded = replace(base, per_thread=base.per_thread + ((),) * (threads - g.n), threads=threads)
-            assert bound_schedule(g, threads) == padded
+            assert bound_schedule(g, threads) == replace(base, threads=threads)
     empty = DependencyGraph(n=0, edges=frozenset(), weights=())
-    assert bound_schedule(empty, 4).per_thread == ((),) * 4
+    assert bound_schedule(empty, 4).per_thread == ()
+
+
+def test_a_huge_thread_count_keeps_one_lane_per_tx():
+    g = random_dag(random.Random(30), max_n=9)
+    result = bound_schedule(g, 10**6)
+    assert len(result.per_thread) == g.n
+    assert result == replace(bound_schedule(g, g.n), threads=10**6)
 
 
 def test_empty_graph_schedules_to_zero():

@@ -123,6 +123,14 @@ def test_bound_json(tmp_path):
     assert rows[0]["speedup"] == pytest.approx(4.0)
 
 
+def test_bound_timeline_lists_every_thread_idle_ones_too(tmp_path):
+    trace = tmp_path / "w.trace"
+    run(["generate", "--pattern", "payments", "--n", "3", "--gas", "5", "--out", str(trace)])
+    assert run(["bound", "--input", str(trace), "--threads", "5", "--timeline", "--out", str(tmp_path / "o")]) == 0
+    [row] = json.loads((tmp_path / "o" / "bound.json").read_text())
+    assert row["timeline"] == [[[0, 0, 5]], [[1, 0, 5]], [[2, 0, 5]], [], []]
+
+
 def test_simulate_occ_da_reports_identical_fraction(tmp_path):
     trace = tmp_path / "w.trace"
     run(["generate", "--pattern", "token_distribution", "--n", "10", "--senders", "2", "--seed", "4", "--out", str(trace)])
@@ -402,6 +410,10 @@ SPLIT_M_ABC = {"transform": "split_senders", "hot_sender": "s", "m": "abc", "sen
 PRUNE_P_HIGH = {"transform": "prune_edges", "target_keys": "bottleneck", "p": "high"}
 PRUNE_P_TRUE = {**PRUNE_P_HIGH, "p": True}  # Fraction(True) is 1
 MIXED = {"pattern": "mixed", "n": 4}
+MIX = [["payments", {}, 1]]
+PAYMENTS = {"pattern": "payments", "n": 4}
+CADD = {"transform": "cadd_rewrite", "target_keys": "bottleneck"}
+PARTITION = {"transform": "partition_counters", "target_keys": "bottleneck", "length": 2}
 
 #: (argv, JSON payload, text the error must contain). In argv, "{trace}" is a
 #: small trace, "{json}" a file holding the payload and "{rows}" a bound.json.
@@ -409,7 +421,7 @@ BAD_INPUTS = {
     "chain_m": (["analyze", "--input", "{trace}", "--transforms", "{json}"], [SPLIT_M_ABC], "'m' must be an integer"),
     "chain_p": (["bound", "--input", "{trace}", "--transforms", "{json}"], [PRUNE_P_HIGH], "'p' must be a number"),
     "chain_p_bool": (["bound", "--input", "{trace}", "--transforms", "{json}"], [PRUNE_P_TRUE], "'p' must be a number"),
-    "gen_n": (["analyze", "--gen", "{json}"], {"pattern": "payments", "n": "x"}, "generator 'n' must be an integer"),
+    "gen_n": (["analyze", "--gen", "{json}"], {"pattern": "payments", "n": "x"}, "n must be an integer"),
     "gen_param": (["simulate", "--gen", "{json}"], {"pattern": "payments", "n": 4, "params": {"to": 2}}, "param 'to'"),
     "gen_pattern_unknown": (["analyze", "--gen", "{json}"], {"pattern": "bogus", "n": 4}, "unknown pattern 'bogus'"),
     "gen_pattern_missing": (["analyze", "--gen", "{json}"], {"n": 4}, "unknown pattern None"),
@@ -417,6 +429,45 @@ BAD_INPUTS = {
     "gen_gas": (["simulate", "--gen", "{json}"], {"pattern": "payments", "n": 4, "params": {"gas": "x"}}, "gas must be"),
     "gen_mixed_weight": (["analyze", "--gen", "{json}"], {**MIXED, "spec": [["payments", {}, "x"]]}, "weight must be"),
     "gen_mixed_spec": (["analyze", "--gen", "{json}"], {**MIXED, "spec": 5}, "mixed spec must be"),
+    "gen_count_typo": (["analyze", "--gen", "{json}"], {**PAYMENTS, "cout": 3}, "no field 'cout'"),
+    "gen_mixed_params": (["analyze", "--gen", "{json}"], {**MIXED, "spec": MIX, "params": {}}, "no field 'params'"),
+    "gen_payments_spec": (["simulate", "--gen", "{json}"], {**PAYMENTS, "spec": MIX}, "no field 'spec'"),
+    "generate_mixed_senders": (
+        ["generate", "--pattern", "mixed", "--n", "4", "--senders", "3"],
+        None,
+        "'mixed' reads no field 'params', got {'senders': 3}",
+    ),
+    "generate_payments_mixed_spec": (
+        ["generate", "--pattern", "payments", "--n", "4", "--mixed-spec", "{json}"],
+        MIX,
+        "'payments' reads no field 'spec'",
+    ),
+    "chain_foreign_routing": (
+        ["analyze", "--input", "{trace}", "--transforms", "{json}"],
+        [{**CADD, "routing": "sender"}],
+        "'cadd_rewrite' reads no field 'routing'",
+    ),
+    "chain_foreign_seed": (
+        ["bound", "--input", "{trace}", "--transforms", "{json}"],
+        [{**CADD, "seed": 1}],
+        "'cadd_rewrite' reads no field 'seed'",
+    ),
+    "chain_rooting": (
+        ["analyze", "--input", "{trace}", "--transforms", "{json}"],
+        [{**PARTITION, "rooting": "tx_id"}],
+        "'partition_counters' reads no field 'rooting', got 'tx_id'",
+    ),
+    "input_and_gen": (["analyze", "--input", "{trace}", "--gen", "{json}"], {**MIXED, "spec": MIX}, "--gen: not allowed"),
+    "config_input_two_sources": (
+        ["simulate", "--config", "{json}"],
+        {"input": {"trace": "w.trace", "generator": {**MIXED, "spec": MIX}}},
+        "one of 'trace', 'traces' and 'generator', got ['trace', 'generator']",
+    ),
+    "config_input_typo": (
+        ["analyze", "--config", "{json}"],
+        {"input": {"trace": "w.trace", "generater": {**MIXED, "spec": MIX}}},
+        "got ['trace', 'generater']",
+    ),
     "simulate_threads_8_8": (["simulate", "--input", "{trace}", "--threads", "8,8"], None, "--threads repeats"),
     "analyze_threads_8_8": (
         ["analyze", "--input", "{trace}", "--format", "both", "--config", "{json}"],
