@@ -35,6 +35,11 @@ class ScheduleResult:
     threads: int
 
 
+def speedup(serial: int, makespan: int) -> float:
+    """Serial cost over makespan, and 1.0 for an empty block, whose makespan is 0."""
+    return serial / makespan if makespan else 1.0
+
+
 def bound_schedule(g: DependencyGraph, threads: int) -> ScheduleResult:
     """Event-driven list scheduling in virtual gas time.
 
@@ -88,7 +93,7 @@ def bound_schedule(g: DependencyGraph, threads: int) -> ScheduleResult:
         makespan=makespan,
         per_thread=tuple(map(tuple, timeline)),
         serial_cost=serial,
-        speedup=serial / makespan if makespan else 1.0,
+        speedup=speedup(serial, makespan),
         threads=threads,
     )
 

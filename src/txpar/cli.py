@@ -2,7 +2,8 @@
 simulation, transform pipelines, determinism probes, and histogram export.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 invariant
-violation (a determinism probe failing is a first-class failure).
+violation (a determinism probe failing, or a simulated run that does not
+replay to the serial state, is a first-class failure).
 All outputs are byte-deterministic for a fixed config and seed.
 """
 
@@ -16,7 +17,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import report
-from .bound import bound_schedule
+from .bound import bound_schedule, speedup
 from .errors import InvariantViolation, ValidationError
 from .graph import DependencyGraph, build_graph, critical_path, schedule_graph
 from .occsim import (
@@ -29,7 +30,7 @@ from .occsim import (
     run_occ_da,
     run_occ_det_commit,
 )
-from .storagevm import replay_digest
+from .storagevm import replay_digest, run_serial
 from .transforms import PartitionSpec, cadd_rewrite, partition_counters, probability, prune_edges_probabilistic
 from .transforms import split_senders
 from .workload import GENERATORS, StorageKey, Workload, emit_trace, gen_mixed, generator_params, parse_trace
@@ -151,7 +152,9 @@ def _generator_workloads(spec):
     count = _POSITIVE("generator 'count'", spec.get("count", 1))
     seed = _INT("generator 'seed'", spec.get("seed", 0))
     if pattern == "mixed":
-        generate = functools.partial(gen_mixed, spec.get("spec", []), spec.get("n"))
+        if "spec" not in spec:
+            raise ValidationError("pattern 'mixed' needs its entries: a 'spec' field, or generate's --mixed-spec FILE")
+        generate = functools.partial(gen_mixed, spec["spec"], spec.get("n"))
     else:
         params = generator_params(pattern, spec.get("params"))
         generate = functools.partial(GENERATORS[pattern], spec.get("n"), **params)
@@ -196,8 +199,8 @@ def _prune_edges(graph: DependencyGraph, workload: Workload, step: dict, args) -
     return prune_edges_probabilistic(graph, workload, keys, step["p"], step.get("seed", args.seed), args.cadd_aware)
 
 
-#: Each step kind: the parsers of its required fields, and how it applies. prune_edges
-#: applies to a workload's dependency graph; the others rewrite the workload, in chain order.
+#: Each step kind: the parsers of its required fields, and how it rewrites the workload. prune_edges rewrites
+#: none: it prunes the dependency graph that `_graph` schedules on, after the chain's workload steps.
 _STEPS = {
     "split_senders": (
         {"hot_sender": _STR, "m": _INT, "sender_balance_key": _STR},
@@ -205,20 +208,29 @@ _STEPS = {
     ),
     "partition_counters": ({"target_keys": _KEYS, "length": _INT}, _partition_counters),
     "cadd_rewrite": ({"target_keys": _KEYS}, lambda w, step: cadd_rewrite(w, _key_set(step["target_keys"], w))),
-    "prune_edges": ({"target_keys": _KEYS, "p": probability}, _prune_edges),
+    "prune_edges": ({"target_keys": _KEYS, "p": probability}, None),
 }
 #: The optional fields of each step kind that has any: a step carries no others but its required ones.
 _OPTIONAL_STEP_FIELDS = {"partition_counters": {"routing": _STR}, "prune_edges": {"seed": _INT}}
 
 
+def _schedules_on_graph(args) -> bool:
+    """Whether the command schedules on a dependency graph, the only thing a prune_edges step applies to."""
+    return args.command in ("analyze", "bound") or (
+        args.command == "simulate" and args.mode == MODE_DA and args.policy == "dep_graph"
+    )
+
+
 def _load_chain(args) -> tuple[list[dict], list[dict]]:
-    """Check every step of the chain up front; split it into workload rewrites and graph prunes."""
-    path = getattr(args, "transforms", None) or getattr(args, "chain", None)
+    """Check every step of the chain, and its shape, before any input is read; split it into the workload rewrites
+    and the graph prunes that follow them. Steps apply in the order written, so a rewrite after a prune is refused,
+    and so is a prune in a command that schedules on no graph."""
+    path = getattr(args, "transforms", None)
     chain = _load_json_file(path) if path else args.config_data.get("transforms")
     if type(chain) is not list and chain is not None:
         raise ValidationError(f"transform chain must be a JSON array, got {chain!r}")
     rewrites, prunes = [], []
-    for step in chain or []:
+    for index, step in enumerate(chain or []):
         kind = step.get("transform") if type(step) is dict else None
         if type(kind) is not str or kind not in _STEPS:
             raise ValidationError(f"unknown transform {kind!r}")
@@ -230,7 +242,17 @@ def _load_chain(args) -> tuple[list[dict], list[dict]]:
         for name in required:
             if name not in step:
                 raise ValidationError(f"transform step {kind!r} needs a {name!r} field")
-        (prunes if kind == "prune_edges" else rewrites).append(step)
+        if kind == "prune_edges":
+            prunes.append(step)
+        elif prunes:
+            raise ValidationError(f"transform step {index} ({kind!r}) rewrites the workload after a prune_edges step")
+        else:
+            rewrites.append(step)
+    if prunes and not _schedules_on_graph(args):
+        raise ValidationError(
+            "prune_edges prunes a dependency graph; only analyze, bound and simulate --mode occ-da --policy dep_graph"
+            " schedule on one"
+        )
     return rewrites, prunes
 
 
@@ -247,16 +269,14 @@ def _graph(workload: Workload, args) -> tuple[DependencyGraph, int]:
         return schedule_graph(workload, args.cadd_aware)
     graph = build_graph(workload, args.cadd_aware)
     for step in args.prunes:
-        graph = _STEPS["prune_edges"][1](graph, workload, step, args)
+        graph = _prune_edges(graph, workload, step, args)
     return graph, len(graph.edges)
 
 
-def _blocks(args, uses_graph: bool = True):
+def _blocks(args):
     """Yield (label, workload) per input, the workload rewritten by the chain's workload steps. Each block is read
     when its turn comes, and the caller drops its block before it asks for the next one, so one block, with the
     tables its workload derives, is held at a time."""
-    if args.prunes and not uses_graph:
-        raise ValidationError("prune_edges prunes graphs; only analyze, bound and simulate --policy dep_graph use one")
     for label, workload in _resolve_workloads(args):
         yield label, _rewrite(workload, args.rewrites)
         del workload
@@ -284,16 +304,13 @@ def cmd_generate(args) -> int:
         spec["params"] = params
     if args.mixed_spec is not None:
         spec["spec"] = _load_json_file(args.mixed_spec)
-    workloads = list(_generator_workloads(spec))
-    if len(workloads) == 1:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_bytes(emit_trace(workloads[0][1]))
-        print(f"wrote {args.out}")
-    else:
-        args.out.mkdir(parents=True, exist_ok=True)
-        for label, workload in workloads:
-            (args.out / f"{label}.trace").write_bytes(emit_trace(workload))
-        print(f"wrote {len(workloads)} traces to {args.out}")
+    # one block is written to --out itself, several into it as a directory, each as soon as it is generated
+    for label, workload in _generator_workloads(spec):
+        path = args.out if args.count == 1 else args.out / f"{label}.trace"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(emit_trace(workload))
+        del workload  # before the next block is generated
+    print(f"wrote {args.out}" if args.count == 1 else f"wrote {args.count} traces to {args.out}")
     return 0
 
 
@@ -351,10 +368,11 @@ def cmd_bound(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    dep_graph = args.mode == MODE_DA and args.policy == "dep_graph"
+    dep_graph = _schedules_on_graph(args)
     rows = []
     events = []
-    for label, workload in _blocks(args, uses_graph=dep_graph):
+    diverged = []  # the runs whose replay does not end in the serial state
+    for label, workload in _blocks(args):
         if not dep_graph:
             policy = SvPolicy.minus_one()
         elif args.prunes:  # the pruned graph's edges are normative
@@ -381,6 +399,9 @@ def cmd_simulate(args) -> int:
                 "committed_order": list(result.committed_order),
                 "digest": replay_digest(workload, result),
             }
+            # classic's replay re-runs its commit order, which need not be the block's serial order
+            if args.mode != MODE_CLASSIC and row["digest"] != run_serial(workload):
+                diverged.append(f"{label} at {t} threads")
             if args.mode == MODE_DA:
                 baseline = run_occ_det_commit(workload, t, args.cadd_aware)
                 row["identical_to_det_commit"] = (
@@ -404,7 +425,7 @@ def cmd_simulate(args) -> int:
                 "threads": t,
                 "workloads": len(runs),
                 "mean_speedup": report.mean(speedups),
-                "overall_speedup": report.overall_speedup(serial, makespan),
+                "overall_speedup": speedup(serial, makespan),
                 "min_speedup": min(speedups),
                 "max_speedup": max(speedups),
                 "total_aborts": sum(len(row["aborts"]) for row in runs),
@@ -418,12 +439,12 @@ def cmd_simulate(args) -> int:
         header = ["workload", "mode", "threads", "tx", "attempt", "sv", "start", "end", "outcome"]
         report.write_text(args.out / "events.csv", report.render_csv(header, events))
     print(f"simulated {len(rows)} run(s) -> {args.out}")
+    if diverged:
+        raise InvariantViolation(f"{len(diverged)} run(s) do not replay to the serial digest: {', '.join(diverged)}")
     return 0
 
 
 def cmd_transform(args) -> int:
-    if args.prunes:
-        raise ValidationError("prune_edges rewrites graphs, not traces; use it with analyze/bound/simulate")
     workload = _rewrite(_load_trace(args.input), args.rewrites)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_bytes(emit_trace(workload))
@@ -433,7 +454,7 @@ def cmd_transform(args) -> int:
 
 def cmd_probe(args) -> int:
     rows = []
-    for label, workload in _blocks(args, uses_graph=False):
+    for label, workload in _blocks(args):
         for t in args.threads:
             probe = determinism_probe(workload, t, trials=args.trials, seed=args.seed, cadd_aware=args.cadd_aware)
             row = {"workload": label, **vars(probe)}
@@ -534,7 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     transform = subs.add_parser("transform", help="rewrite a trace through a transform chain")
     transform.add_argument("--input", required=True)
-    transform.add_argument("--chain", required=True, help="JSON array of transform steps")
+    transform.add_argument(
+        "--chain", dest="transforms", metavar="CHAIN", required=True, help="JSON array of transform steps"
+    )
     transform.add_argument("--out", required=True)
     transform.set_defaults(func=cmd_transform)
 

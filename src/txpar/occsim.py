@@ -29,6 +29,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import Mapping, NamedTuple
 
+from .bound import speedup
 from .errors import InvariantViolation, ValidationError, _check_int
 from .graph import DependencyGraph, _kind_conflicts, latest_conflict, latest_writer
 # Nothing here calls `replay_final_state`: bench/tracing.py wraps it under
@@ -215,7 +216,7 @@ def _finalize(
         committed_order=tuple(committed_order),
         wasted_gas=wasted,
         serial_cost=serial,
-        speedup=serial / makespan if makespan else 1.0,
+        speedup=speedup(serial, makespan),
     )
 
 

@@ -52,12 +52,6 @@ def mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def overall_speedup(total_serial: int, total_makespan: int) -> float:
-    if total_makespan == 0:
-        return 1.0
-    return total_serial / total_makespan
-
-
 def fmt(value) -> str:
     """Stable scalar formatting for CSV cells."""
     if isinstance(value, float):

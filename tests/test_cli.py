@@ -1,5 +1,7 @@
 """CLI behavior: subcommands, output determinism, and exit codes."""
 
+import dataclasses
+import hashlib
 import inspect
 import json
 import os
@@ -432,6 +434,8 @@ BAD_INPUTS = {
     "gen_count_typo": (["analyze", "--gen", "{json}"], {**PAYMENTS, "cout": 3}, "no field 'cout'"),
     "gen_mixed_params": (["analyze", "--gen", "{json}"], {**MIXED, "spec": MIX, "params": {}}, "no field 'params'"),
     "gen_payments_spec": (["simulate", "--gen", "{json}"], {**PAYMENTS, "spec": MIX}, "no field 'spec'"),
+    "gen_mixed_without_spec": (["analyze", "--gen", "{json}"], MIXED, "a 'spec' field"),
+    "generate_mixed_without_spec": (["generate", "--pattern", "mixed", "--n", "4"], None, "--mixed-spec"),
     "generate_mixed_senders": (
         ["generate", "--pattern", "mixed", "--n", "4", "--senders", "3"],
         None,
@@ -606,3 +610,63 @@ def test_a_run_over_several_inputs_holds_one_parsed_block_at_a_time(argv, tmp_pa
     argv = [str(chain) if arg == "{chain}" else arg for arg in argv]
     assert run([*argv, "--input", *traces, "--out", str(tmp_path / "out")]) == 0
     assert len(parsed) == 3
+
+
+def test_a_chain_applies_in_the_order_written(tmp_path, capsys):
+    trace = tmp_path / "fee.trace"
+    run(["generate", "--pattern", "defi_fee", "--n", "12", "--traders", "12", "--seed", "3", "--out", str(trace)])
+    prune = {"transform": "prune_edges", "target_keys": "bottleneck", "p": 1, "seed": 1}
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps([PARTITION, prune]))
+    argv = ["analyze", "--input", str(trace), "--transforms", str(chain), "--threads", "2,4"]
+    assert run(argv + ["--out", str(tmp_path / "ok")]) == 0
+    digest = hashlib.sha256((tmp_path / "ok" / "analyze.json").read_bytes()).hexdigest()
+    assert digest == "c83f78d852fc80222fdb0ef7aafdf4408c8d8b4bf0a6cad5f797a4b475ab6289"
+
+    # a workload step after a prune is refused before any input is read
+    chain.write_text(json.dumps([prune, PARTITION]))
+    argv = ["analyze", "--input", str(tmp_path / "missing.trace"), "--transforms", str(chain)]
+    capsys.readouterr()
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert "transform step 1 ('partition_counters')" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _below_the_floor(result):
+    """`result` with the last tx's committed storage version moved to -1, below the floor of a tx that reads a key
+    its predecessor wrote."""
+    last = len(result.committed_order) - 1
+    attempts = [a._replace(sv=-1) if a.tx_id == last and a.outcome == "committed" else a for a in result.attempts]
+    return dataclasses.replace(result, attempts=tuple(attempts))
+
+
+@pytest.mark.parametrize("mode, engine", [("occ-da", "run_occ_da"), ("occ-det-commit", "run_occ_det_commit")])
+def test_simulate_exits_3_when_a_run_misses_the_serial_digest(mode, engine, tmp_path, monkeypatch, capsys):
+    trace = tmp_path / "fee.trace"
+    run(["generate", "--pattern", "defi_fee", "--n", "6", "--traders", "6", "--seed", "1", "--out", str(trace)])
+    argv = ["simulate", "--input", str(trace), "--mode", mode, "--threads", "2,4"]
+    assert run(argv + ["--out", str(tmp_path / "ok")]) == 0
+    real = getattr(cli, engine)
+    monkeypatch.setattr(cli, engine, lambda workload, threads, *rest: _below_the_floor(real(workload, threads, *rest)))
+    capsys.readouterr()
+    assert run(argv + ["--out", str(tmp_path / "bad")]) == 3
+    assert "2 run(s) do not replay to the serial digest: fee at 2 threads, fee at 4 threads" in capsys.readouterr().err
+    ok, bad = (json.loads((tmp_path / out / "runs.json").read_text()) for out in ("ok", "bad"))
+    assert [row["digest"] for row in ok] != [row["digest"] for row in bad]  # the outputs are written all the same
+    assert (tmp_path / "bad" / "aggregate.csv").exists()
+
+
+def test_generate_holds_one_block_at_a_time(tmp_path, monkeypatch):
+    made = []
+    make = GENERATORS["payments"]
+
+    def make_one(*args, **kwargs):
+        assert not [ref for ref in made if ref() is not None], "an earlier block is still held"
+        workload = make(*args, **kwargs)
+        made.append(weakref.ref(workload))
+        return workload
+
+    monkeypatch.setitem(GENERATORS, "payments", make_one)
+    out = tmp_path / "out"
+    assert run(["generate", "--pattern", "payments", "--n", "8", "--count", "3", "--out", str(out)]) == 0
+    assert len(made) == len(list(out.glob("*.trace"))) == 3
