@@ -107,6 +107,7 @@ _SETTINGS = {
 
 
 def _resolve_settings(args) -> None:
+    args.flags_given = {name for name in _SETTINGS if getattr(args, name, None) is not None}
     for name, (default, parse) in _SETTINGS.items():
         if not hasattr(args, name):
             continue
@@ -344,6 +345,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    if args.timeline and args.format == "csv":
+        raise ValidationError("--timeline writes timelines only to bound.json, and --format csv writes no JSON")
     rows = []
     for label, workload in _blocks(args):
         schedule = _graph(workload, args)[0]
@@ -368,6 +371,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if "policy" in args.flags_given and args.mode != MODE_DA:  # a config's policy is ignored by other modes
+        raise ValidationError(f"--policy is read only by --mode {MODE_DA}, got mode {args.mode}")
     dep_graph = _schedules_on_graph(args)
     rows = []
     events = []

@@ -5,7 +5,6 @@ cadd-aware mode."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -162,22 +161,56 @@ def latest_writer(workload: Workload, cadd_aware: bool) -> tuple[int, ...]:
     return latest_conflict(workload, _abort_rule(cadd_aware))
 
 
-def _pairs(per_key, conflict: tuple[tuple[bool, ...], ...]) -> set[tuple[int, int]]:
-    """Every (later, earlier) pair that conflicts on one of the given keys,
-    each given as its (id, kind mask) accesses in id order. Each key emits
-    each of its pairs once, so the cost follows the conflicting pairs."""
-    edges: set[tuple[int, int]] = set()
+def _walk(per_key, n: int, rule: tuple[tuple[bool, ...], ...]) -> tuple[list[int], list[int]]:
+    """For each of `n` txs, two bitsets of earlier ids: every id it pairs with
+    under `rule[its kind][that kind]` on one of the given keys, each given as
+    its (id, kind mask) accesses in id order, and the subset that each key's
+    transitive reduction keeps (Aho, Garey and Ullman, SIAM J. Comput. 1(2),
+    1972).
+
+    On one key, the earlier accesses of a kind b that an access reaches
+    through the key's pairs are downward closed: if the last hop is k -> i,
+    then k pairs with every earlier b too, as the rule depends only on kinds.
+    So a reach table, for each kind the highest id reached, describes them
+    all, and the latest access of a kind reaches what any earlier one of that
+    kind does. An access keeps its pairs with the earlier b above the highest
+    b reached by the latest access of a kind it pairs with; a kept pair is
+    reached no other way, and the highest pair of each access is kept.
+    """
+    full, kept = [0] * n, [0] * n
     for accesses in per_key:
         if len(accesses) < 2:
             continue
-        by_kind: dict[int, list[int]] = {}  # kind mask -> earlier ids with it
+        bits: dict[int, int] = {}  # kind mask -> the ids with it so far, as a bitset
+        reach: dict[int, dict[int, int]] = {}  # kind mask -> its latest access's reach table
         for j, kind in accesses:
-            row = conflict[kind]
-            for earlier, ids in by_kind.items():
-                if row[earlier]:
-                    edges.update([(j, i) for i in ids])
-            by_kind.setdefault(kind, []).append(j)
-    return edges
+            row = rule[kind]
+            near = [b for b in bits if row[b]]  # the present kinds j pairs with
+            table: dict[int, int] = {}
+            for c in near:
+                for b, i in reach[c].items():
+                    if i > table.get(b, -1):
+                        table[b] = i
+            for b in near:
+                older = bits[b]
+                above = table.get(b, -1) + 1
+                full[j] |= older
+                kept[j] |= older >> above << above
+                table[b] = older.bit_length() - 1
+            reach[kind] = table
+            bits[kind] = bits.get(kind, 0) | 1 << j
+    return full, kept
+
+
+def _edges(earlier: list[int]) -> frozenset[tuple[int, int]]:
+    """The (later, earlier) pairs of per-tx bitsets of earlier ids."""
+    edges = []
+    for j, mask in enumerate(earlier):
+        while mask:
+            i = mask.bit_length() - 1
+            edges.append((j, i))
+            mask ^= 1 << i
+    return frozenset(edges)
 
 
 def build_graph(workload: Workload, cadd_aware: bool = False) -> DependencyGraph:
@@ -187,75 +220,32 @@ def build_graph(workload: Workload, cadd_aware: bool = False) -> DependencyGraph
     `tests/oracles.py::oracle_edges` (the normative oracle), in O(sum of
     per-key conflicting pairs).
     """
-    edges = _pairs(_accesses(workload).values(), _kind_conflicts(cadd_aware))
-    return _graph(len(workload), frozenset(edges), tuple(tx.gas for tx in workload))
+    full = _walk(_accesses(workload).values(), len(workload), _kind_conflicts(cadd_aware))[0]
+    return _graph(len(workload), _edges(full), tuple(tx.gas for tx in workload))
 
 
-def edges_only_on(workload: Workload, keys, cadd_aware: bool = False) -> set[tuple[int, int]]:
-    """The (later, earlier) pairs of `build_graph` in the same mode whose two
-    txs conflict on some of `keys` and on no other key. Other keys are
+def _pairs_only_on(workload: Workload, keys: frozenset[StorageKey], cadd_aware: bool) -> list[int]:
+    """Per tx, the bitset of earlier ids it conflicts with on some of `keys`
+    and on no other key: the pairs a prune may remove. Other keys are
     searched for pairs only among the txs that touch `keys`."""
-    keys = frozenset(keys)
-    touched = _accesses(workload)
-    conflict = _kind_conflicts(cadd_aware)
-    on = _pairs((touched[key] for key in keys if key in touched), conflict)
+    touched, rule, n = _accesses(workload), _kind_conflicts(cadd_aware), len(workload)
+    on = _walk((touched[key] for key in keys if key in touched), n, rule)[0]
     ids = {i for key in keys for i, _ in touched.get(key, ())}
     shared = (accesses for key, accesses in touched.items() if len(accesses) > 1 and key not in keys)
-    elsewhere = _pairs(([access for access in accesses if access[0] in ids] for accesses in shared), conflict)
-    return on - elsewhere
+    elsewhere = _walk(([access for access in accesses if access[0] in ids] for accesses in shared), n, rule)[0]
+    return [mask & ~other for mask, other in zip(on, elsewhere)]
 
 
 def schedule_graph(workload: Workload, cadd_aware: bool = False) -> tuple[DependencyGraph, int]:
-    """A subgraph of `build_graph`'s edges with the same reachability, and the
-    number of conflicting pairs `build_graph` would emit.
-
-    Each key's pairs are reduced transitively (Aho, Garey and Ullman, SIAM J.
-    Comput. 1(2), 1972). On one key, the earlier accesses of a kind b that an
-    access reaches through the key's pairs are downward closed: if the last
-    hop is k -> i, then k conflicts with every earlier b too, as conflicts
-    depend only on kinds. So a reach table, for each kind the highest id
-    reached, describes them all, and the latest access of a kind reaches
-    what any earlier one of that kind does. An access keeps its pairs with
-    the earlier b above the highest b reached by the latest access of a kind
-    it conflicts with; a kept pair is reached no other way. Both graphs have
-    the same transitive closure, and with positive weights every heaviest
-    path and list-schedule ready time is the same in both: `critical_path`
-    and `bound_schedule` give equal results on either. On a hot key the graph is
-    a chain, so its cost follows the number of accesses, not of pairs; the
-    pairs are counted as per-tx bitsets.
-    """
-    conflict = _kind_conflicts(cadd_aware)
-    edges: set[tuple[int, int]] = set()
-    earlier = [0] * len(workload)  # per tx, the earlier ids it conflicts with, as a bitset
-    for accesses in _accesses(workload).values():
-        if len(accesses) < 2:
-            continue
-        ids: dict[int, list[int]] = {}  # kind mask -> the ids with it so far, ascending
-        bits: dict[int, int] = {}  # kind mask -> the same ids, as a bitset
-        reach: dict[int, dict[int, int]] = {}  # kind mask -> its latest access's reach table
-        for j, kind in accesses:
-            row = conflict[kind]
-            near = [b for b in ids if row[b]]  # the present kinds j conflicts with
-            table: dict[int, int] = {}
-            for c in near:
-                for b, i in reach[c].items():
-                    if i > table.get(b, -1):
-                        table[b] = i
-            for b in near:
-                older = ids[b]
-                earlier[j] |= bits[b]
-                for i in older[bisect_right(older, table.get(b, -1)) :]:
-                    edges.add((j, i))
-                table[b] = older[-1]
-            reach[kind] = table
-            if kind in ids:
-                ids[kind].append(j)
-                bits[kind] |= 1 << j
-            else:
-                ids[kind] = [j]
-                bits[kind] = 1 << j
-    graph = _graph(len(workload), frozenset(edges), tuple(tx.gas for tx in workload))
-    return graph, sum(mask.bit_count() for mask in earlier)
+    """A subgraph of `build_graph`'s edges with the same reachability, the
+    pairs `_walk` keeps, and the number of conflicting pairs `build_graph`
+    would emit. With positive weights every heaviest path and list-schedule
+    ready time is the same in both graphs: `critical_path` and
+    `bound_schedule` give equal results on either. On a hot key the graph
+    is a chain, so its edges follow the accesses, not the pairs."""
+    full, kept = _walk(_accesses(workload).values(), len(workload), _kind_conflicts(cadd_aware))
+    graph = _graph(len(workload), _edges(kept), tuple(tx.gas for tx in workload))
+    return graph, sum(mask.bit_count() for mask in full)
 
 
 def heaviest_from(g: DependencyGraph) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import random
 
 from .errors import SoundnessError, ValidationError, _check_int
-from .graph import DependencyGraph, _graph, edges_only_on
+from .graph import DependencyGraph, _graph, _pairs_only_on
 from .workload import VALUE_DEPENDENT, StorageKey, Transaction, Workload, _malformed_key
 from .workload import _access, _key, _transaction, _workload
 
@@ -228,9 +228,11 @@ def prune_edges_probabilistic(
     p = probability("removal probability", removal_probability)
     if g.weights != tuple(tx.gas for tx in workload):
         raise ValidationError(f"the graph's {g.n} vertex weights are not the gas of the workload's {len(workload)} txs")
-    prunable = edges_only_on(workload, _target_keys("target_keys", target_keys), cadd_aware)
+    prunable = _pairs_only_on(workload, _target_keys("target_keys", target_keys), cadd_aware)
     rng = random.Random(seed)
-    removed = [edge for edge in sorted(g.edges & prunable) if rng.random() < p]
+    # the prunable pairs in sorted order: bit i of tx j's mask is digit i of its reversed binary string
+    bits = ((j, enumerate(bin(mask)[:1:-1])) for j, mask in enumerate(prunable))
+    removed = [(j, i) for j, digits in bits for i, bit in digits if bit == "1" and (j, i) in g.edges and rng.random() < p]
     return _graph(g.n, g.edges.difference(removed), g.weights)
 
 

@@ -28,6 +28,8 @@ from txpar import (
     Transaction,
     ValidationError,
     Workload,
+    build_graph,
+    prune_edges_probabilistic,
 )
 from txpar.occsim import MODE_CLASSIC, MODE_DA, MODE_DET_COMMIT, _finalize
 from txpar.workload import _META_PREFIX
@@ -109,6 +111,14 @@ def oracle_prune(
     rng = random.Random(seed)
     kept = {edge for edge in sorted(g.edges) if edge not in prunable or rng.random() >= p}
     return DependencyGraph(n=g.n, edges=frozenset(kept), weights=g.weights), prunable
+
+
+def edges_only_on(workload: Workload, keys, cadd_aware: bool = False) -> set[tuple[int, int]]:
+    """The library's side of `oracle_prune`'s prunable set: the edges that
+    `prune_edges_probabilistic` removes at p=1 from `build_graph`'s graph,
+    those whose two txs conflict on some of `keys` and on no other key."""
+    g = build_graph(workload, cadd_aware)
+    return set(g.edges - prune_edges_probabilistic(g, workload, keys, 1, cadd_aware=cadd_aware).edges)
 
 
 def all_paths(g: DependencyGraph):

@@ -488,6 +488,22 @@ BAD_INPUTS = {
     "config_format": (["analyze", "--input", "{trace}", "--config", "{json}"], {"format": "x"}, "config 'format'"),
     "config_policy": (["simulate", "--input", "{trace}", "--config", "{json}"], {"policy": "bogus"}, "config 'policy'"),
     "config_cadd_aware": (["probe", "--input", "{trace}", "--config", "{json}"], {"cadd_aware": "no"}, "'cadd_aware'"),
+    "policy_classic": (
+        ["simulate", "--input", "{trace}", "--mode", "occ-classic", "--policy", "minus_one"],
+        None,
+        "--policy is read only by --mode occ-da, got mode occ-classic",
+    ),
+    "policy_det_commit": (
+        ["simulate", "--input", "{trace}", "--config", "{json}", "--policy", "dep_graph"],
+        {"mode": "occ-det-commit"},
+        "--policy is read only by --mode occ-da, got mode occ-det-commit",
+    ),
+    "timeline_csv": (["bound", "--input", "{trace}", "--timeline", "--format", "csv"], None, "only to bound.json"),
+    "timeline_config_csv": (
+        ["bound", "--input", "{trace}", "--timeline", "--config", "{json}"],
+        {"format": "csv"},
+        "only to bound.json",
+    ),
     "simulate_format": (["simulate", "--input", "{trace}", "--format", "csv"], None, "unrecognized arguments: --format csv"),
     "probe_format": (["probe", "--input", "{trace}", "--format", "csv"], None, "unrecognized arguments: --format csv"),
 }

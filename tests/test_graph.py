@@ -23,7 +23,7 @@ from txpar import (
     heaviest_from,
     schedule_graph,
 )
-from txpar.graph import CADD, READ, WRITE, _abort_rule, _accesses, _kind_conflicts, edges_only_on, latest_conflict
+from txpar.graph import CADD, READ, WRITE, _abort_rule, _accesses, _kind_conflicts, _walk, latest_conflict, latest_writer
 from txpar.workload import VALUE_DEPENDENT
 
 from corpus_util import build_corpus
@@ -31,6 +31,7 @@ from oracles import (
     CADD_MODES,
     _aborting_keys,
     _written_in_window,
+    edges_only_on,
     oracle_conflict,
     oracle_critical_weight,
     oracle_edges,
@@ -414,6 +415,53 @@ def test_schedule_graph_matches_build_graph_on_corpus_and_cadd_variants():
         for key in w.meta.get("bottleneck_keys", []):
             if tags.get(key) != VALUE_DEPENDENT:
                 _assert_schedule_graph_matches(cadd_rewrite(w, {StorageKey.parse(key)}))
+
+
+def _kind(tx, key):
+    access = tx.access
+    return READ * (key in access.reads) | WRITE * (key in access.writes) | CADD * (key in access.cadd_keys)
+
+
+def _scanned_pairs(w, rule):
+    """Per tx, the bitset of earlier txs it pairs with under `rule` on some
+    shared key, scanned pair by pair from the access sets."""
+    txs = list(w)
+    out = [0] * len(txs)
+    for later in txs:
+        for earlier in txs[: later.id]:
+            shared = later.access.touched() & earlier.access.touched()
+            if any(rule[_kind(later, key)][_kind(earlier, key)] for key in shared):
+                out[later.id] |= 1 << earlier.id
+    return out
+
+
+def _graph_of(w, bitsets):
+    edges = frozenset((j, i) for j, mask in enumerate(bitsets) for i in range(j) if mask >> i & 1)
+    return DependencyGraph(n=len(w), edges=edges, weights=tuple(tx.gas for tx in w))
+
+
+def _assert_walk_under_the_abort_rule(w):
+    """The walk under the engines' read-after-write rule, which is not
+    symmetric: its full bitsets are the pair scan's, its kept ones reach the
+    same ids, and each tx's highest kept bit is its latest writer."""
+    for cadd_aware in CADD_MODES:
+        rule = _abort_rule(cadd_aware)
+        full, kept = _walk(_accesses(w).values(), len(w), rule)
+        assert full == _scanned_pairs(w, rule), cadd_aware
+        assert all(k & ~f == 0 for k, f in zip(kept, full)), cadd_aware
+        assert _reachable(_graph_of(w, kept)) == _reachable(_graph_of(w, full)), cadd_aware
+        assert tuple(mask.bit_length() - 1 for mask in kept) == latest_writer(w, cadd_aware), cadd_aware
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_walk_under_the_abort_rule_matches_a_pair_scan(seed):
+    _assert_walk_under_the_abort_rule(random_workload(random.Random(seed)))
+
+
+def test_walk_under_the_abort_rule_on_corpus_blocks():
+    for w in build_corpus(12):  # n 27 to 189
+        _assert_walk_under_the_abort_rule(w)
 
 
 def _assert_graph_built_like_public(g):

@@ -33,11 +33,10 @@ from txpar import (
     sub_counter_key,
 )
 
-from txpar.graph import edges_only_on
 from txpar.workload import VALUE_DEPENDENT
 
-from corpus_util import corpus_workload
-from oracles import CADD_MODES, assert_built_like_public, oracle_edges, oracle_prune, random_workload
+from corpus_util import corpus_workload, counter_bottleneck_workload
+from oracles import CADD_MODES, assert_built_like_public, edges_only_on, oracle_edges, oracle_prune, random_workload
 
 
 def _sender_balance_key(w: Workload) -> StorageKey:
@@ -343,6 +342,23 @@ def test_prune_matches_the_annotated_oracle(seed, cadd_aware, steps):
         expected, prunable = oracle_prune(expected, w, targets, p, step_seed, cadd_aware)
         assert g == expected
         assert edges_only_on(w, targets, cadd_aware) == prunable
+
+
+@pytest.mark.parametrize("cadd_aware", CADD_MODES)
+def test_prune_matches_the_annotated_oracle_above_30_ids(cadd_aware):
+    # Blocks of 60 to 120 txs, so the per-tx bitsets span several int digits: three fee-bottleneck blocks, and a
+    # corpus block whose total supply pairs also conflict on a sender's balance, so those pairs are not prunable.
+    blocks = [counter_bottleneck_workload(index)[0] for index in range(3)] + [corpus_workload(12)]
+    for w in blocks:
+        bottlenecks = frozenset(map(StorageKey.parse, w.meta["bottleneck_keys"]))
+        first = frozenset(key for key in bottlenecks if key.slot in ("feeBalance", "totalSupply"))
+        g = expected = build_graph(w, cadd_aware)
+        for seed, (targets, p) in enumerate([(first, Fraction(1, 2)), (bottlenecks, 1)]):
+            g = prune_edges_probabilistic(g, w, targets, p, seed, cadd_aware)
+            expected, prunable = oracle_prune(expected, w, targets, p, seed, cadd_aware)
+            assert g == expected
+            assert edges_only_on(w, targets, cadd_aware) == prunable
+            assert any(i >= 30 for _, i in prunable)
 
 
 def test_prune_keeps_an_edge_a_write_vs_cadd_overlap_also_causes():
