@@ -184,7 +184,7 @@ def _resolve_workloads(args):
 
 def _key_set(raw, workload: Workload) -> frozenset[StorageKey]:
     if raw == "bottleneck":
-        raw = _KEYS("workload meta 'bottleneck_keys'", workload.meta.get("bottleneck_keys") or [])
+        raw = workload.bottleneck_keys
         if not raw:
             raise ValidationError("workload meta carries no bottleneck_keys to target")
     return frozenset(StorageKey.parse(k) for k in ([raw] if isinstance(raw, str) else raw))

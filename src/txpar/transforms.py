@@ -68,12 +68,22 @@ class PartitionSpec:
         return route_hash(attribute) % self.length
 
 
-def _with_meta_note(workload: Workload, txs: tuple[Transaction, ...], note: dict, tags: dict, extra_tags: dict) -> Workload:
-    """`txs` under `workload`'s meta, with `note` appended to its transforms
-    and `extra_tags` merged over `tags`, the `key_tags` the caller read."""
+def _with_meta_note(workload: Workload, txs: tuple[Transaction, ...], note: dict, tags: dict, renamed: dict) -> Workload:
+    """`txs` under `workload`'s meta, with `note` appended to its transforms.
+    `renamed` maps each key the transform replaced to the keys that replace
+    it, in order: each of those takes the replaced key's tag in `tags` (the
+    `key_tags` the caller read), and they stand in its place among the
+    bottleneck keys."""
     meta = dict(workload.meta)
-    if extra_tags:
-        meta["key_tags"] = {**tags, **extra_tags}
+    if renamed:
+        renamed = {str(key): list(map(str, keys)) for key, keys in renamed.items()}
+        new_tags = {new: tags[key] for key, keys in renamed.items() if key in tags for new in keys}
+        if new_tags:
+            meta["key_tags"] = {**tags, **new_tags}
+        bottleneck = workload.bottleneck_keys
+        moved = [new for key in bottleneck for new in renamed.get(key, (key,))]
+        if moved != bottleneck:
+            meta["bottleneck_keys"] = moved
     done = meta.get("transforms", [])
     if type(done) is not list:
         raise ValidationError(f"meta 'transforms' must be a JSON array, got {done!r}")
@@ -127,16 +137,13 @@ def split_senders(
         cadds = [(derived_keys[idx] if key == sender_balance_key else key, delta) for key, delta in access.cadds]
         txs.append(_rewritten(tx, derived_senders[idx], reads, writes, cadds))
 
-    tags = workload.key_tags
-    tag = tags.get(str(sender_balance_key))
-    extra_tags = {str(k): tag for k in derived_keys} if tag is not None else {}
     note = {
         "transform": "split_senders",
         "hot_sender": hot_sender,
         "m": m,
         "sender_balance_key": str(sender_balance_key),
     }
-    return _with_meta_note(workload, tuple(txs), note, tags, extra_tags)
+    return _with_meta_note(workload, tuple(txs), note, workload.key_tags, {sender_balance_key: derived_keys})
 
 
 def partition_counters(workload: Workload, spec: PartitionSpec) -> Workload:
@@ -178,19 +185,14 @@ def partition_counters(workload: Workload, spec: PartitionSpec) -> Workload:
         ]
         txs.append(_rewritten(tx, tx.sender, reads, writes, cadds))
 
-    extra_tags = {}
-    for key in spec.target_keys:
-        tag = tags.get(str(key))
-        if tag is not None:
-            for j in range(spec.length):
-                extra_tags[str(sub_counter_key(key, j))] = tag
+    renamed = {key: [sub_counter_key(key, j) for j in range(spec.length)] for key in spec.target_keys}
     note = {
         "transform": "partition_counters",
         "target_keys": sorted(str(k) for k in spec.target_keys),
         "length": spec.length,
         "routing": spec.routing,
     }
-    return _with_meta_note(workload, tuple(txs), note, tags, extra_tags)
+    return _with_meta_note(workload, tuple(txs), note, tags, renamed)
 
 
 def probability(name: str, value) -> float:

@@ -207,6 +207,17 @@ class Workload:
                 raise ValidationError(f"meta 'key_tags': key {key!r} has tag {tag!r}, not an integer or {VALUE_DEPENDENT!r}")
         return tags
 
+    @property
+    def bottleneck_keys(self) -> list[str]:
+        """The shared counter keys a block names as its bottleneck, as canonical key strings: meta's one key
+        string or list of them, or [] when meta names none."""
+        keys = self.meta.get("bottleneck_keys") or []
+        if type(keys) is str:
+            return [keys]
+        if type(keys) is not list or any(type(key) is not str for key in keys):
+            raise ValidationError(f"meta 'bottleneck_keys' must be a storage key or a list of them, got {keys!r}")
+        return keys
+
     def serial_gas(self) -> int:
         return sum(tx.gas for tx in self.transactions)
 
@@ -539,6 +550,14 @@ def _preamble(pattern: str, seed, gas, instance: int):
 # sender the namespace plus a counter, and gas comes from `_gas_draw`.
 
 
+def _generated(txs: list, pattern: str, seed: int, n: int, tags: dict, bottleneck: list, **params) -> Workload:
+    """The generated block of `txs`, trusted, under the one meta schema every
+    generator writes: its pattern, seed and n, its own params other than gas,
+    its key tags and its bottleneck keys."""
+    meta = {"pattern": pattern, "seed": seed, "n": n, **params, "key_tags": tags, "bottleneck_keys": bottleneck}
+    return _workload(tuple(txs), meta)
+
+
 def gen_payments(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Workload:
     """n independent value transfers: every tx touches its own pair of balance keys."""
     _check_int("n", n, 1)
@@ -553,8 +572,7 @@ def gen_payments(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Work
         tags[f"{contract}:{dst}"] = 1
         keys = frozenset({_key((contract, src)), _key((contract, dst))})
         txs.append(_transaction(i, sender, draw_gas(), _access(keys, keys)))
-    meta = {"pattern": "payments", "seed": seed, "n": n, "key_tags": tags, "bottleneck_keys": []}
-    return _workload(tuple(txs), meta)
+    return _generated(txs, "payments", seed, n, tags, [])
 
 
 def gen_token_distribution(
@@ -601,16 +619,8 @@ def gen_token_distribution(
             keys.add(supply)
         keys = frozenset(keys)
         txs.append(_transaction(i, f"s{ns}-{j}", draw_gas(), _access(keys, keys)))
-    meta = {
-        "pattern": "token_distribution",
-        "seed": seed,
-        "n": n,
-        "senders": senders,
-        "track_total_supply": track_total_supply,
-        "key_tags": tags,
-        "bottleneck_keys": bottleneck,
-    }
-    return _workload(tuple(txs), meta)
+    params = {"senders": senders, "track_total_supply": track_total_supply}
+    return _generated(txs, "token_distribution", seed, n, tags, bottleneck, **params)
 
 
 def gen_defi_fee(n: int, traders: int = 1, seed: int = 0, *, gas=None, _instance: int = 0) -> Workload:
@@ -633,15 +643,7 @@ def gen_defi_fee(n: int, traders: int = 1, seed: int = 0, *, gas=None, _instance
         tags[f"{contract}:{taker}"] = 1
         keys = frozenset({fee, _key((contract, maker)), _key((contract, taker))})
         txs.append(_transaction(i, trader, draw_gas(), _access(keys, keys)))
-    meta = {
-        "pattern": "defi_fee",
-        "seed": seed,
-        "n": n,
-        "traders": traders,
-        "key_tags": tags,
-        "bottleneck_keys": [str(fee)],
-    }
-    return _workload(tuple(txs), meta)
+    return _generated(txs, "defi_fee", seed, n, tags, [str(fee)], traders=traders)
 
 
 def gen_nft_mint(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Workload:
@@ -658,14 +660,7 @@ def gen_nft_mint(n: int, seed: int = 0, *, gas=None, _instance: int = 0) -> Work
         _transaction(i, f"u{ns}-{i}", draw_gas(), _access(reads, frozenset({length, _key((contract, f"items.{i}"))})))
         for i in range(n)
     ]
-    meta = {
-        "pattern": "nft_mint",
-        "seed": seed,
-        "n": n,
-        "key_tags": {str(length): VALUE_DEPENDENT},
-        "bottleneck_keys": [str(length)],
-    }
-    return _workload(tuple(txs), meta)
+    return _generated(txs, "nft_mint", seed, n, {str(length): VALUE_DEPENDENT}, [str(length)])
 
 
 GENERATORS = {
@@ -738,17 +733,10 @@ def gen_mixed(spec: list[tuple[str, dict, float]], n: int, seed: int = 0) -> Wor
 
     rng.shuffle(combined)
     # Renumber in the shuffled order: each tx keeps its checked fields.
-    txs = tuple([_transaction(pos, tx.sender, tx.gas, tx.access) for pos, tx in enumerate(combined)])
-    meta = {
-        "pattern": "mixed",
-        "seed": seed,
-        "n": n,
-        # A gas range given as a tuple is kept as the list JSON reads back.
-        "spec": [
-            [pattern, {name: list(v) if type(v) is tuple else v for name, v in params.items()}, weight]
-            for pattern, params, weight in spec
-        ],
-        "key_tags": merged_tags,
-        "bottleneck_keys": bottleneck,
-    }
-    return _workload(txs, meta)
+    txs = [_transaction(pos, tx.sender, tx.gas, tx.access) for pos, tx in enumerate(combined)]
+    # A gas range given as a tuple is kept as the list JSON reads back.
+    spec = [
+        [pattern, {name: list(v) if type(v) is tuple else v for name, v in params.items()}, weight]
+        for pattern, params, weight in spec
+    ]
+    return _generated(txs, "mixed", seed, n, merged_tags, bottleneck, spec=spec)

@@ -364,6 +364,8 @@ CADD_REWRITE = {"transform": "cadd_rewrite", "target_keys": "bottleneck"}
 PARTITION = {"transform": "partition_counters", "target_keys": "bottleneck", "length": 2}
 #: The defi_fee trace's bottleneck key: its fee account.
 FEE_KEY = "dex38132760:feeBalance"
+PARTITION_FEE = {**PARTITION, "target_keys": FEE_KEY}
+_BAD_BOTTLENECK = "meta 'bottleneck_keys' must be a storage key or a list of them"
 
 #: (meta field, its malformed value, command, chain step, text the error must contain) for a trace whose meta
 #: line carries that value.
@@ -371,6 +373,10 @@ BAD_META = {
     "key_tags_cadd_rewrite": ("key_tags", [1], "transform", CADD_REWRITE, "meta 'key_tags' must be a JSON"),
     "key_tags_partition": ("key_tags", [1], "analyze", PARTITION, "meta 'key_tags' must be a JSON"),
     "transforms_not_array": ("transforms", 5, "transform", CADD_REWRITE, "meta 'transforms' must be a JSON"),
+    "bottleneck_keys_cadd_rewrite": ("bottleneck_keys", 5, "transform", CADD_REWRITE, _BAD_BOTTLENECK),
+    "bottleneck_keys_partition": ("bottleneck_keys", [FEE_KEY, 3], "analyze", PARTITION, _BAD_BOTTLENECK),
+    # a renaming step reads the field to rename in it, even when its targets are given
+    "bottleneck_keys_partition_fee": ("bottleneck_keys", {FEE_KEY: 1}, "transform", PARTITION_FEE, _BAD_BOTTLENECK),
 }
 for _name, _tag in {"bool": True, "float": 2.5, "string": "x", "list": [1], "null": None}.items():
     BAD_META[f"key_tag_{_name}_cadd_rewrite"] = ("key_tags", {FEE_KEY: _tag}, "transform", CADD_REWRITE, repr(FEE_KEY))
@@ -636,8 +642,10 @@ def test_a_chain_applies_in_the_order_written(tmp_path, capsys):
     chain.write_text(json.dumps([PARTITION, prune]))
     argv = ["analyze", "--input", str(trace), "--transforms", str(chain), "--threads", "2,4"]
     assert run(argv + ["--out", str(tmp_path / "ok")]) == 0
-    digest = hashlib.sha256((tmp_path / "ok" / "analyze.json").read_bytes()).hexdigest()
-    assert digest == "c83f78d852fc80222fdb0ef7aafdf4408c8d8b4bf0a6cad5f797a4b475ab6289"
+    report = (tmp_path / "ok" / "analyze.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == "ff5027e5aa446681d9ce0e0b86179257b7800055d7746d8829a8db9e09db1f45"
+    # the prune targets the fee key's sub-counters, the bottleneck keys as the partition left them
+    assert json.loads(report)[0]["edges"] == 0
 
     # a workload step after a prune is refused before any input is read
     chain.write_text(json.dumps([prune, PARTITION]))

@@ -5,8 +5,10 @@ and hashes every file they write. The digests were recorded from the CLI
 as it was before its settings, transform steps and per-command pipelines
 were merged into one of each; `simulate_classic_hot`, whose `runs.json`
 holds thousands of abort triples, was recorded before `report.render_json`
-stopped calling `json.dumps`. Any change to them is a change to the
-output bytes.
+stopped calling `json.dumps`. `analyze_csv_split_cadd`,
+`transform_partition` and `transform_split_cadd` were recorded again when
+a transform began to put a replaced key's replacements in its place among
+the bottleneck keys. Any change to them is a change to the output bytes.
 """
 
 import hashlib
@@ -131,7 +133,7 @@ GOLDEN = {
     "analyze_config": "018e1d6f0330cc23781d60571002e70a08dadafacd9038258dbd7a92f7fb8501",
     "analyze_csv_partition": "7511b0201cfcf56dd3b22cc0ff214f48b6cad5282e262d3a6bbc6eb76c9108dd",
     "analyze_csv_prune": "c8c142e062257506ccde1d35c9ff167c3f0043a72c7e3d816250bfc521c9ab34",
-    "analyze_csv_split_cadd": "7a3466009483f29f21cc323e2a315278cef38c16193f3e8d7e11118ef89768f4",
+    "analyze_csv_split_cadd": "c377b0f34cbbf5d9558018c11f539a5488d8b0359839fe03b58621469bc4ffe8",
     "bound_config_flag_beats_config": "eeb2e14fd170208f6c7ef41759f7d5811c1c5fb67c882511d7f602311e1aaf8f",
     "bound_prune_json": "2d1d837bb9adb383dc4691c07ac50ed0f56b399ffb435be0e274d3614778dc03",
     "bound_timeline_both": "8c5b08951ca1336e03b8e809f2f7ebf2d4d3b4f32bb67a622ec1dd839eeda97d",
@@ -145,8 +147,8 @@ GOLDEN = {
     "simulate_events_da_dep_graph_prune": "454020101f22f5263219c7366c4710226ae34e63eed2e9005536854f13f9b226",
     "simulate_events_det_commit": "5d8090e22576332377d2616abc211358ad261ca3dc99a649b122252c4ef64309",
     "simulate_gen_inline": "318b3a619970939231f8468fe9c355be10b6be2ea4e51b26b29284d1e67ef27e",
-    "transform_partition": "54e5115fe4f7cb8eba72519299d37462dc9fb52ab0f0ec273d432006b225ef2c",
-    "transform_split_cadd": "8ea51ec7cf6cfe6bafdaf1de6fee7d691f880d0bf99e61cbbcd1d285a4aab4af",
+    "transform_partition": "f46e1848228cf86537acfd9f3c4108f18b189c26dd01a665cf516051d6f9f9fd",
+    "transform_split_cadd": "ee5a4ca56b21d9edfeb2ae5c08957af71bfdc30945addd51e78f7ffe8b3c88f6",
 }
 
 

@@ -1,6 +1,7 @@
 """OCC scheduler tests: the three determinism levels, the deterministic-abort
 invariant, and serial equivalence."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -527,6 +528,73 @@ def test_probe_equals_the_closed_form_occ_da_outcomes():
             for policy in (SvPolicy.minus_one(), SvPolicy.from_workload(w, cadd_aware)):
                 probe = determinism_probe(w, threads, policy, trials=2, seed=index, cadd_aware=cadd_aware)
                 assert probe.da_patterns == (oracle_occ_da_outcomes(w, policy, cadd_aware),), (index, cadd_aware)
+
+
+class _WideTiming(Timing):
+    """Seeded timing far outside `JitterTiming`'s band: each attempt takes from 1 to 20 x its gas, drawn below a
+    cap of 1, gas or 20 x gas, and draws its tie-break from four values, so that completions often tie."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+
+    def draw(self, tx_id, attempt, gas):
+        rng = self._rng
+        return rng.randint(1, rng.choice((1, gas, 20 * gas))), rng.randrange(4)
+
+
+def _most_in_flight(result) -> int:
+    """The most attempts of `result` running at one instant; an attempt runs over [start, end)."""
+    ends_first = sorted([(a.end, -1) for a in result.attempts] + [(a.start, 1) for a in result.attempts])
+    return max(itertools.accumulate(step for _, step in ends_first), default=0)
+
+
+def _assert_in_order_runs_hold(w, timings, seed, thread_counts=(1, 2, 3, 8)):
+    """Run occ-da (minus_one, the workload's table and a random one) and det-commit on `w` in both cadd modes at
+    each thread count, with a fresh timing from each factory in `timings`: every occ-da run gives the closed-form
+    outcome multiset, every run replays to the serial digest, and none has more attempts in flight than threads."""
+    rng = random.Random(seed)
+    random_table = SvPolicy(tuple(rng.randint(-1, tx.id - 1) for tx in w))
+    for cadd_aware in (False, True):
+        for policy in (SvPolicy.minus_one(), SvPolicy.from_workload(w, cadd_aware), random_table, None):
+            expected = policy and oracle_occ_da_outcomes(w, policy, cadd_aware)
+            for timing, threads in itertools.product(timings, thread_counts):
+                if policy is None:
+                    result = run_occ_det_commit(w, threads, cadd_aware, timing=timing())
+                else:
+                    result = run_occ_da(w, threads, policy, cadd_aware, timing=timing())
+                    assert result.outcome_multiset() == expected, (policy.variant, cadd_aware, threads)
+                assert replay_check(w, result), (policy and policy.variant, cadd_aware, threads)
+                assert _most_in_flight(result) <= threads
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 2**32))
+def test_in_order_engines_hold_under_wide_timing(block_seed, timing_seed):
+    w = random_workload(random.Random(block_seed))
+    _assert_in_order_runs_hold(w, [lambda: _WideTiming(timing_seed)], timing_seed)
+
+
+#: One tx's accesses over two keys: a read, a blind write, a read-modify-write, a cadd, and two that touch both.
+_TINY_SHAPES = [
+    {"reads": {K}},
+    {"writes": {K}},
+    {"reads": {K}, "writes": {K}},
+    {"cadds": [(K, 1)]},
+    {"reads": {K}, "writes": {L}},
+    {"reads": {L}, "cadds": [(K, 2)]},
+]
+
+
+def test_in_order_engines_hold_under_every_small_timing_of_tiny_blocks():
+    # Every per-tx duration in {1, 2, 3} on blocks of up to 4 txs: durations this small tie often.
+    rng = random.Random(5)
+    blocks = [four_tx_example(), chain_workload(3)]
+    for n in (2, 3, 3, 4, 4, 4, 4, 4, 4):
+        txs = [_tx(i, rng.randint(1, 3), **rng.choice(_TINY_SHAPES)) for i in range(n)]
+        blocks.append(Workload(transactions=tuple(txs)))
+    for seed, w in enumerate(blocks):
+        durations = itertools.product((1, 2, 3), repeat=len(w))
+        _assert_in_order_runs_hold(w, [lambda d=d: FixedTiming(dict(enumerate(d))) for d in durations], seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7_000_021, 2**40 + 3])

@@ -623,3 +623,54 @@ def test_transforms_read_the_key_tags_once(monkeypatch, transform):
     with pytest.raises(ValidationError, match="meta 'key_tags': key 'c:x' has tag 'x'"):
         transform(bad, keys)
     assert reads == [bad]
+
+
+# ---------------------------------------------------------------------------
+# Metadata follows renames: the keys that replace a key take its tag and its
+# place among the bottleneck keys
+# ---------------------------------------------------------------------------
+
+
+def test_partition_counters_puts_the_sub_counters_in_the_fee_keys_place():
+    w = gen_defi_fee(12, traders=12, seed=3)
+    fee = _fee_key(w)
+    out = partition_counters(w, PartitionSpec(frozenset({fee}), 3))
+    subs = [str(sub_counter_key(fee, j)) for j in range(3)]
+    assert out.meta["bottleneck_keys"] == subs
+    assert all(out.meta["key_tags"][key] == w.key_tags[str(fee)] for key in subs)
+
+
+def test_split_senders_puts_the_derived_balances_in_the_sender_keys_place():
+    w = gen_token_distribution(12, senders=1, track_total_supply=True, seed=2)
+    balance, supply = w.meta["bottleneck_keys"]
+    out = split_senders(w, w[0].sender, 3, StorageKey.parse(balance))
+    assert out.meta["bottleneck_keys"] == [f"{balance}#{j}" for j in range(3)] + [supply]
+    assert set(out.meta["bottleneck_keys"]) <= {str(key) for tx in out for key in tx.access.touched()}
+    assert all(out.meta["key_tags"][f"{balance}#{j}"] == w.key_tags[balance] for j in range(3))
+
+
+def test_cadd_rewrite_after_a_split_reaches_the_derived_balances():
+    w = gen_token_distribution(12, senders=1, seed=2)
+    split = split_senders(w, w[0].sender, 3, _sender_balance_key(w))
+    out = cadd_rewrite(split, {StorageKey.parse(key) for key in split.meta["bottleneck_keys"]})
+    assert out.meta["bottleneck_keys"] == split.meta["bottleneck_keys"]  # cadd_rewrite renames nothing
+    assert all(len(tx.access.cadds) == 1 and len(tx.access.writes) == 1 for tx in out)
+
+
+@pytest.mark.parametrize("bad", [5, {"c:a": 1}, ["c:a", 3]])
+@pytest.mark.parametrize(
+    "transform",
+    [
+        lambda w, key: split_senders(w, w[0].sender, 2, key),
+        lambda w, key: partition_counters(w, PartitionSpec(frozenset({key}), 2)),
+    ],
+    ids=["split_senders", "partition_counters"],
+)
+def test_a_renaming_transform_refuses_malformed_bottleneck_keys(transform, bad):
+    w = gen_token_distribution(4, senders=1, seed=0)
+    key = _sender_balance_key(w)
+    bad_w = Workload(transactions=w.transactions, meta={**w.meta, "bottleneck_keys": bad})
+    with pytest.raises(ValidationError, match=f"meta 'bottleneck_keys' must be .*, got {re.escape(repr(bad))}$"):
+        transform(bad_w, key)
+    one = Workload(transactions=w.transactions, meta={**w.meta, "bottleneck_keys": str(key)})  # one key string
+    assert transform(one, key).meta["bottleneck_keys"] == transform(w, key).meta["bottleneck_keys"]

@@ -1,5 +1,6 @@
 """Trace format and synthetic generator tests."""
 
+import inspect
 import json
 import random
 import re
@@ -653,3 +654,42 @@ def test_generators_refuse_a_gas_below_one(gas):
     for make in (gen_payments, gen_nft_mint, gen_defi_fee, gen_token_distribution):
         with pytest.raises(ValidationError, match="gas must be an integer or a .* all >= 1"):
             make(3, gas=gas)
+
+
+#: (generator, args, kwargs) for each generator; the `gen_mixed` spec's nft_mint entry gets no tx.
+_SCHEMA_CASES = {
+    "payments": (gen_payments, (5,), {"seed": 1}),
+    "token_distribution": (gen_token_distribution, (6,), {"senders": 2, "track_total_supply": True, "gas": 7}),
+    "defi_fee": (gen_defi_fee, (6,), {"traders": 3, "seed": 2}),
+    "nft_mint": (gen_nft_mint, (4,), {"gas": (1, 3)}),
+    "mixed": (gen_mixed, ([("payments", {}, 100), ("nft_mint", {}, 1)], 2), {"seed": 4}),
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(_SCHEMA_CASES))
+def test_every_generator_writes_one_meta_schema(pattern):
+    make, args, kwargs = _SCHEMA_CASES[pattern]
+    w = make(*args, **kwargs)
+    call = inspect.signature(make).bind(*args, **kwargs)
+    call.apply_defaults()
+    # a generator's own params, as `generator_params` reads them, less gas
+    params = set(inspect.signature(make).parameters) - {"n", "seed", "_instance", "gas"}
+    assert set(w.meta) == {"pattern", "seed", "n", "key_tags", "bottleneck_keys"} | params
+    assert (w.meta["pattern"], w.meta["seed"], w.meta["n"]) == (pattern, call.arguments["seed"], len(w))
+    given = {name: call.arguments[name] for name in params}
+    assert {name: w.meta[name] for name in params} == json.loads(json.dumps(given))  # a tuple reads back a list
+    assert set(w.meta["bottleneck_keys"]) <= set(w.meta["key_tags"])
+    if pattern == "mixed":
+        assert len(w) == 2 and all(tx.sender.startswith("p") for tx in w)  # the nft_mint entry got no tx
+
+
+@pytest.mark.parametrize("value, keys", [(None, []), ([], []), ("c:a", ["c:a"]), (["c:a", "c:b"], ["c:a", "c:b"])])
+def test_bottleneck_keys_reads_one_key_or_a_list_of_them(value, keys):
+    meta = {} if value is None else {"bottleneck_keys": value}
+    assert Workload(meta=meta).bottleneck_keys == keys
+
+
+@pytest.mark.parametrize("value", [5, {"c:a": 1}, ["c:a", 3], [["c:a"]]])
+def test_bottleneck_keys_refuses_anything_else_and_names_the_field(value):
+    with pytest.raises(ValidationError, match=f"meta 'bottleneck_keys' must be .*, got {re.escape(repr(value))}$"):
+        Workload(meta={"bottleneck_keys": value}).bottleneck_keys
