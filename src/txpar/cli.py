@@ -67,11 +67,14 @@ def _is_strings(value) -> bool:
     return type(value) is list and all(type(s) is str for s in value)
 
 
-def _refuse_unread(what: str, obj: dict, fields) -> None:
-    """Refuse the first field of `obj` that is not in `fields`, the ones that `what` reads."""
+def _refuse_unread(what: str, obj: dict, fields, required=()) -> None:
+    """Refuse the first field of `obj` not in `fields`, the ones `what` reads, then the first `required` it lacks."""
     for name, value in obj.items():
         if name not in fields:
             raise ValidationError(f"{what} reads no field {name!r}, got {value!r}")
+    for name in required:
+        if name not in obj:
+            raise ValidationError(f"{what} needs a {name!r} field")
 
 
 def _thread_counts(name: str, raw) -> tuple[int, ...]:
@@ -104,6 +107,7 @@ _SETTINGS = {
     "trials": (20, _INT),
     "threads": ((32,), _thread_counts),
 }
+_CONFIG_KEYS = (*_SETTINGS, "input", "transforms")  # a command ignores the settings it has no flag for
 
 
 def _resolve_settings(args) -> None:
@@ -144,17 +148,16 @@ _GENERATOR_FLAGS = ("senders", "traders", "track_total_supply", "gas")
 
 def _generator_workloads(spec):
     """Check a generator spec's fields, count and seed; return an iterator over its (label, workload) blocks, each
-    generated in its turn. A spec holds only the fields its pattern reads: pattern, n, count, seed, and spec for
-    "mixed" or params for any other pattern. The generator checks n and its param values, and gen_mixed a mixed
+    generated in its turn. A spec holds only the fields its pattern reads: pattern, n, count, seed, and spec, which
+    "mixed" needs, or params for any other pattern. The generator checks n and its param values, and gen_mixed a mixed
     spec's entries and weights, when the first block is generated, before any output is written."""
     pattern = _OBJECT("generator spec", spec).get("pattern")
-    extra = "spec" if pattern == "mixed" else "params"
-    _refuse_unread(f"generator spec of pattern {pattern!r}", spec, ("pattern", "n", "count", "seed", extra))
+    mixed = pattern == "mixed"
+    fields = ("pattern", "n", "count", "seed", "spec" if mixed else "params")
+    _refuse_unread(f"generator spec of pattern {pattern!r}", spec, fields, ("spec",) if mixed else ())
     count = _POSITIVE("generator 'count'", spec.get("count", 1))
     seed = _INT("generator 'seed'", spec.get("seed", 0))
-    if pattern == "mixed":
-        if "spec" not in spec:
-            raise ValidationError("pattern 'mixed' needs its entries: a 'spec' field, or generate's --mixed-spec FILE")
+    if mixed:
         generate = functools.partial(gen_mixed, spec["spec"], spec.get("n"))
     else:
         params = generator_params(pattern, spec.get("params"))
@@ -170,7 +173,8 @@ def _resolve_workloads(args):
     inputs = args.input
     if not inputs:
         config_input = _OBJECT("config 'input'", args.config_data.get("input", {}))
-        if len(config_input) > 1 or config_input.keys() - {"trace", "traces", "generator"}:
+        _refuse_unread("config 'input'", config_input, ("trace", "traces", "generator"))
+        if len(config_input) > 1:
             sources = "one of 'trace', 'traces' and 'generator'"
             raise ValidationError(f"config 'input' must hold {sources}, got {list(config_input)}")
         if "generator" in config_input:
@@ -195,24 +199,18 @@ def _partition_counters(workload: Workload, step: dict) -> Workload:
     return partition_counters(workload, spec)
 
 
-def _prune_edges(graph: DependencyGraph, workload: Workload, step: dict, args) -> DependencyGraph:
-    keys = _key_set(step["target_keys"], workload)
-    return prune_edges_probabilistic(graph, workload, keys, step["p"], step.get("seed", args.seed), args.cadd_aware)
-
-
-#: Each step kind: the parsers of its required fields, and how it rewrites the workload. prune_edges rewrites
-#: none: it prunes the dependency graph that `_graph` schedules on, after the chain's workload steps.
+#: Each step kind: the parsers of its required and of its optional fields (it carries no other but `transform`), and
+#: how it rewrites the workload. prune_edges rewrites none: it prunes the graph that `_graph` schedules on, last.
 _STEPS = {
     "split_senders": (
         {"hot_sender": _STR, "m": _INT, "sender_balance_key": _STR},
+        {},
         lambda w, step: split_senders(w, step["hot_sender"], step["m"], StorageKey.parse(step["sender_balance_key"])),
     ),
-    "partition_counters": ({"target_keys": _KEYS, "length": _INT}, _partition_counters),
-    "cadd_rewrite": ({"target_keys": _KEYS}, lambda w, step: cadd_rewrite(w, _key_set(step["target_keys"], w))),
-    "prune_edges": ({"target_keys": _KEYS, "p": probability}, None),
+    "partition_counters": ({"target_keys": _KEYS, "length": _INT}, {"routing": _STR}, _partition_counters),
+    "cadd_rewrite": ({"target_keys": _KEYS}, {}, lambda w, step: cadd_rewrite(w, _key_set(step["target_keys"], w))),
+    "prune_edges": ({"target_keys": _KEYS, "p": probability}, {"seed": _INT}, None),
 }
-#: The optional fields of each step kind that has any: a step carries no others but its required ones.
-_OPTIONAL_STEP_FIELDS = {"partition_counters": {"routing": _STR}, "prune_edges": {"seed": _INT}}
 
 
 def _schedules_on_graph(args) -> bool:
@@ -235,14 +233,11 @@ def _load_chain(args) -> tuple[list[dict], list[dict]]:
         kind = step.get("transform") if type(step) is dict else None
         if type(kind) is not str or kind not in _STEPS:
             raise ValidationError(f"unknown transform {kind!r}")
-        required = _STEPS[kind][0]
-        fields = {"transform": _STR, **required, **_OPTIONAL_STEP_FIELDS.get(kind, {})}
-        _refuse_unread(f"transform step {kind!r}", step, fields)
+        required, optional, _ = _STEPS[kind]
+        fields = {"transform": _STR, **required, **optional}
+        _refuse_unread(f"transform step {kind!r}", step, fields, required)
         for name, value in step.items():
             fields[name](f"transform step {kind!r} field {name!r}", value)
-        for name in required:
-            if name not in step:
-                raise ValidationError(f"transform step {kind!r} needs a {name!r} field")
         if kind == "prune_edges":
             prunes.append(step)
         elif prunes:
@@ -259,7 +254,7 @@ def _load_chain(args) -> tuple[list[dict], list[dict]]:
 
 def _rewrite(workload: Workload, steps: list[dict]) -> Workload:
     for step in steps:
-        workload = _STEPS[step["transform"]][1](workload, step)
+        workload = _STEPS[step["transform"]][2](workload, step)
     return workload
 
 
@@ -270,7 +265,8 @@ def _graph(workload: Workload, args) -> tuple[DependencyGraph, int]:
         return schedule_graph(workload, args.cadd_aware)
     graph = build_graph(workload, args.cadd_aware)
     for step in args.prunes:
-        graph = _prune_edges(graph, workload, step, args)
+        keys = _key_set(step["target_keys"], workload)
+        graph = prune_edges_probabilistic(graph, workload, keys, step["p"], step.get("seed", args.seed), args.cadd_aware)
     return graph, len(graph.edges)
 
 
@@ -305,6 +301,8 @@ def cmd_generate(args) -> int:
         spec["params"] = params
     if args.mixed_spec is not None:
         spec["spec"] = _load_json_file(args.mixed_spec)
+    elif args.pattern == "mixed" and not params:  # the spec's field check refuses a param flag first
+        raise ValidationError("--pattern mixed needs its entries: --mixed-spec FILE")
     # one block is written to --out itself, several into it as a directory, each as soon as it is generated
     for label, workload in _generator_workloads(spec):
         path = args.out if args.count == 1 else args.out / f"{label}.trace"
@@ -586,6 +584,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         config = getattr(args, "config", None)
         args.config_data = _OBJECT(config, _load_json_file(config)) if config else {}
+        _refuse_unread(f"config {config}", args.config_data, _CONFIG_KEYS)
         _resolve_settings(args)
         args.rewrites, args.prunes = _load_chain(args)
         return args.func(args)

@@ -225,9 +225,9 @@ def _run_in_order(
     threads: int,
     policy: SvPolicy | None,
     cadd_aware: bool,
-    timing: Timing,
+    timing: Timing | None,
 ) -> OccRunResult:
-    """Shared engine for the two in-order-commit modes.
+    """Shared engine for the two in-order-commit modes; no timing means pure gas.
 
     With a policy, a first attempt waits until its assigned storage version
     has committed. Without one (det-commit), every first attempt is ready
@@ -240,6 +240,10 @@ def _run_in_order(
     until its storage version commits costs O(log n) more.
     """
     _check_int("threads", threads, 1)
+    if timing is None:
+        timing = Timing()
+    elif not isinstance(timing, Timing):
+        raise ValidationError(f"timing must be a Timing, got {timing!r}")
     n = len(workload)
     mode = MODE_DA if policy is not None else MODE_DET_COMMIT
     policy_name = policy.variant if policy is not None else "runtime"
@@ -349,13 +353,11 @@ def run_occ_da(
     """OCC with deterministic aborts: storage versions fixed per (tx,
     attempt) before execution, so the commit/abort outcome of every attempt
     is independent of execution timing."""
-    return _run_in_order(
-        workload,
-        threads,
-        policy if policy is not None else SvPolicy.minus_one(),
-        cadd_aware,
-        timing or Timing(),
-    )
+    if policy is None:
+        policy = SvPolicy.minus_one()
+    elif not isinstance(policy, SvPolicy):
+        raise ValidationError(f"policy must be an SvPolicy, got {policy!r}")
+    return _run_in_order(workload, threads, policy, cadd_aware, timing)
 
 
 def run_occ_det_commit(
@@ -368,7 +370,7 @@ def run_occ_det_commit(
     """OCC with deterministic commit order only: commits follow block order,
     but each dispatch snapshots the highest committed id at that moment, so
     abort patterns vary with timing."""
-    return _run_in_order(workload, threads, None, cadd_aware, timing or Timing())
+    return _run_in_order(workload, threads, None, cadd_aware, timing)
 
 
 def run_occ_classic(

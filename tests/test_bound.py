@@ -143,6 +143,12 @@ def test_speedup_histogram_rejects_non_finite_edges(edges):
         speedup_histogram([1.5], edges)
 
 
+@pytest.mark.parametrize("edges", [(), (2.0, 1.0)], ids=["none", "unsorted"])
+def test_speedup_histogram_rejects_empty_or_unsorted_edges(edges):
+    with pytest.raises(ValidationError, match="sorted and non-empty"):
+        speedup_histogram([1.5], edges)
+
+
 def test_cadd_awareness_never_hurts_the_bound():
     # Rewrite the counter keys into commutative adds first; only then do the
     # two conflict modes actually disagree.

@@ -462,6 +462,16 @@ BAD_INPUTS = {
         [{**CADD, "seed": 1}],
         "'cadd_rewrite' reads no field 'seed'",
     ),
+    "chain_bottleneck_payments": (
+        ["analyze", "--input", "{trace}", "--transforms", "{json}"],
+        [CADD],
+        "carries no bottleneck_keys to target",
+    ),
+    "chain_not_an_array": (
+        ["analyze", "--input", "{trace}", "--transforms", "{json}"],
+        CADD,
+        "transform chain must be a JSON array",
+    ),
     "chain_rooting": (
         ["analyze", "--input", "{trace}", "--transforms", "{json}"],
         [{**PARTITION, "rooting": "tx_id"}],
@@ -476,7 +486,12 @@ BAD_INPUTS = {
     "config_input_typo": (
         ["analyze", "--config", "{json}"],
         {"input": {"trace": "w.trace", "generater": {**MIXED, "spec": MIX}}},
-        "got ['trace', 'generater']",
+        "config 'input' reads no field 'generater'",
+    ),
+    "config_key_typo": (  # refused before the input, which does not exist, is read
+        ["analyze", "--input", "missing.trace", "--config", "{json}"],
+        {"threds": [2]},
+        "payload.json reads no field 'threds', got [2]",
     ),
     "simulate_threads_8_8": (["simulate", "--input", "{trace}", "--threads", "8,8"], None, "--threads repeats"),
     "analyze_threads_8_8": (
@@ -488,6 +503,8 @@ BAD_INPUTS = {
     "buckets_flag": (["histogram", "--input", "{rows}", "--buckets", "x"], None, "--buckets must be"),
     "buckets_nan": (["histogram", "--input", "{rows}", "--buckets", "nan,1"], None, "--buckets must be"),
     "buckets_inf": (["histogram", "--input", "{rows}", "--buckets=-inf,0"], None, "--buckets must be"),
+    "histogram_object": (["histogram", "--input", "{json}"], {"speedup": 1.5}, "payload.json: expected a JSON array"),
+    "histogram_no_rows": (["histogram", "--input", "{json}"], [], "no result rows to bucket"),
     "config_seed": (["simulate", "--input", "{trace}", "--config", "{json}"], {"seed": "x"}, "config 'seed' must be"),
     "config_input": (["analyze", "--config", "{json}"], {"input": 0}, "config 'input' must be"),
     "config_threads": (["bound", "--input", "{trace}", "--config", "{json}"], {"threads": 1.5}, "config 'threads'"),

@@ -227,6 +227,7 @@ configs = st.fixed_dictionaries(
         "cadd_aware": maybe(st.booleans()),
         "out": st.sampled_from(["<out>", 0, [], "bad\0path", True]),
         "transforms": chains,
+        "threds": json_values,  # a key no command reads
     },
 )
 

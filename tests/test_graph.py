@@ -156,6 +156,7 @@ def test_constructor_refuses_non_integer_ids_and_weights(n, edges, weights):
         {"n": 2, "weights": [1, 1.5], "edges": []},
         {"n": 2, "weights": [1, 1], "edges": [[1.7, 0]]},
         {"n": 2, "weights": [1, 1], "edges": [[1, False]]},
+        {"n": 2, "weights": [1], "edges": []},
     ],
     ids=[
         "n_not_an_int",
@@ -168,6 +169,7 @@ def test_constructor_refuses_non_integer_ids_and_weights(n, edges, weights):
         "weight_float",
         "edge_end_float",
         "edge_end_bool",
+        "weight_count",
     ],
 )
 def test_malformed_graph_json_is_a_validation_error(data):
@@ -188,6 +190,11 @@ def test_constructor_keeps_frozen_inputs_and_freezes_the_rest():
     g = DependencyGraph(n=2, edges={(1, 0)}, weights=[3, 1])
     assert (g.edges, g.weights) == (edges, weights)
     assert (type(g.edges), type(g.weights)) == (frozenset, tuple)
+
+
+def test_critical_path_of_an_empty_graph_is_empty():
+    report = critical_path(DependencyGraph(n=0, edges=frozenset(), weights=()))
+    assert (report.critical_weight, report.critical_path, report.total_weight) == (0, (), 0)
 
 
 def test_critical_path_no_edges_max_vertex():

@@ -245,6 +245,21 @@ def test_engines_reject_non_positive_durations(duration):
         run_occ_det_commit(w, 2, timing=_ConstantTiming(duration))
 
 
+_FOREIGN_ARGUMENTS = {
+    "da_policy_name": (lambda w: run_occ_da(w, 2, "dep_graph"), "policy must be an SvPolicy, got 'dep_graph'"),
+    "probe_policy_name": (lambda w: determinism_probe(w, 2, "x", trials=2), "policy must be an SvPolicy, got 'x'"),
+    "da_timing_int": (lambda w: run_occ_da(w, 2, timing=5), "timing must be a Timing, got 5"),
+    "det_commit_timing_class": (lambda w: run_occ_det_commit(w, 2, timing=Timing), "timing must be a Timing"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOREIGN_ARGUMENTS))
+def test_engines_refuse_a_policy_or_timing_of_another_type(case):
+    run, message = _FOREIGN_ARGUMENTS[case]
+    with pytest.raises(ValidationError, match=message):
+        run(four_tx_example())
+
+
 @pytest.mark.parametrize("duration", [0, -100, 2.5, True, "3", None])
 def test_fixed_timing_rejects_a_duration_that_is_not_a_positive_integer(duration):
     with pytest.raises(ValidationError, match="tx 3"):
@@ -761,5 +776,5 @@ def test_cadd_aware_abort_exempts_cadd_only_keys():
 
 def test_occ_empty_workload():
     w = Workload()
-    result = run_occ_da(w, 2)
-    assert result.makespan == 0 and result.attempts == ()
+    for result in (run_occ_da(w, 2), run_occ_det_commit(w, 2), run_occ_classic(w, 2)):
+        assert result.makespan == 0 and result.attempts == () and result.committed_order == ()

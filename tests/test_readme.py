@@ -44,10 +44,10 @@ def _names(cell: str) -> set[str]:
 def test_readme_config_table_lists_every_setting():
     keys = [_names(row[0]) for row in _table("| key | type | default | flag, commands |")]
     assert all(len(names) == 1 for names in keys)
-    assert set().union(*keys) == set(cli._SETTINGS) | {"input", "transforms"}
+    assert set().union(*keys) == set(cli._CONFIG_KEYS) == set(cli._SETTINGS) | {"input", "transforms"}
 
 
-def test_readme_step_table_lists_every_step_and_its_required_fields():
+def test_readme_step_table_lists_every_step_and_its_fields():
     rows = _table("| step | required fields | optional fields |")
-    documented = {_names(step).pop(): _names(required) for step, required, _ in rows}
-    assert documented == {kind: set(fields) for kind, (fields, _) in cli._STEPS.items()}
+    documented = {_names(step).pop(): (_names(required), _names(optional)) for step, required, optional in rows}
+    assert documented == {kind: (set(required), set(optional)) for kind, (required, optional, _) in cli._STEPS.items()}

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from txpar.report import render_json
+from txpar import ValidationError
+from txpar.report import mean, render_json
 
 
 def stdlib(value) -> str:
@@ -92,3 +93,9 @@ def test_render_json_converts_and_raises_as_the_stdlib():
         with pytest.raises(error) as theirs:
             stdlib(bad)
         assert str(ours.value) == str(theirs.value)
+
+
+def test_mean_refuses_no_values():
+    assert mean([1, 2]) == 1.5
+    with pytest.raises(ValidationError, match="mean of empty sequence"):
+        mean([])

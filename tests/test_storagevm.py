@@ -79,6 +79,9 @@ def test_store_erases_pending_cadds():
     vm.store(K, 7)
     assert vm.effect.pending_cadds == {}
     assert vm.effect.write_buffer == {K: 7}
+    vm.cadd(K, 2)  # an add after the store folds into the buffered value
+    assert vm.effect.pending_cadds == {}
+    assert vm.effect.write_buffer == {K: 9}
 
 
 def test_load_folds_pending_cadds_and_reclassifies():
@@ -267,6 +270,30 @@ def _committed_run(workload, mode, svs=(), order=()):
         serial_cost=n,
         speedup=1.0,
     )
+
+
+_TWO_TXS = Workload(transactions=(_tx(0, writes={K}), _tx(1, reads={K}, writes={L})))
+_COMMITTED_ONCE = _committed_run(_TWO_TXS, "occ-da", svs=[-1, 0])
+#: Runs that do not commit each tx exactly once, with the error replay_check gives.
+_MISCOMMITTED_RUNS = {
+    "classic_repeats_a_tx": (_committed_run(_TWO_TXS, "occ-classic", order=[0, 0]), "classic run must commit every"),
+    "classic_misses_a_tx": (_committed_run(_TWO_TXS, "occ-classic", order=[1]), "classic run must commit every"),
+    "in_order_commits_a_tx_twice": (
+        dataclasses.replace(
+            _COMMITTED_ONCE, attempts=_COMMITTED_ONCE.attempts + (ExecAttempt(1, 1, 0, 1, 2, "committed"),)
+        ),
+        "deterministic run must commit every",
+    ),
+    "in_order_misses_a_tx": (_committed_run(_TWO_TXS, "occ-da", svs=[-1]), "deterministic run must commit every"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISCOMMITTED_RUNS))
+def test_replay_check_rejects_a_run_that_does_not_commit_each_tx_once(case):
+    run, message = _MISCOMMITTED_RUNS[case]
+    assert replay_check(_TWO_TXS, _COMMITTED_ONCE)
+    with pytest.raises(ValidationError, match=message):
+        replay_check(_TWO_TXS, run)
 
 
 def test_replay_check_rejects_snapshots_at_or_after_own_commit():

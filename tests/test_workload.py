@@ -79,6 +79,25 @@ def test_parse_bad_key_format_names_line_number():
         parse_trace('{"sender":"a","gas":5,"reads":["noslot"],"writes":[],"cadds":[]}')
 
 
+_RECORD = {"sender": "a", "gas": 5}
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ([_RECORD], "line 1: record must be a JSON object"),
+        ({**_RECORD, "reads": "c:s"}, "line 1: reads must be an array"),
+        ({**_RECORD, "writes": {"c:s": 1}}, "line 1: writes must be an array"),
+        ({**_RECORD, "cadds": {"c:s": 1}}, "line 1: cadds must be an array"),
+        ({**_RECORD, "cadds": [["c:s"]]}, r"line 1: cadds entries must be \[key, delta\] pairs"),
+    ],
+    ids=["array", "reads_string", "writes_object", "cadds_object", "cadd_pair_of_one"],
+)
+def test_parse_names_a_record_or_access_field_of_the_wrong_shape(record, message):
+    with pytest.raises(TraceParseError, match=message):
+        parse_trace(json.dumps(record))
+
+
 def test_parse_duplicate_id_rejected():
     text = (
         '{"id":0,"sender":"a","gas":5,"reads":[],"writes":[],"cadds":[]}\n'
