@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+import threading
 from operator import itemgetter
 from pathlib import Path
 
@@ -94,6 +96,7 @@ _PATH = _expect("a path", lambda v: type(v) is str and "\0" not in v)
 _PATHS = _expect("a list of paths", lambda v: _is_strings(v) and not any("\0" in path for path in v))
 _KEYS = _expect("a storage key or a list of them", lambda v: type(v) is str or _is_strings(v))
 _POSITIVE = _expect("a positive integer", lambda v: type(v) is int and v > 0)
+_TRIALS = _expect("an integer >= 2", lambda v: type(v) is int and v >= 2)  # a probe compares at least two runs
 
 #: Every setting a flag or a config key can give, with its default and parser. A command resolves those it has
 #: a flag for: the flag beats the config, and the config beats the default (a config value of null is absent).
@@ -104,7 +107,7 @@ _SETTINGS = {
     "cadd_aware": (False, _BOOL),
     "mode": (MODE_DA, _expect(f"one of {', '.join(MODES)}", lambda v: v in MODES)),
     "policy": ("minus_one", _expect(f"one of {', '.join(POLICIES)}", lambda v: v in POLICIES)),
-    "trials": (20, _INT),
+    "trials": (20, _TRIALS),
     "threads": ((32,), _thread_counts),
 }
 _CONFIG_KEYS = (*_SETTINGS, "input", "transforms")  # a command ignores the settings it has no flag for
@@ -146,11 +149,11 @@ def _load_trace(path: str) -> Workload:
 _GENERATOR_FLAGS = ("senders", "traders", "track_total_supply", "gas")
 
 
-def _generator_workloads(spec):
-    """Check a generator spec's fields, count and seed; return an iterator over its (label, workload) blocks, each
-    generated in its turn. A spec holds only the fields its pattern reads: pattern, n, count, seed, and spec, which
-    "mixed" needs, or params for any other pattern. The generator checks n and its param values, and gen_mixed a mixed
-    spec's entries and weights, when the first block is generated, before any output is written."""
+def _generator_workloads(spec) -> list:
+    """Check a generator spec's fields, count and seed; return its blocks' (label, load) sources, `load()` generating
+    the block. A spec holds only the fields its pattern reads: pattern, n, count, seed, and spec, which "mixed" needs,
+    or params for any other pattern. The generator checks n and its param values, and gen_mixed a mixed spec's
+    entries and weights, when the first block is generated, before any output is written."""
     pattern = _OBJECT("generator spec", spec).get("pattern")
     mixed = pattern == "mixed"
     fields = ("pattern", "n", "count", "seed", "spec" if mixed else "params")
@@ -162,11 +165,11 @@ def _generator_workloads(spec):
     else:
         params = generator_params(pattern, spec.get("params"))
         generate = functools.partial(GENERATORS[pattern], spec.get("n"), **params)
-    return ((f"{pattern}-s{seed}-{i:04d}", generate(seed=seed + i)) for i in range(count))
+    return [(f"{pattern}-s{seed}-{i:04d}", functools.partial(generate, seed=seed + i)) for i in range(count)]
 
 
-def _resolve_workloads(args):
-    """Check where the inputs come from; return an iterator over their (label, workload) blocks, each read in turn."""
+def _resolve_workloads(args) -> list:
+    """Check where the inputs come from; return their blocks' (label, load) sources, `load()` reading the block."""
     if args.gen:
         spec = _parse_json(args.gen, "--gen") if args.gen.lstrip().startswith("{") else _load_json_file(args.gen)
         return _generator_workloads(spec)
@@ -183,7 +186,7 @@ def _resolve_workloads(args):
         inputs = _PATHS("config input 'trace'/'traces'", [] if traces is None else traces)
     if not inputs:
         raise ValidationError("no input: pass --input TRACE..., --gen SPEC, or a config with an 'input' field")
-    return ((Path(path).stem, _load_trace(path)) for path in inputs)
+    return [(Path(path).stem, functools.partial(_load_trace, path)) for path in inputs]
 
 
 def _key_set(raw, workload: Workload) -> frozenset[StorageKey]:
@@ -270,13 +273,12 @@ def _graph(workload: Workload, args) -> tuple[DependencyGraph, int]:
     return graph, len(graph.edges)
 
 
-def _blocks(args):
-    """Yield (label, workload) per input, the workload rewritten by the chain's workload steps. Each block is read
+def _blocks(args, sources):
+    """Yield (label, workload) per source, the workload rewritten by the chain's workload steps. Each block is loaded
     when its turn comes, and the caller drops its block before it asks for the next one, so one block, with the
     tables its workload derives, is held at a time."""
-    for label, workload in _resolve_workloads(args):
-        yield label, _rewrite(workload, args.rewrites)
-        del workload
+    for label, load in sources:
+        yield label, _rewrite(load(), args.rewrites)
 
 
 def _write_table(args, name: str, rows: list, header: list[str], flat: list) -> None:
@@ -304,11 +306,10 @@ def cmd_generate(args) -> int:
     elif args.pattern == "mixed" and not params:  # the spec's field check refuses a param flag first
         raise ValidationError("--pattern mixed needs its entries: --mixed-spec FILE")
     # one block is written to --out itself, several into it as a directory, each as soon as it is generated
-    for label, workload in _generator_workloads(spec):
+    for label, generate in _generator_workloads(spec):
         path = args.out if args.count == 1 else args.out / f"{label}.trace"
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(emit_trace(workload))
-        del workload  # before the next block is generated
+        path.write_bytes(emit_trace(generate()))
     print(f"wrote {args.out}" if args.count == 1 else f"wrote {args.count} traces to {args.out}")
     return 0
 
@@ -316,7 +317,7 @@ def cmd_generate(args) -> int:
 def cmd_analyze(args) -> int:
     rows = []
     flat = []
-    for label, workload in _blocks(args):
+    for label, workload in _blocks(args, _resolve_workloads(args)):
         schedule, edges = _graph(workload, args)
         path = critical_path(schedule)
         bounds = {}
@@ -346,7 +347,7 @@ def cmd_bound(args) -> int:
     if args.timeline and args.format == "csv":
         raise ValidationError("--timeline writes timelines only to bound.json, and --format csv writes no JSON")
     rows = []
-    for label, workload in _blocks(args):
+    for label, workload in _blocks(args, _resolve_workloads(args)):
         schedule = _graph(workload, args)[0]
         for t in args.threads:
             result = bound_schedule(schedule, t)
@@ -375,7 +376,7 @@ def cmd_simulate(args) -> int:
     rows = []
     events = []
     diverged = []  # the runs whose replay does not end in the serial state
-    for label, workload in _blocks(args):
+    for label, workload in _blocks(args, _resolve_workloads(args)):
         if not dep_graph:
             policy = SvPolicy.minus_one()
         elif args.prunes:  # the pruned graph's edges are normative
@@ -455,15 +456,55 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def cmd_probe(args) -> int:
+def _probe_blocks(args, sources) -> list[dict]:
+    """The probe.json rows of the sources' blocks, in their order, each block probed at every thread count."""
     rows = []
-    for label, workload in _blocks(args):
+    for label, workload in _blocks(args, sources):
         for t in args.threads:
             probe = determinism_probe(workload, t, trials=args.trials, seed=args.seed, cadd_aware=args.cadd_aware)
             row = {"workload": label, **vars(probe)}
             del row["da_patterns"], row["det_commit_patterns"]  # the raw patterns stay out of probe.json
             rows.append(row)
-        del workload  # before the next block is read
+        del workload  # before the next block is loaded
+    return rows
+
+
+def _probe_workers(blocks: int) -> int:
+    """How many processes probe `blocks` blocks: one per CPU this process may run on, at most one per block. A
+    process that runs other threads probes in-process, since a forked child gets only the calling thread."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), blocks)
+
+
+#: A probe worker's (args, sources), set in each worker process as it starts; the parent never sets it.
+_probe_job: tuple = ()
+
+
+def _start_probe_worker(args, sources) -> None:
+    global _probe_job
+    _probe_job = args, sources
+
+
+def _probe_source(index: int) -> list[dict]:
+    args, sources = _probe_job
+    return _probe_blocks(args, sources[index : index + 1])
+
+
+def cmd_probe(args) -> int:
+    sources = _resolve_workloads(args)
+    workers = _probe_workers(len(sources))
+    if workers < 2:
+        rows = _probe_blocks(args, sources)
+    else:
+        # Blocks are probed independently, so a pool of forked workers probes them on every CPU. A forked worker
+        # inherits args and the sources, so only an index and a block's rows cross between processes, and imap hands
+        # the rows back in input order: the first block that fails in that order raises here, and probe.json holds
+        # the same bytes as in-process. multiprocessing is imported only here, where a pool runs.
+        import multiprocessing
+
+        with multiprocessing.get_context("fork").Pool(workers, _start_probe_worker, (args, sources)) as pool:
+            rows = [row for block_rows in pool.imap(_probe_source, range(len(sources))) for row in block_rows]
     violations = sum(not row["da_deterministic"] for row in rows)
     report.write_json(args.out / "probe.json", {"runs": rows, "da_violations": violations})
     print(f"probed {len(rows)} run(s) -> {args.out}; deterministic-abort violations: {violations}")

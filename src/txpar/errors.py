@@ -11,6 +11,10 @@ class TraceParseError(ValidationError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):  # pickle rebuilds it from both arguments, not from the one joined string in `args`
+        return type(self), (self.line_no, self.message), self.__dict__
 
 
 class SoundnessError(ValidationError):

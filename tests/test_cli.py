@@ -4,9 +4,12 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -22,14 +25,23 @@ def run(argv):
     return main(argv)
 
 
-def test_python_dash_m_runs_the_cli_from_a_checkout():
+def _python_from_a_checkout(*argv):
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "txpar", "--help"], env=env, capture_output=True, text=True, timeout=60, check=False
-    )
+    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60, check=False)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("usage: txpar")
+    return done.stdout
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    assert _python_from_a_checkout("-m", "txpar", "--help").startswith("usage: txpar")
+
+
+def test_importing_the_cli_imports_no_multiprocessing():
+    """Only a probe that runs a pool imports multiprocessing, so a one-block probe pays neither its import time
+    nor its memory."""
+    code = "import txpar.cli, sys; print('multiprocessing' in sys.modules)"
+    assert _python_from_a_checkout("-c", code) == "False\n"
 
 
 def test_generate_single_trace(tmp_path):
@@ -221,6 +233,20 @@ def test_analyze_with_prune_step(tmp_path):
     assert rows[0]["edges"] == 0
 
 
+def _probe_in_workers(monkeypatch, workers):
+    """Make probe use `workers` processes, whatever the CPUs of this host; with more than one, fail a run that
+    probes a block in this process. A fork needs no second CPU."""
+    monkeypatch.setattr(cli, "_probe_workers", lambda blocks: workers)
+    if workers > 1:
+        parent, probe_blocks = os.getpid(), cli._probe_blocks
+
+        def in_a_worker(args, sources):
+            assert os.getpid() != parent, "a block was probed in-process"
+            return probe_blocks(args, sources)
+
+        monkeypatch.setattr(cli, "_probe_blocks", in_a_worker)
+
+
 def test_probe_command(tmp_path):
     trace = tmp_path / "w.trace"
     run(["generate", "--pattern", "token_distribution", "--n", "12", "--senders", "3", "--seed", "2", "--out", str(trace)])
@@ -250,9 +276,15 @@ def test_probe_invariant_violation_exits_3(tmp_path, monkeypatch):
         )
 
     monkeypatch.setattr(cli_module, "determinism_probe", fake_probe)
-    trace = tmp_path / "w.trace"
-    run(["generate", "--pattern", "payments", "--n", "4", "--seed", "0", "--out", str(trace)])
-    assert run(["probe", "--input", str(trace), "--threads", "2", "--trials", "4", "--out", str(tmp_path / "p")]) == 3
+    traces = [str(tmp_path / f"w{seed}.trace") for seed in range(2)]
+    for seed, trace in enumerate(traces):
+        run(["generate", "--pattern", "payments", "--n", "4", "--seed", str(seed), "--out", trace])
+    for workers in (1, 2):
+        _probe_in_workers(monkeypatch, workers)
+        out = tmp_path / f"p{workers}"
+        assert run(["probe", "--input", *traces, "--threads", "2", "--trials", "4", "--out", str(out)]) == 3
+        assert json.loads((out / "probe.json").read_text())["da_violations"] == 2
+        assert multiprocessing.active_children() == []
 
 
 def test_histogram_command(tmp_path):
@@ -511,6 +543,16 @@ BAD_INPUTS = {
     "config_format": (["analyze", "--input", "{trace}", "--config", "{json}"], {"format": "x"}, "config 'format'"),
     "config_policy": (["simulate", "--input", "{trace}", "--config", "{json}"], {"policy": "bogus"}, "config 'policy'"),
     "config_cadd_aware": (["probe", "--input", "{trace}", "--config", "{json}"], {"cadd_aware": "no"}, "'cadd_aware'"),
+    "probe_one_trial": (  # refused before the input, which does not exist, is read
+        ["probe", "--input", "missing.trace", "--trials", "1"],
+        None,
+        "--trials must be an integer >= 2, got 1",
+    ),
+    "config_one_trial": (
+        ["probe", "--input", "missing.trace", "--config", "{json}"],
+        {"trials": 1},
+        "config 'trials' must be an integer >= 2, got 1",
+    ),
     "policy_classic": (
         ["simulate", "--input", "{trace}", "--mode", "occ-classic", "--policy", "minus_one"],
         None,
@@ -604,6 +646,74 @@ def test_probe_applies_the_transform_chain(tmp_path):
     assert with_chain == _probe_json(["--config", str(config)], tmp_path / "d")
 
 
+#: Probe inputs over three defi_fee blocks. In argv, "{feeN}" is the block of seed N, "{chain}" a cadd_rewrite
+#: chain and "{config}" a config whose input holds the three traces.
+POOL_INPUTS = {
+    "traces": ["--input", "{fee0}", "{fee1}", "{fee2}"],
+    "gen": ["--gen", json.dumps({"pattern": "defi_fee", "n": 12, "count": 3, "seed": 4, "params": {"traders": 3}})],
+    "config_traces": ["--config", "{config}"],
+    "chain": ["--input", "{fee0}", "{fee1}", "{fee2}", "--transforms", "{chain}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(POOL_INPUTS))
+def test_a_pool_of_workers_writes_the_same_probe_json(case, tmp_path, monkeypatch):
+    files = {f"fee{seed}": str(tmp_path / f"fee{seed}.trace") for seed in range(3)}
+    for seed in range(3):
+        generate = ["generate", "--pattern", "defi_fee", "--n", "12", "--traders", "3", "--seed", str(seed)]
+        run(generate + ["--out", files[f"fee{seed}"]])
+    files["chain"] = tmp_path / "chain.json"
+    files["chain"].write_text(json.dumps([CADD]))
+    files["config"] = tmp_path / "config.json"
+    files["config"].write_text(json.dumps({"input": {"traces": [files[f"fee{seed}"] for seed in range(3)]}}))
+    argv = [str(files[arg[1:-1]]) if arg[1:-1] in files else arg for arg in POOL_INPUTS[case]]
+    _probe_in_workers(monkeypatch, 1)
+    in_process = _probe_json(argv, tmp_path / "in_process")
+    _probe_in_workers(monkeypatch, 2)
+    assert _probe_json(argv, tmp_path / "pool") == in_process
+    assert len(json.loads(in_process)["runs"]) == 3 * 2  # every block at both thread counts
+    assert multiprocessing.active_children() == []
+
+
+def test_probe_forks_one_worker_per_cpu_and_block_and_none_beside_other_threads():
+    assert cli._probe_workers(1) == 1
+    assert cli._probe_workers(64) == min(len(os.sched_getaffinity(0)), 64)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait, args=(60,))
+    waiting.start()
+    try:
+        assert cli._probe_workers(64) == 1
+    finally:
+        release.set()
+        waiting.join(60)
+    assert not waiting.is_alive()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "inputs, code, message",
+    [
+        (["good", "gas_0", "missing"], 1, "gas_0.trace: line 3: gas must be >= 1, got 0"),
+        (["good", "missing", "gas_0"], 2, "No such file or directory"),
+    ],
+    ids=["gas_0_first", "missing_first"],
+)
+def test_the_first_failing_block_in_input_order_decides_the_exit(
+    inputs, code, message, workers, tmp_path, monkeypatch, capsys
+):
+    good = tmp_path / "good.trace"
+    run(["generate", "--pattern", "payments", "--n", "4", "--seed", "0", "--out", str(good)])
+    text = good.read_text()
+    (tmp_path / "gas_0.trace").write_text(re.sub(r'"gas":\d+', '"gas":0', text, count=1))
+    _probe_in_workers(monkeypatch, workers)
+    capsys.readouterr()
+    argv = ["probe", "--input", *(str(tmp_path / f"{name}.trace") for name in inputs), "--trials", "2"]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert multiprocessing.active_children() == []
+
+
 NO_GRAPH = [["probe"], ["simulate"], ["simulate", "--mode", "occ-det-commit"]]
 
 
@@ -630,6 +740,9 @@ def test_prune_steps_need_a_command_that_uses_a_graph(argv, tmp_path, capsys):
     ],
 )
 def test_a_run_over_several_inputs_holds_one_parsed_block_at_a_time(argv, tmp_path, monkeypatch):
+    """The spy sees the blocks that this process loads, so probe runs in-process here; a probe worker loads its
+    blocks through the same `_blocks`, so it too holds one block at a time."""
+    monkeypatch.setattr(cli, "_probe_workers", lambda blocks: 1)
     traces = []
     for seed in range(3):
         traces.append(str(tmp_path / f"fee{seed}.trace"))

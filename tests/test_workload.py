@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import pickle
 import random
 import re
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from txpar import errors
 from txpar import (
     AccessSet,
     StorageKey,
@@ -77,6 +79,16 @@ def test_parse_malformed_line_names_line_number():
 def test_parse_bad_key_format_names_line_number():
     with pytest.raises(TraceParseError, match="line 1"):
         parse_trace('{"sender":"a","gas":5,"reads":["noslot"],"writes":[],"cadds":[]}')
+
+
+def test_every_error_type_survives_pickling():
+    """An error raised in a probe worker reaches the parent pickled; one that does not unpickle hangs the pool."""
+    kinds = [v for v in vars(errors).values() if isinstance(v, type) and v.__module__ == errors.__name__]
+    assert TraceParseError in kinds
+    for kind in kinds:
+        error = kind(3, "x") if kind is TraceParseError else kind("x")
+        copy = pickle.loads(pickle.dumps(error))
+        assert (type(copy), str(copy), getattr(copy, "line_no", None)) == (kind, str(error), getattr(error, "line_no", None))
 
 
 _RECORD = {"sender": "a", "gas": 5}
