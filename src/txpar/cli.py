@@ -27,6 +27,8 @@ from .occsim import (
     MODE_DA,
     MODE_DET_COMMIT,
     SvPolicy,
+    _merge_probe,
+    _probe_trials,
     determinism_probe,
     run_occ_classic,
     run_occ_da,
@@ -456,25 +458,39 @@ def cmd_transform(args) -> int:
     return 0
 
 
+def _probe_row(label: str, probe) -> dict:
+    row = {"workload": label, **vars(probe)}
+    del row["da_patterns"], row["det_commit_patterns"]  # the raw patterns stay out of probe.json
+    return row
+
+
 def _probe_blocks(args, sources) -> list[dict]:
     """The probe.json rows of the sources' blocks, in their order, each block probed at every thread count."""
     rows = []
     for label, workload in _blocks(args, sources):
         for t in args.threads:
             probe = determinism_probe(workload, t, trials=args.trials, seed=args.seed, cadd_aware=args.cadd_aware)
-            row = {"workload": label, **vars(probe)}
-            del row["da_patterns"], row["det_commit_patterns"]  # the raw patterns stay out of probe.json
-            rows.append(row)
+            rows.append(_probe_row(label, probe))
         del workload  # before the next block is loaded
     return rows
 
 
-def _probe_workers(blocks: int) -> int:
-    """How many processes probe `blocks` blocks: one per CPU this process may run on, at most one per block. A
-    process that runs other threads probes in-process, since a forked child gets only the calling thread."""
+def _probe_workers(blocks: int, trials: int) -> int:
+    """How many processes probe `blocks` blocks of `trials` trials each: one per CPU this process may run on, at
+    most one per trial. A process that runs other threads probes in-process, since a forked child gets only the
+    calling thread."""
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
-    return min(len(os.sched_getaffinity(0)), blocks)
+    return min(len(os.sched_getaffinity(0)), blocks * trials)
+
+
+def _trial_ranges(trials: int, blocks: int, workers: int) -> list:
+    """A block's trials cut into the consecutive ranges that are each one pool task: `ceil(workers / blocks)` of
+    them, at most one per trial, when there are fewer blocks than workers, and else the one whole block (None)."""
+    if blocks >= workers:
+        return [None]
+    cuts = min(-(-workers // blocks), trials)
+    return [range(trials * i // cuts, trials * (i + 1) // cuts) for i in range(cuts)]
 
 
 #: A probe worker's (args, sources), set in each worker process as it starts; the parent never sets it.
@@ -486,25 +502,45 @@ def _start_probe_worker(args, sources) -> None:
     _probe_job = args, sources
 
 
-def _probe_source(index: int) -> list[dict]:
+def _probe_task(task: tuple) -> list:
+    """Probe one block, or one range of its trials. A whole block returns its finished rows, and a range its parts
+    (`occsim._probe_trials`), one per thread count, whose exact patterns the parent merges across the block's
+    ranges."""
     args, sources = _probe_job
-    return _probe_blocks(args, sources[index : index + 1])
+    index, trials = task
+    if trials is None:
+        return _probe_blocks(args, sources[index : index + 1])
+    parts = []
+    for _, workload in _blocks(args, sources[index : index + 1]):
+        for t in args.threads:
+            parts.append(_probe_trials(workload, t, SvPolicy.minus_one(), trials, args.seed, args.cadd_aware))
+    return parts
 
 
 def cmd_probe(args) -> int:
     sources = _resolve_workloads(args)
-    workers = _probe_workers(len(sources))
+    workers = _probe_workers(len(sources), args.trials)
     if workers < 2:
         rows = _probe_blocks(args, sources)
     else:
-        # Blocks are probed independently, so a pool of forked workers probes them on every CPU. A forked worker
-        # inherits args and the sources, so only an index and a block's rows cross between processes, and imap hands
-        # the rows back in input order: the first block that fails in that order raises here, and probe.json holds
-        # the same bytes as in-process. multiprocessing is imported only here, where a pool runs.
+        # Blocks, and a block's trials, are probed independently, so a pool of forked workers probes them on every
+        # CPU. A forked worker inherits args and the sources, so only a task and its result cross between processes,
+        # and imap hands the results back in task order: the first block that fails in input order raises here, and
+        # probe.json holds the same bytes as in-process. multiprocessing is imported only here, where a pool runs.
         import multiprocessing
 
+        ranges = _trial_ranges(args.trials, len(sources), workers)
+        tasks = [(index, trials) for index in range(len(sources)) for trials in ranges]
         with multiprocessing.get_context("fork").Pool(workers, _start_probe_worker, (args, sources)) as pool:
-            rows = [row for block_rows in pool.imap(_probe_source, range(len(sources))) for row in block_rows]
+            results = pool.imap(_probe_task, tasks)
+            if ranges == [None]:
+                rows = [row for block_rows in results for row in block_rows]
+            else:
+                rows = []
+                for label, _ in sources:
+                    block = [next(results) for _ in ranges]  # per range, one part per thread count
+                    for t, parts in zip(args.threads, zip(*block)):
+                        rows.append(_probe_row(label, _merge_probe(args.trials, t, parts)))
     violations = sum(not row["da_deterministic"] for row in rows)
     report.write_json(args.out / "probe.json", {"runs": rows, "da_violations": violations})
     print(f"probed {len(rows)} run(s) -> {args.out}; deterministic-abort violations: {violations}")

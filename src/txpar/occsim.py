@@ -494,14 +494,25 @@ def determinism_probe(
     """Run both in-order schedulers `trials` times under `JitterTiming`
     (per-attempt duration jitter and randomized completion ties), collecting
     the distinct outcome multisets of each. Trial `t` seeds its timing with
-    `seed * 1_000_003 + t`, the same for both schedulers."""
+    `seed * 1_000_003 + t`, the same for both schedulers.
+
+    A probe is the merge of the parts that consecutive ranges of its trials
+    make, so ranges may run in separate processes; here one part runs them
+    all."""
     _check_int("trials", trials, 2)
     _check_int("seed", seed)
     policy = policy if policy is not None else SvPolicy.minus_one()
+    return _merge_probe(trials, threads, [_probe_trials(workload, threads, policy, range(trials), seed, cadd_aware)])
+
+
+def _probe_trials(workload: Workload, threads: int, policy: SvPolicy, trials: range, seed: int, cadd_aware: bool):
+    """Run the probe's `trials`, as `determinism_probe` numbers them, on both
+    in-order schedulers. The part they make: the distinct da and det-commit
+    patterns, each in first-seen order, and the da makespans in trial order."""
     da_patterns: list = []
     dc_patterns: list = []
     makespans: list[int] = []
-    for trial in range(trials):
+    for trial in trials:
         timing = JitterTiming(seed=seed * 1_000_003 + trial)
         da = run_occ_da(workload, threads, policy, cadd_aware, timing=timing)
         makespans.append(da.makespan)
@@ -513,6 +524,20 @@ def determinism_probe(
         dc_pattern = dc.abort_pattern()
         if dc_pattern not in dc_patterns:
             dc_patterns.append(dc_pattern)
+    return tuple(da_patterns), tuple(dc_patterns), tuple(makespans)
+
+
+def _merge_probe(trials: int, threads: int, parts) -> ProbeReport:
+    """The report of a probe of `trials` trials from the parts of consecutive
+    ranges that cover them, in trial order: a pattern counts once, where it
+    was first seen."""
+    da_patterns: list = []
+    dc_patterns: list = []
+    makespans: list[int] = []
+    for da, dc, spans in parts:
+        da_patterns += [pattern for pattern in da if pattern not in da_patterns]
+        dc_patterns += [pattern for pattern in dc if pattern not in dc_patterns]
+        makespans += spans
     return ProbeReport(
         trials=trials,
         threads=threads,

@@ -32,10 +32,13 @@ def test_every_traced_name_resolves():
         assert callable(getattr(owner, attr)), f"{name}: {owner.__name__}.{attr} is not callable"
 
 
-def test_the_occ_da_hooks_fire(tmp_path):
+def test_the_occ_da_hooks_fire(tmp_path, monkeypatch):
     """`simulate --mode occ-da --policy dep_graph` and `probe --trials 2`, traced
     on a small block, reach every occ-da hook. The storage-version hook fires
-    once per tx per occ-da run: a retry reads id - 1 without a policy call."""
+    once per tx per occ-da run: a retry reads id - 1 without a policy call.
+    The probe runs in-process: the tracer sees only this process, and a
+    one-block probe splits its trials across a pool of forked workers."""
+    monkeypatch.setattr(txpar.cli, "_probe_workers", lambda blocks, trials: 1)
     workload = gen_token_distribution(30, senders=2, seed=1)
     assert run_occ_da(workload, 4).aborted()  # so the probe's minus_one runs retry
     trace = tmp_path / "block.trace"

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from txpar import SvPolicy, StorageKey, build_graph, parse_trace, prune_edges_probabilistic, replay_digest, run_occ_da
-from txpar import cli
+from txpar import cli, occsim
 from txpar.cli import main
 from txpar.workload import GENERATORS
 
@@ -235,16 +235,16 @@ def test_analyze_with_prune_step(tmp_path):
 
 def _probe_in_workers(monkeypatch, workers):
     """Make probe use `workers` processes, whatever the CPUs of this host; with more than one, fail a run that
-    probes a block in this process. A fork needs no second CPU."""
-    monkeypatch.setattr(cli, "_probe_workers", lambda blocks: workers)
+    loads a block in this process. A fork needs no second CPU."""
+    monkeypatch.setattr(cli, "_probe_workers", lambda blocks, trials: workers)
     if workers > 1:
-        parent, probe_blocks = os.getpid(), cli._probe_blocks
+        parent, blocks = os.getpid(), cli._blocks
 
         def in_a_worker(args, sources):
-            assert os.getpid() != parent, "a block was probed in-process"
-            return probe_blocks(args, sources)
+            assert os.getpid() != parent, "a block was loaded in-process"
+            return blocks(args, sources)
 
-        monkeypatch.setattr(cli, "_probe_blocks", in_a_worker)
+        monkeypatch.setattr(cli, "_blocks", in_a_worker)
 
 
 def test_probe_command(tmp_path):
@@ -676,17 +676,109 @@ def test_a_pool_of_workers_writes_the_same_probe_json(case, tmp_path, monkeypatc
 
 
 def test_probe_forks_one_worker_per_cpu_and_block_and_none_beside_other_threads():
-    assert cli._probe_workers(1) == 1
-    assert cli._probe_workers(64) == min(len(os.sched_getaffinity(0)), 64)
+    """One worker per CPU, at most one per trial: a one-block probe splits its trials across the CPUs."""
+    cpus = len(os.sched_getaffinity(0))
+    assert cli._probe_workers(1, 2) == min(cpus, 2)
+    assert cli._probe_workers(1, 20) == min(cpus, 20)
+    assert cli._probe_workers(64, 2) == min(cpus, 128)
     release = threading.Event()
     waiting = threading.Thread(target=release.wait, args=(60,))
     waiting.start()
     try:
-        assert cli._probe_workers(64) == 1
+        assert cli._probe_workers(1, 20) == cli._probe_workers(64, 20) == 1
     finally:
         release.set()
         waiting.join(60)
     assert not waiting.is_alive()
+
+
+def _fee_traces(tmp_path, count):
+    traces = [str(tmp_path / f"fee{seed}.trace") for seed in range(count)]
+    for seed, trace in enumerate(traces):
+        run(["generate", "--pattern", "defi_fee", "--n", "12", "--traders", "3", "--seed", str(seed), "--out", trace])
+    return traces
+
+
+def _spy_trial_ranges(monkeypatch):
+    """Record the trial ranges that each probe in this process cuts its blocks into."""
+    cuts = []
+    trial_ranges = cli._trial_ranges
+
+    def spy(*args):
+        cuts.append(trial_ranges(*args))
+        return cuts[-1]
+
+    monkeypatch.setattr(cli, "_trial_ranges", spy)
+    return cuts
+
+
+#: (blocks, workers, trials, chain): fewer blocks than workers split each block's trials into ranges of unequal
+#: lengths; as many blocks as workers keep whole blocks.
+SPLIT_CASES = [(blocks, workers, trials, False) for blocks in (1, 2) for workers in (2, 3) for trials in (2, 3, 5)]
+
+
+@pytest.mark.parametrize("blocks, workers, trials, chain", SPLIT_CASES + [(1, 2, 3, True)])
+def test_a_pool_that_splits_a_blocks_trials_writes_the_same_probe_json(
+    blocks, workers, trials, chain, tmp_path, monkeypatch
+):
+    argv = ["probe", "--input", *_fee_traces(tmp_path, blocks), "--threads", "2,4", "--cadd-aware"]
+    argv += ["--trials", str(trials), "--seed", "3"]
+    if chain:
+        (tmp_path / "chain.json").write_text(json.dumps([CADD]))
+        argv += ["--transforms", str(tmp_path / "chain.json")]
+    _probe_in_workers(monkeypatch, 1)
+    assert run(argv + ["--out", str(tmp_path / "in_process")]) == 0
+    _probe_in_workers(monkeypatch, workers)
+    cuts = _spy_trial_ranges(monkeypatch)
+    assert run(argv + ["--out", str(tmp_path / "pool")]) == 0
+    in_process, pool = ((tmp_path / out / "probe.json").read_bytes() for out in ("in_process", "pool"))
+    assert pool == in_process
+    assert len(json.loads(pool)["runs"]) == blocks * 2
+    if blocks < workers:  # consecutive ranges that cover the trials, one per worker a block may use
+        [ranges] = cuts
+        assert len(ranges) == min(-(-workers // blocks), trials) > 1
+        assert [trial for trials_range in ranges for trial in trials_range] == list(range(trials))
+    else:
+        assert cuts == [[None]]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_violation_seen_only_across_ranges_exits_3(tmp_path, monkeypatch, capsys):
+    """An occ-da engine whose outcome depends on the trial's parity gives each one-trial range one pattern, and the
+    merge two: the pool reports the violations of an in-process probe."""
+    real_engine, real_timing = occsim.run_occ_da, occsim.JitterTiming
+
+    class SeededTiming(real_timing):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.seed = seed
+
+    def parity_engine(workload, threads, policy=None, cadd_aware=False, *, timing=None):
+        result = real_engine(workload, threads, policy, cadd_aware, timing=timing)
+        return dataclasses.replace(result, attempts=()) if timing.seed % 2 else result
+
+    monkeypatch.setattr(occsim, "JitterTiming", SeededTiming)
+    monkeypatch.setattr(occsim, "run_occ_da", parity_engine)
+    merged = []
+    merge_probe = cli._merge_probe
+
+    def spy(trials, threads, parts):
+        merged.append([len(da) for da, _, _ in parts])
+        return merge_probe(trials, threads, parts)
+
+    monkeypatch.setattr(cli, "_merge_probe", spy)
+    argv = ["probe", "--input", *_fee_traces(tmp_path, 1), "--threads", "2,4", "--trials", "2"]
+    outputs = []
+    for workers in (1, 2):
+        _probe_in_workers(monkeypatch, workers)
+        capsys.readouterr()
+        assert run(argv + ["--out", str(tmp_path / f"p{workers}")]) == 3
+        assert "2 probe run(s) observed timing-dependent abort patterns" in capsys.readouterr().err
+        outputs.append((tmp_path / f"p{workers}" / "probe.json").read_bytes())
+        assert multiprocessing.active_children() == []
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1])["da_violations"] == 2
+    assert merged == [[1, 1], [1, 1]]  # per thread count, one pattern in each range
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -695,8 +787,10 @@ def test_probe_forks_one_worker_per_cpu_and_block_and_none_beside_other_threads(
     [
         (["good", "gas_0", "missing"], 1, "gas_0.trace: line 3: gas must be >= 1, got 0"),
         (["good", "missing", "gas_0"], 2, "No such file or directory"),
+        (["gas_0"], 1, "gas_0.trace: line 3: gas must be >= 1, got 0"),
+        (["missing"], 2, "No such file or directory"),
     ],
-    ids=["gas_0_first", "missing_first"],
+    ids=["gas_0_first", "missing_first", "one_block_gas_0", "one_block_missing"],
 )
 def test_the_first_failing_block_in_input_order_decides_the_exit(
     inputs, code, message, workers, tmp_path, monkeypatch, capsys
@@ -742,7 +836,7 @@ def test_prune_steps_need_a_command_that_uses_a_graph(argv, tmp_path, capsys):
 def test_a_run_over_several_inputs_holds_one_parsed_block_at_a_time(argv, tmp_path, monkeypatch):
     """The spy sees the blocks that this process loads, so probe runs in-process here; a probe worker loads its
     blocks through the same `_blocks`, so it too holds one block at a time."""
-    monkeypatch.setattr(cli, "_probe_workers", lambda blocks: 1)
+    monkeypatch.setattr(cli, "_probe_workers", lambda blocks, trials: 1)
     traces = []
     for seed in range(3):
         traces.append(str(tmp_path / f"fee{seed}.trace"))

@@ -678,6 +678,47 @@ def test_probe_edge_free_identical_everywhere():
     assert probe.det_commit_deterministic
 
 
+def _trial_splits(trials):
+    """Every cut of `range(trials)` into consecutive non-empty ranges, as (start, stop) pairs."""
+    for mask in range(2 ** (trials - 1)):
+        cuts = [0, *(i for i in range(1, trials) if mask >> (i - 1) & 1), trials]
+        yield list(zip(cuts, cuts[1:]))
+
+
+def _assert_merged_parts_equal_the_probe(w, threads, trials, seed):
+    """For both conflict rules and both policies, the parts of every split of the trials into consecutive ranges
+    merge into `determinism_probe`'s report, field for field, patterns and their order included."""
+    for cadd_aware in (False, True):
+        for policy in (SvPolicy.minus_one(), SvPolicy.from_workload(w, cadd_aware)):
+            expected = determinism_probe(w, threads, policy, trials, seed, cadd_aware=cadd_aware)
+            parts = {
+                (start, stop): occsim._probe_trials(w, threads, policy, range(start, stop), seed, cadd_aware)
+                for start in range(trials)
+                for stop in range(start + 1, trials + 1)
+            }
+            for split in _trial_splits(trials):
+                merged = occsim._merge_probe(trials, threads, [parts[bounds] for bounds in split])
+                assert merged == expected, (policy.variant, cadd_aware, split)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(_accesses, st.integers(1, 50)), min_size=1, max_size=16),
+    st.integers(1, 6),
+    st.integers(2, 7),
+    st.integers(0, 2**16),
+)
+def test_a_probe_is_the_merge_of_its_trial_ranges(spec, threads, trials, seed):
+    w = Workload(transactions=tuple(Transaction(id=i, sender="s", gas=gas, access=a) for i, (a, gas) in enumerate(spec)))
+    _assert_merged_parts_equal_the_probe(w, threads, trials, seed)
+
+
+def test_a_probe_is_the_merge_of_its_trial_ranges_on_the_corpus():
+    for index, w in enumerate(build_corpus(2)):
+        for trials in range(2, 8):
+            _assert_merged_parts_equal_the_probe(w, (2, 8)[index], trials, index)
+
+
 def test_negative_seeds_are_accepted():
     w = gen_payments(6, seed=0)
     assert run_occ_classic(w, 2, -3) == run_occ_classic(w, 2, -3)
