@@ -58,8 +58,6 @@ def bound_schedule(g: DependencyGraph, threads: int) -> ScheduleResult:
     for j, _ in g.edges:
         indegree[j] += 1
 
-    heappush, heappop = heapq.heappush, heapq.heappop
-    weights = g.weights
     ready: list[tuple[int, int]] = [(-priority[i], i) for i in range(n) if indegree[i] == 0]
     heapq.heapify(ready)
     timeline: list[list[tuple[int, int, int]]] = [[] for _ in range(min(threads, n))]
@@ -70,22 +68,25 @@ def bound_schedule(g: DependencyGraph, threads: int) -> ScheduleResult:
 
     while finished < n:
         while ready and idle:
-            _, tx = heappop(ready)
-            thread = heappop(idle)
-            end = clock + weights[tx]
+            _, tx = heapq.heappop(ready)
+            thread = heapq.heappop(idle)
+            end = clock + g.weights[tx]
             timeline[thread].append((tx, clock, end))
-            heappush(running, (end, thread, tx))
-        # No further dispatch possible; advance to the next completion and
-        # retire every one at that time, in the order they leave the heap.
-        clock = running[0][0]
+            heapq.heappush(running, (end, thread, tx))
+        # No further dispatch possible; advance to the next completion batch.
+        end, thread, tx = heapq.heappop(running)
+        clock = end
+        completed = [(thread, tx)]
         while running and running[0][0] == clock:
-            _, thread, tx = heappop(running)
-            heappush(idle, thread)
+            _, thread, tx = heapq.heappop(running)
+            completed.append((thread, tx))
+        for thread, tx in completed:
+            heapq.heappush(idle, thread)
             finished += 1
             for j in dependents[tx]:
                 indegree[j] -= 1
                 if indegree[j] == 0:
-                    heappush(ready, (-priority[j], j))
+                    heapq.heappush(ready, (-priority[j], j))
 
     makespan = clock
     return ScheduleResult(

@@ -27,9 +27,9 @@ from .occsim import (
     MODE_DA,
     MODE_DET_COMMIT,
     SvPolicy,
-    _merge_probe,
-    _probe_trials,
     determinism_probe,
+    merge_probe,
+    probe_trials,
     run_occ_classic,
     run_occ_da,
     run_occ_det_commit,
@@ -485,11 +485,13 @@ def _probe_workers(blocks: int, trials: int) -> int:
 
 
 def _trial_ranges(trials: int, blocks: int, workers: int) -> list:
-    """A block's trials cut into the consecutive ranges that are each one pool task: `ceil(workers / blocks)` of
-    them, at most one per trial, when there are fewer blocks than workers, and else the one whole block (None)."""
-    if blocks >= workers:
+    """A block's trials cut into the consecutive ranges that are each one pool task: `workers // blocks` of them, at
+    most one per trial, when that is two or more, and else the one whole block (None). Rounding down keeps a round
+    of tasks no longer than with whole blocks: 2 blocks on 3 workers stay whole, since 4 half blocks on 3 workers
+    would take as long and parse each block twice."""
+    cuts = min(workers // blocks, trials)
+    if cuts < 2:
         return [None]
-    cuts = min(-(-workers // blocks), trials)
     return [range(trials * i // cuts, trials * (i + 1) // cuts) for i in range(cuts)]
 
 
@@ -504,7 +506,7 @@ def _start_probe_worker(args, sources) -> None:
 
 def _probe_task(task: tuple) -> list:
     """Probe one block, or one range of its trials. A whole block returns its finished rows, and a range its parts
-    (`occsim._probe_trials`), one per thread count, whose exact patterns the parent merges across the block's
+    (`occsim.probe_trials`), one per thread count, whose exact patterns the parent merges across the block's
     ranges."""
     args, sources = _probe_job
     index, trials = task
@@ -513,7 +515,7 @@ def _probe_task(task: tuple) -> list:
     parts = []
     for _, workload in _blocks(args, sources[index : index + 1]):
         for t in args.threads:
-            parts.append(_probe_trials(workload, t, SvPolicy.minus_one(), trials, args.seed, args.cadd_aware))
+            parts.append(probe_trials(workload, t, None, trials, args.seed, cadd_aware=args.cadd_aware))
     return parts
 
 
@@ -540,7 +542,7 @@ def cmd_probe(args) -> int:
                 for label, _ in sources:
                     block = [next(results) for _ in ranges]  # per range, one part per thread count
                     for t, parts in zip(args.threads, zip(*block)):
-                        rows.append(_probe_row(label, _merge_probe(args.trials, t, parts)))
+                        rows.append(_probe_row(label, merge_probe(args.trials, t, parts)))
     violations = sum(not row["da_deterministic"] for row in rows)
     report.write_json(args.out / "probe.json", {"runs": rows, "da_violations": violations})
     print(f"probed {len(rows)} run(s) -> {args.out}; deterministic-abort violations: {violations}")

@@ -497,18 +497,28 @@ def determinism_probe(
     `seed * 1_000_003 + t`, the same for both schedulers.
 
     A probe is the merge of the parts that consecutive ranges of its trials
-    make, so ranges may run in separate processes; here one part runs them
-    all."""
+    make (`probe_trials`, `merge_probe`), so ranges may run in separate
+    processes; here one part runs them all."""
     _check_int("trials", trials, 2)
-    _check_int("seed", seed)
-    policy = policy if policy is not None else SvPolicy.minus_one()
-    return _merge_probe(trials, threads, [_probe_trials(workload, threads, policy, range(trials), seed, cadd_aware)])
+    part = probe_trials(workload, threads, policy, range(trials), seed, cadd_aware=cadd_aware)
+    return merge_probe(trials, threads, [part])
 
 
-def _probe_trials(workload: Workload, threads: int, policy: SvPolicy, trials: range, seed: int, cadd_aware: bool):
-    """Run the probe's `trials`, as `determinism_probe` numbers them, on both
+def probe_trials(
+    workload: Workload,
+    threads: int,
+    policy: SvPolicy | None,
+    trials: range,
+    seed: int = 0,
+    *,
+    cadd_aware: bool = False,
+) -> tuple:
+    """Run the trials of one range of a `determinism_probe` with the same
+    arguments, numbered and seeded as it numbers and seeds them, on both
     in-order schedulers. The part they make: the distinct da and det-commit
     patterns, each in first-seen order, and the da makespans in trial order."""
+    _check_int("seed", seed)
+    policy = policy if policy is not None else SvPolicy.minus_one()
     da_patterns: list = []
     dc_patterns: list = []
     makespans: list[int] = []
@@ -527,10 +537,10 @@ def _probe_trials(workload: Workload, threads: int, policy: SvPolicy, trials: ra
     return tuple(da_patterns), tuple(dc_patterns), tuple(makespans)
 
 
-def _merge_probe(trials: int, threads: int, parts) -> ProbeReport:
-    """The report of a probe of `trials` trials from the parts of consecutive
-    ranges that cover them, in trial order: a pattern counts once, where it
-    was first seen."""
+def merge_probe(trials: int, threads: int, parts) -> ProbeReport:
+    """The report of a probe of `trials` trials from the `probe_trials` parts
+    of consecutive ranges that cover them, in trial order: a pattern counts
+    once, where it was first seen."""
     da_patterns: list = []
     dc_patterns: list = []
     makespans: list[int] = []
@@ -538,6 +548,8 @@ def _merge_probe(trials: int, threads: int, parts) -> ProbeReport:
         da_patterns += [pattern for pattern in da if pattern not in da_patterns]
         dc_patterns += [pattern for pattern in dc if pattern not in dc_patterns]
         makespans += spans
+    if len(makespans) != trials:
+        raise ValidationError(f"the parts ran {len(makespans)} trial(s), not {trials}")
     return ProbeReport(
         trials=trials,
         threads=threads,

@@ -119,10 +119,9 @@ class StorageState:
     def digest(self) -> str:
         """Canonical state digest: sha256 over sorted `key value` lines."""
         # `contract:slot` is StorageKey's text form, spelled out to skip a
-        # method call per key. The keys are sorted alone, and each value
-        # looked up after: the keys are distinct, so the order is the same.
-        committed = self._committed
-        lines = "\n".join([f"{key[0]}:{key[1]} {committed[key][1][-1]}" for key in sorted(committed)])
+        # method call per key.
+        rows = sorted(self._committed.items())  # keys are distinct: values are never compared
+        lines = "\n".join(f"{contract}:{slot} {values[-1]}" for (contract, slot), (_, values) in rows)
         return hashlib.sha256(lines.encode()).hexdigest()
 
 

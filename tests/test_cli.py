@@ -712,9 +712,9 @@ def _spy_trial_ranges(monkeypatch):
     return cuts
 
 
-#: (blocks, workers, trials, chain): fewer blocks than workers split each block's trials into ranges of unequal
-#: lengths; as many blocks as workers keep whole blocks.
-SPLIT_CASES = [(blocks, workers, trials, False) for blocks in (1, 2) for workers in (2, 3) for trials in (2, 3, 5)]
+#: (blocks, workers, trials, chain): at least two workers per block split each block's trials into ranges of unequal
+#: lengths; fewer keep whole blocks, so 2 blocks on 3 workers do.
+SPLIT_CASES = [(blocks, workers, trials, False) for blocks in (1, 2) for workers in (2, 3, 4) for trials in (2, 3, 5)]
 
 
 @pytest.mark.parametrize("blocks, workers, trials, chain", SPLIT_CASES + [(1, 2, 3, True)])
@@ -734,9 +734,9 @@ def test_a_pool_that_splits_a_blocks_trials_writes_the_same_probe_json(
     in_process, pool = ((tmp_path / out / "probe.json").read_bytes() for out in ("in_process", "pool"))
     assert pool == in_process
     assert len(json.loads(pool)["runs"]) == blocks * 2
-    if blocks < workers:  # consecutive ranges that cover the trials, one per worker a block may use
+    if workers // blocks > 1:  # consecutive ranges that cover the trials, one per worker a block may use
         [ranges] = cuts
-        assert len(ranges) == min(-(-workers // blocks), trials) > 1
+        assert len(ranges) == min(workers // blocks, trials) > 1
         assert [trial for trials_range in ranges for trial in trials_range] == list(range(trials))
     else:
         assert cuts == [[None]]
@@ -760,13 +760,13 @@ def test_a_violation_seen_only_across_ranges_exits_3(tmp_path, monkeypatch, caps
     monkeypatch.setattr(occsim, "JitterTiming", SeededTiming)
     monkeypatch.setattr(occsim, "run_occ_da", parity_engine)
     merged = []
-    merge_probe = cli._merge_probe
+    merge_probe = cli.merge_probe
 
     def spy(trials, threads, parts):
         merged.append([len(da) for da, _, _ in parts])
         return merge_probe(trials, threads, parts)
 
-    monkeypatch.setattr(cli, "_merge_probe", spy)
+    monkeypatch.setattr(cli, "merge_probe", spy)
     argv = ["probe", "--input", *_fee_traces(tmp_path, 1), "--threads", "2,4", "--trials", "2"]
     outputs = []
     for workers in (1, 2):

@@ -692,12 +692,12 @@ def _assert_merged_parts_equal_the_probe(w, threads, trials, seed):
         for policy in (SvPolicy.minus_one(), SvPolicy.from_workload(w, cadd_aware)):
             expected = determinism_probe(w, threads, policy, trials, seed, cadd_aware=cadd_aware)
             parts = {
-                (start, stop): occsim._probe_trials(w, threads, policy, range(start, stop), seed, cadd_aware)
+                (start, stop): occsim.probe_trials(w, threads, policy, range(start, stop), seed, cadd_aware=cadd_aware)
                 for start in range(trials)
                 for stop in range(start + 1, trials + 1)
             }
             for split in _trial_splits(trials):
-                merged = occsim._merge_probe(trials, threads, [parts[bounds] for bounds in split])
+                merged = occsim.merge_probe(trials, threads, [parts[bounds] for bounds in split])
                 assert merged == expected, (policy.variant, cadd_aware, split)
 
 
@@ -717,6 +717,18 @@ def test_a_probe_is_the_merge_of_its_trial_ranges_on_the_corpus():
     for index, w in enumerate(build_corpus(2)):
         for trials in range(2, 8):
             _assert_merged_parts_equal_the_probe(w, (2, 8)[index], trials, index)
+
+
+def test_a_probe_part_checks_its_seed_and_its_merge_the_trial_count():
+    """`probe_trials` resolves the policy and checks the seed as `determinism_probe` does, and `merge_probe` refuses
+    parts that do not run exactly the report's trials."""
+    w = gen_token_distribution(12, senders=2, seed=1)
+    part = occsim.probe_trials(w, 4, None, range(1, 3), 5)
+    assert part == occsim.probe_trials(w, 4, SvPolicy.minus_one(), range(1, 3), 5)
+    with pytest.raises(ValidationError, match="seed"):
+        occsim.probe_trials(w, 4, None, range(2), 1.5)
+    with pytest.raises(ValidationError, match="2 trial"):
+        occsim.merge_probe(3, 4, [part])
 
 
 def test_negative_seeds_are_accepted():
